@@ -21,7 +21,16 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .codec import TrainConfig, align_identity_basis, decode, encode, load_model, save_model, train
+from .codec import (
+    BLOCK_ROWS,
+    TrainConfig,
+    align_identity_basis,
+    decode_batch,
+    encode_batch,
+    load_model,
+    save_model,
+    train,
+)
 from .config import RunConfig, SweepSpec, build_config, config_dict
 from .data import generate_corpus, load_manifest, read_pgm, save_manifest, write_pgm
 from .errors import ConfigError, DataError, DpImageError
@@ -29,24 +38,23 @@ from .metrics import (
     blur_baseline,
     calibrate_threshold,
     evaluate_pairs,
-    iss,
-    l2_distance,
+    iss_scores,
+    l2_distances,
     mosaic_baseline,
-    ssim,
+    ssim_scores,
     write_aggregate_csv,
     write_per_image_csv,
 )
-from .numerics import derive_stream
+from .numerics import derive_states
 from .privacy import (
     PrivacyBudgetLedger,
     PrivacyParams,
-    clip_latent,
-    dp_image,
+    dp_images,
     estimate_sensitivity,
     full_mask,
     identity_mask,
     latents_to_csv,
-    perturb_latent,
+    perturb_latents,
     save_latents,
 )
 
@@ -74,10 +82,14 @@ def _load_corpus(corpus_dir: Path):
     return manifest, images
 
 
-def _default_mask(config: RunConfig):
+def _privacy_params(config: RunConfig, epsilon: float, sensitivity: float) -> PrivacyParams:
+    """The configured mechanism; perturb and sweep both release through it."""
     if config.mask_mode == "identity_only":
-        return identity_mask(config.latent_dim, config.identity_len)
-    return full_mask(config.latent_dim)
+        mask = identity_mask(config.latent_dim, config.identity_len)
+    else:
+        mask = full_mask(config.latent_dim)
+    clip_radius = config.clip_radius if config.sensitivity_mode == "clip" else None
+    return PrivacyParams(epsilon, sensitivity, mask, clip_radius)
 
 
 def _resolve_delta_f(config: RunConfig, out_dir: Path) -> float:
@@ -157,7 +169,7 @@ def cmd_sensitivity(config: RunConfig, model_path: Path, corpus_dir: Path) -> No
     out_dir.mkdir(parents=True, exist_ok=True)
     model = load_model(model_path)
     manifest, images = _load_corpus(corpus_dir)
-    latents = np.stack([encode(model, images[r.path]) for r in manifest])
+    latents = encode_batch(model, [images[r.path] for r in manifest])
     report = estimate_sensitivity(latents)
     save_latents(latents, out_dir / "latents.dplz")
     latents_to_csv(latents, out_dir / "latents.csv")
@@ -166,9 +178,8 @@ def cmd_sensitivity(config: RunConfig, model_path: Path, corpus_dir: Path) -> No
         edges = report.stats.bin_edges
         for i, count in enumerate(report.stats.counts):
             f.write(f"{float(edges[i])!r},{float(edges[i + 1])!r},{int(count)}\n")
-    eval_rows = [r for r in manifest if r.split == "eval"][:20]
-    eval_latents = np.stack([encode(model, images[r.path]) for r in eval_rows])
-    heat = estimate_sensitivity(eval_latents).distances if len(eval_rows) >= 2 else None
+    eval_index = [i for i, r in enumerate(manifest) if r.split == "eval"][:20]
+    heat = estimate_sensitivity(latents[eval_index]).distances if len(eval_index) >= 2 else None
     with open(out_dir / "sensitivity_heatmap.csv", "w", newline="") as f:
         f.write("i,j,distance\n")
         if heat is not None:
@@ -203,9 +214,7 @@ def cmd_perturb(config: RunConfig, model_path: Path, inputs: list[Path]) -> None
     perturbed_dir.mkdir(parents=True, exist_ok=True)
     model = load_model(model_path)
     delta_f = _resolve_delta_f(config, out_dir)
-    params = PrivacyParams(
-        epsilon=config.epsilon, sensitivity=delta_f, mask=_default_mask(config)
-    )
+    params = _privacy_params(config, config.epsilon, delta_f)
     ledger_path = out_dir / "ledger.csv"
     ledger = (
         PrivacyBudgetLedger.load_csv(ledger_path)
@@ -213,21 +222,20 @@ def cmd_perturb(config: RunConfig, model_path: Path, inputs: list[Path]) -> None
         else PrivacyBudgetLedger()
     )
     files = _input_images(inputs)
-    for index, path in enumerate(files):
-        image = read_pgm(path)
-        stream = derive_stream(config.seed, _STREAM_PERTURB, index)
-        z = encode(model, image)
-        if config.sensitivity_mode == "clip":
-            z = clip_latent(z, config.clip_radius)
-        z_noisy, stream = perturb_latent(z, params, stream)
-        write_pgm(decode(model, z_noisy), perturbed_dir / path.name)
-        # group tracks data disjointness only (same corpus: budgets add);
-        # masked releases are annotated on the release id, since the epsilon
-        # guarantee then covers only the masked coordinate subspace
-        release = path.name
-        if config.mask_mode == "identity_only":
-            release += "#partial-coordinate"
-        ledger.record(release, config.epsilon, group="corpus")
+    for start in range(0, len(files), BLOCK_ROWS):
+        block = files[start : start + BLOCK_ROWS]
+        # each image's stream is addressed by its position in the request
+        states = derive_states(config.seed, _STREAM_PERTURB, np.arange(start, start + len(block)))
+        released = dp_images(model, [read_pgm(path) for path in block], params, states)
+        for path, image in zip(block, released):
+            write_pgm(image, perturbed_dir / path.name)
+            # group tracks data disjointness only (same corpus: budgets add);
+            # masked releases are annotated on the release id, since the
+            # epsilon guarantee then covers only the masked coordinate subspace
+            release = path.name
+            if config.mask_mode == "identity_only":
+                release += "#partial-coordinate"
+            ledger.record(release, config.epsilon, group="corpus")
     ledger.save_csv(ledger_path)
     _write_provenance(
         out_dir,
@@ -352,29 +360,33 @@ def cmd_sweep(config: RunConfig, model_path: Path, corpus_dir: Path, spec: Sweep
     model = load_model(model_path)
     manifest, images = _load_corpus(corpus_dir)
     cal = _calibrate_from_corpus(config, model, manifest, images)
-    eval_rows = [r for r in manifest if r.split == "eval"]
-    mask = _default_mask(config)
+    x_eval = np.stack([images[r.path] for r in manifest if r.split == "eval"])
+    z_eval = encode_batch(model, x_eval)
+    n_id = model.identity_len
+    # tasks in (repetition, image) order; they run one block of rows at a
+    # time, so at most one block of decoded images is alive
+    rep, image = np.divmod(np.arange(spec.repetitions * len(x_eval)), len(x_eval))
     results = []
     for level_index, level in enumerate(spec.levels):
         # the level is the noise scale b = delta_f / epsilon itself
-        params = PrivacyParams(epsilon=1.0, sensitivity=level, mask=mask)
+        params = _privacy_params(config, 1.0, level)
+        states = derive_states(config.seed, _STREAM_SWEEP, level_index, rep, image)
         iss_vals, l2_vals, ssim_vals = [], [], []
-        for rep in range(spec.repetitions):
-            for img_index, row in enumerate(eval_rows):
-                x = images[row.path]
-                stream = derive_stream(config.seed, _STREAM_SWEEP, level_index, rep, img_index)
-                y, _ = dp_image(model, x, params, stream)
-                iss_vals.append(iss(model, x, y))
-                l2_vals.append(l2_distance(x, y))
-                ssim_vals.append(ssim(x, y, config.ssim_window, config.ssim_sigma))
-        iss_vals = np.array(iss_vals)
+        for start in range(0, len(image), BLOCK_ROWS):
+            img = image[start : start + BLOCK_ROWS]
+            noisy = perturb_latents(z_eval[img], params, states[start : start + BLOCK_ROWS])
+            y = decode_batch(model, noisy)
+            iss_vals.append(iss_scores(z_eval[img, :n_id], encode_batch(model, y)[:, :n_id]))
+            l2_vals.append(l2_distances(x_eval[img], y))
+            ssim_vals.append(ssim_scores(x_eval[img], y, config.ssim_window, config.ssim_sigma))
+        iss_vals = np.concatenate(iss_vals)
         results.append(
             (
                 level,
                 float(iss_vals.mean()),
                 float(np.mean(iss_vals < cal.tau)),
-                float(np.mean(l2_vals)),
-                float(np.mean(ssim_vals)),
+                float(np.mean(np.concatenate(l2_vals))),
+                float(np.mean(np.concatenate(ssim_vals))),
             )
         )
     with open(out_dir / "sweep.csv", "w", newline="") as f:

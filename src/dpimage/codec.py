@@ -24,6 +24,14 @@ DEFAULT_HIDDEN_DIMS = (256, 64)
 DEFAULT_LATENT_DIM = 32
 DEFAULT_IDENTITY_LEN = 12
 
+# Rows per forward-pass matrix product. OpenBLAS rounds a row's product
+# differently at different matrix heights: a 1-row pass (GEMV), small and
+# large batches differ in the last bits. At one fixed height every row gets
+# the same bits whatever its position or batch mates, so encode and decode
+# always run zero-padded blocks of this height. 16 rows keep the padding of
+# single-image calls and the block temporaries small.
+BLOCK_ROWS = 16
+
 
 @dataclass
 class TrainConfig:
@@ -75,23 +83,21 @@ class AutoencoderModel:
         return len(self.encoder_dims) - 1
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # split on sign so exp never overflows, even for wildly perturbed latents
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+def _sigmoid_in_place(z: np.ndarray) -> np.ndarray:
+    # exp(-|z|) never overflows, even for wildly perturbed latents:
+    # 1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below
+    ez = np.exp(-np.abs(z))
+    return np.divide(np.where(z >= 0, 1.0, ez), 1.0 + ez, out=z)
 
 
-def _activation(model: AutoencoderModel, layer: int, z: np.ndarray) -> np.ndarray:
+def _activate_in_place(model: AutoencoderModel, layer: int, z: np.ndarray) -> np.ndarray:
+    """The layer's activation applied to z in place; returns z."""
     n_layers = 2 * model.n_encoder_layers
     if layer == model.n_encoder_layers - 1:
         return z  # latent layer stays unbounded
     if layer == n_layers - 1:
-        return _sigmoid(z)  # pixel range
-    return np.tanh(z)
+        return _sigmoid_in_place(z)  # pixel range
+    return np.tanh(z, out=z)
 
 
 def _activation_grad(model: AutoencoderModel, layer: int, a: np.ndarray) -> np.ndarray:
@@ -104,44 +110,54 @@ def _activation_grad(model: AutoencoderModel, layer: int, a: np.ndarray) -> np.n
 
 
 def _forward(model: AutoencoderModel, x: np.ndarray, first: int, last: int) -> np.ndarray:
-    a = x
-    for layer in range(first, last):
-        z = a @ model.weights[layer].T + model.biases[layer]
-        a = _activation(model, layer, z)
-    return a
+    """Rows of x through layers first..last-1, BLOCK_ROWS rows per product."""
+    n = x.shape[0]
+    out = np.empty((n, model.full_dims[last]))
+    block = np.zeros((BLOCK_ROWS, x.shape[1]))
+    for start in range(0, n, BLOCK_ROWS):
+        rows = x[start : start + BLOCK_ROWS]
+        block[: len(rows)] = rows
+        block[len(rows) :] = 0.0
+        a = block
+        for layer in range(first, last):
+            a = a @ model.weights[layer].T
+            a += model.biases[layer]
+            _activate_in_place(model, layer, a)
+        out[start : start + len(rows)] = a[: len(rows)]
+    return out
 
 
-def _check_image(model: AutoencoderModel, image: np.ndarray) -> np.ndarray:
-    image = np.asarray(image, dtype=np.float64)
-    if image.size != model.input_dim:
-        raise ValueError(
-            f"image has {image.size} pixels, model expects {model.input_dim}"
-        )
-    return image.reshape(-1)
+def _stack_rows(stack, width: int, what: str) -> np.ndarray:
+    """A stack of arrays as float64 rows of `width` values each."""
+    x = np.asarray(stack, dtype=np.float64)
+    if x.ndim == 0 or x.size != len(x) * width:
+        got = x.size // len(x) if x.ndim and len(x) else x.size
+        raise ValueError(f"{what} has {got} values, model expects {width}")
+    return x.reshape(len(x), width)
 
 
-def encode(model: AutoencoderModel, image: np.ndarray) -> np.ndarray:
-    """Map an image to its latent vector (deterministic forward pass)."""
-    x = _check_image(model, image)
+def encode_batch(model: AutoencoderModel, images) -> np.ndarray:
+    """Latent rows of a stack of images; row i does not depend on the others."""
+    x = _stack_rows(images, model.input_dim, "image")
     return _forward(model, x, 0, model.n_encoder_layers)
 
 
-def decode(model: AutoencoderModel, latent: np.ndarray) -> np.ndarray:
-    """Map a latent vector back to a square image with pixels in (0, 1)."""
-    latent = np.asarray(latent, dtype=np.float64).reshape(-1)
-    if latent.size != model.latent_dim:
-        raise ValueError(
-            f"latent has length {latent.size}, model expects {model.latent_dim}"
-        )
-    flat = _forward(model, latent, model.n_encoder_layers, 2 * model.n_encoder_layers)
+def decode_batch(model: AutoencoderModel, latents) -> np.ndarray:
+    """Square images with pixels in (0, 1) from a stack of latent vectors."""
+    z = _stack_rows(latents, model.latent_dim, "latent")
+    flat = _forward(model, z, model.n_encoder_layers, 2 * model.n_encoder_layers)
     side = int(round(model.input_dim**0.5))
-    return flat.reshape(side, side)
+    return flat.reshape(len(z), side, side)
 
 
-def _stack_batch(model: AutoencoderModel, batch) -> np.ndarray:
-    if len(batch) == 0:
-        raise ValueError("batch must be nonempty")
-    return np.stack([_check_image(model, img) for img in batch])
+def encode(model: AutoencoderModel, image: np.ndarray) -> np.ndarray:
+    """Map an image to its latent vector: encode_batch's row for it."""
+    return encode_batch(model, [image])[0]
+
+
+def decode(model: AutoencoderModel, latent: np.ndarray) -> np.ndarray:
+    """Map a latent vector back to an image: decode_batch's image for it."""
+    return decode_batch(model, [latent])[0]
 
 
 def loss_and_gradients(model: AutoencoderModel, batch):
@@ -151,13 +167,15 @@ def loss_and_gradients(model: AutoencoderModel, batch):
     reconstruction error. Returns (loss, weight_grads, bias_grads) with
     gradients shaped like the model parameters.
     """
-    x = _stack_batch(model, batch)
+    if len(batch) == 0:
+        raise ValueError("batch must be nonempty")
+    x = _stack_rows(batch, model.input_dim, "image")
     n_layers = 2 * model.n_encoder_layers
     activations = [x]
     a = x
     for layer in range(n_layers):
         z = a @ model.weights[layer].T + model.biases[layer]
-        a = _activation(model, layer, z)
+        a = _activate_in_place(model, layer, z)
         activations.append(a)
     recon = activations[-1]
     diff = recon - x
@@ -282,7 +300,7 @@ def align_identity_basis(
     classes = np.unique(labels)
     if classes.size < 2:
         raise ValueError("need at least 2 identities to align the basis")
-    z = np.stack([encode(model, img) for img in corpus])
+    z = encode_batch(model, corpus)
     m = model.latent_dim
     mu = z.mean(axis=0)
     zc = z - mu

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .codec import AutoencoderModel, encode
+from .codec import BLOCK_ROWS, AutoencoderModel, encode, encode_batch
 from .numerics import StatsSummary, descriptive_stats, sym_eigen
 
 SSIM_WINDOW = 11
@@ -34,9 +34,15 @@ def _check_same_shape(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndar
     return x, y
 
 
-def l2_distance(x: np.ndarray, y: np.ndarray) -> float:
+def l2_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Euclidean pixel distance of each pair in two equal-shaped image stacks."""
     x, y = _check_same_shape(x, y)
-    return float(np.sqrt(np.sum((y - x) ** 2)))
+    d = (y - x).reshape(len(x), -1)
+    return np.sqrt(np.sum(d * d, axis=1))
+
+
+def l2_distance(x: np.ndarray, y: np.ndarray) -> float:
+    return float(l2_distances([x], [y])[0])
 
 
 def ald(x: np.ndarray, y: np.ndarray, p=math.inf) -> float:
@@ -50,56 +56,77 @@ def ald(x: np.ndarray, y: np.ndarray, p=math.inf) -> float:
     return float(np.linalg.norm((y - x).ravel(), ord=p) / denom)
 
 
-def gaussian_window(size: int = SSIM_WINDOW, sigma: float = SSIM_SIGMA) -> np.ndarray:
-    half = (size - 1) / 2.0
-    g = np.exp(-((np.arange(size) - half) ** 2) / (2.0 * sigma * sigma))
-    kernel = np.outer(g, g)
-    return kernel / kernel.sum()
+def _gaussian_band(n: int, window: int, sigma: float) -> np.ndarray:
+    """(n - window + 1) x n matrix; row i holds the normalized 1-D Gaussian
+    taps in columns i .. i + window - 1."""
+    half = (window - 1) / 2.0
+    g = np.exp(-((np.arange(window) - half) ** 2) / (2.0 * sigma * sigma))
+    start = np.arange(n - window + 1)[:, None]
+    band = np.zeros((n - window + 1, n))
+    band[start, start + np.arange(window)] = g / g.sum()
+    return band
+
+
+def ssim_scores(
+    x: np.ndarray, y: np.ndarray, window: int = SSIM_WINDOW, sigma: float = SSIM_SIGMA
+) -> np.ndarray:
+    """Mean SSIM of each image pair in two stacks of shape (..., h, w).
+
+    Gaussian window (default 11x11, sigma 1.5) over all fully interior
+    windows, weighted means and covariances per window, constants for unit
+    dynamic range. The window is separable, so every local statistic of a
+    stack a is rows @ a @ cols.T with banded matrices of 1-D taps
+    (Wang et al. 2004). Pairs are filtered BLOCK_ROWS at a time, which
+    bounds the temporaries.
+    """
+    x, y = _check_same_shape(x, y)
+    if x.ndim < 2 or x.shape[-2] < window or x.shape[-1] < window:
+        raise ValueError(f"image {x.shape} smaller than the {window}x{window} window")
+    h, w = x.shape[-2:]
+    rows = _gaussian_band(h, window, sigma)
+    cols = _gaussian_band(w, window, sigma)
+    x_all = x.reshape(-1, h, w)
+    y_all = y.reshape(-1, h, w)
+    out = np.empty(len(x_all))
+    for start in range(0, len(x_all), BLOCK_ROWS):
+        a = x_all[start : start + BLOCK_ROWS]
+        b = y_all[start : start + BLOCK_ROWS]
+        mu_x, mu_y, xx, yy, xy = rows @ np.stack([a, b, a * a, b * b, a * b]) @ cols.T
+        var_x = xx - mu_x * mu_x
+        var_y = yy - mu_y * mu_y
+        cov = xy - mu_x * mu_y
+        num = (2.0 * mu_x * mu_y + SSIM_C1) * (2.0 * cov + SSIM_C2)
+        den = (mu_x * mu_x + mu_y * mu_y + SSIM_C1) * (var_x + var_y + SSIM_C2)
+        out[start : start + len(a)] = np.mean((num / den).reshape(len(a), -1), axis=1)
+    return out.reshape(x.shape[:-2])
 
 
 def ssim(
     x: np.ndarray, y: np.ndarray, window: int = SSIM_WINDOW, sigma: float = SSIM_SIGMA
 ) -> float:
-    """Mean structural similarity over all fully interior windows.
-
-    Gaussian window (default 11x11, sigma 1.5), weighted means and
-    covariances per window, constants for unit dynamic range.
-    """
-    x, y = _check_same_shape(x, y)
-    if x.shape[0] < window or x.shape[1] < window:
-        raise ValueError(f"image {x.shape} smaller than the {window}x{window} window")
-    w = gaussian_window(window, sigma)
-
-    def filt(a):
-        return np.tensordot(
-            sliding_window_view(a, (window, window)), w, axes=([2, 3], [0, 1])
-        )
-
-    mu_x = filt(x)
-    mu_y = filt(y)
-    var_x = filt(x * x) - mu_x * mu_x
-    var_y = filt(y * y) - mu_y * mu_y
-    cov = filt(x * y) - mu_x * mu_y
-    num = (2.0 * mu_x * mu_y + SSIM_C1) * (2.0 * cov + SSIM_C2)
-    den = (mu_x * mu_x + mu_y * mu_y + SSIM_C1) * (var_x + var_y + SSIM_C2)
-    return float(np.mean(num / den))
+    """Mean structural similarity of two images (see ssim_scores)."""
+    return float(ssim_scores(x, y, window, sigma))
 
 
-def iss_from_embeddings(e_x: np.ndarray, e_y: np.ndarray) -> float:
-    """Cosine similarity mapped to [0, 1]; zero embeddings score 0.5.
+def iss_scores(e_x: np.ndarray, e_y: np.ndarray) -> np.ndarray:
+    """Cosine similarity mapped to [0, 1] along the last axis; zero embeddings score 0.5.
 
-    The denominator is sqrt(sum(x^2) * sum(y^2)) so that identical
-    embeddings score exactly 1.0 and exact negatives exactly 0.0.
+    Takes two embeddings or two matrices of them, one per row. The
+    denominator is sqrt(sum(x^2) * sum(y^2)) so that identical embeddings
+    score exactly 1.0 and exact negatives exactly 0.0.
     """
     e_x = np.asarray(e_x, dtype=np.float64)
     e_y = np.asarray(e_y, dtype=np.float64)
-    sx = float(np.dot(e_x, e_x))
-    sy = float(np.dot(e_y, e_y))
-    if sx == 0.0 or sy == 0.0:
-        return 0.5
-    cos = float(np.dot(e_x, e_y)) / math.sqrt(sx * sy)
-    cos = min(1.0, max(-1.0, cos))
-    return (cos + 1.0) / 2.0
+    sx = np.sum(e_x * e_x, axis=-1)
+    sy = np.sum(e_y * e_y, axis=-1)
+    zero = (sx == 0.0) | (sy == 0.0)
+    cos = np.sum(e_x * e_y, axis=-1) / np.sqrt(np.where(zero, 1.0, sx * sy))
+    return np.where(zero, 0.5, (np.clip(cos, -1.0, 1.0) + 1.0) / 2.0)
+
+
+def iss_from_embeddings(e_x: np.ndarray, e_y: np.ndarray) -> float:
+    """ISS of two identity embeddings (see iss_scores)."""
+    return float(iss_scores(e_x, e_y))
 
 
 def identity_embedding(model: AutoencoderModel, image: np.ndarray) -> np.ndarray:
@@ -108,7 +135,28 @@ def identity_embedding(model: AutoencoderModel, image: np.ndarray) -> np.ndarray
 
 def iss(model: AutoencoderModel, x: np.ndarray, y: np.ndarray) -> float:
     """Identity similarity score between two images under the model."""
-    return iss_from_embeddings(identity_embedding(model, x), identity_embedding(model, y))
+    e = encode_batch(model, [x, y])[:, : model.identity_len]
+    return iss_from_embeddings(e[0], e[1])
+
+
+def _pair_iss(model: AutoencoderModel, pairs) -> np.ndarray:
+    """ISS of each (x, y) pair, encoding each distinct image object once.
+
+    A row's encoding does not depend on its batch mates, so sharing rows
+    between pairs that hold the same array saves work and changes no score.
+    """
+    slot: dict[int, int] = {}
+    unique = []
+    index = []
+    for pair in pairs:
+        for image in pair:
+            if id(image) not in slot:
+                slot[id(image)] = len(unique)
+                unique.append(image)
+            index.append(slot[id(image)])
+    emb = encode_batch(model, unique)[:, : model.identity_len]
+    index = np.array(index, dtype=np.intp).reshape(-1, 2)
+    return iss_scores(emb[index[:, 0]], emb[index[:, 1]])
 
 
 def fppsr(model: AutoencoderModel, pairs, threshold: float) -> float:
@@ -117,8 +165,7 @@ def fppsr(model: AutoencoderModel, pairs, threshold: float) -> float:
         raise ValueError("need at least one pair")
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold must be in [0, 1], got {threshold}")
-    hits = sum(1 for x, y in pairs if iss(model, x, y) < threshold)
-    return hits / len(pairs)
+    return float(np.mean(_pair_iss(model, pairs) < threshold))
 
 
 @dataclass(frozen=True)
@@ -153,8 +200,9 @@ def calibrate_threshold(
     """
     if len(genuine_pairs) == 0 or len(impostor_pairs) == 0:
         raise ValueError("genuine and impostor pair lists must be nonempty")
-    genuine = np.array([iss(model, x, y) for x, y in genuine_pairs])
-    impostor = np.array([iss(model, x, y) for x, y in impostor_pairs])
+    scores = _pair_iss(model, list(genuine_pairs) + list(impostor_pairs))
+    genuine = scores[: len(genuine_pairs)]
+    impostor = scores[len(genuine_pairs) :]
     tau = nearest_rank_percentile(impostor, percentile)
     edges = np.linspace(0.0, 1.0, 21)
     return ThresholdReport(
@@ -271,31 +319,29 @@ def evaluate_pairs(
     if len(pairs) == 0:
         raise ValueError("need at least one pair")
     ordered = sorted(pairs, key=lambda rec: rec[0])
-    rows = []
-    emb_x = []
-    emb_y = []
-    for image_id, x, y in ordered:
-        ex = identity_embedding(model, x)
-        ey = identity_embedding(model, y)
-        emb_x.append(ex)
-        emb_y.append(ey)
-        rows.append(
-            MetricsRow(
-                image_id=str(image_id),
-                l2=l2_distance(x, y),
-                ald_inf=ald(x, y, math.inf),
-                ssim=ssim(x, y, ssim_window, ssim_sigma),
-                iss=iss_from_embeddings(ex, ey),
-            )
+    x, y = _check_same_shape([rec[1] for rec in ordered], [rec[2] for rec in ordered])
+    emb_x = encode_batch(model, x)[:, : model.identity_len]
+    emb_y = encode_batch(model, y)[:, : model.identity_len]
+    l2_vals = l2_distances(x, y)
+    ssim_vals = ssim_scores(x, y, ssim_window, ssim_sigma)
+    iss_vals = iss_scores(emb_x, emb_y)
+    rows = tuple(
+        MetricsRow(
+            image_id=str(rec[0]),
+            l2=float(l2_vals[i]),
+            ald_inf=ald(x[i], y[i], math.inf),
+            ssim=float(ssim_vals[i]),
+            iss=float(iss_vals[i]),
         )
-    iss_vals = np.array([r.iss for r in rows])
+        for i, rec in enumerate(ordered)
+    )
     return MetricsReport(
-        rows=tuple(rows),
-        mean_l2=float(np.mean([r.l2 for r in rows])),
+        rows=rows,
+        mean_l2=float(np.mean(l2_vals)),
         mean_ald_inf=float(np.mean([r.ald_inf for r in rows])),
-        mean_ssim=float(np.mean([r.ssim for r in rows])),
+        mean_ssim=float(np.mean(ssim_vals)),
         mean_iss=float(np.mean(iss_vals)),
-        fed=fed(np.stack(emb_x), np.stack(emb_y)) if len(rows) >= 2 else float("nan"),
+        fed=fed(emb_x, emb_y) if len(rows) >= 2 else float("nan"),
         fppsr=float(np.mean(iss_vals < threshold)),
         threshold=threshold,
     )

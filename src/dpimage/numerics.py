@@ -41,6 +41,13 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def _mix64_array(z: np.ndarray) -> np.ndarray:
+    """_mix64 over a uint64 array; array arithmetic wraps mod 2**64."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_A)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_B)
+    return z ^ (z >> np.uint64(31))
+
+
 def make_stream(seed: int, stream_id: int = 0) -> RngStream:
     """Create a stream for (seed, stream_id).
 
@@ -65,6 +72,19 @@ def derive_stream(seed: int, *indices: int) -> RngStream:
     return make_stream(seed, sid)
 
 
+def derive_states(seed: int, *indices) -> np.ndarray:
+    """States of many task streams at once, as a uint64 array.
+
+    Each index is an int or an integer array; they broadcast together, and
+    element i is ``derive_stream(seed, *task_i).state`` bit for bit.
+    """
+    sid = np.zeros(1, dtype=np.uint64)
+    for idx in indices:
+        idx = np.asarray(idx, dtype=np.int64).astype(np.uint64)
+        sid = _mix64_array((sid + idx + np.uint64(1)) * np.uint64(_GOLDEN))
+    return np.uint64(seed & _MASK64) ^ _mix64_array(sid * np.uint64(_GOLDEN))
+
+
 def rng_next_u64(stream: RngStream) -> tuple[int, RngStream]:
     """Next raw 64-bit output; returns (value, advanced stream)."""
     state = (stream.state + _GOLDEN) & _MASK64
@@ -75,16 +95,18 @@ def rng_batch_u64(stream: RngStream, n: int) -> tuple[np.ndarray, RngStream]:
     """n raw outputs as a uint64 array, bit-identical to n scalar calls."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n == 0:
-        return np.empty(0, dtype=np.uint64), stream
-    states = np.uint64(stream.state) + np.uint64(_GOLDEN) * np.arange(
-        1, n + 1, dtype=np.uint64
-    )
-    z = states
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_A)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_B)
-    z = z ^ (z >> np.uint64(31))
-    return z, RngStream(int(states[-1]), stream.stream_id)
+    z = _splitmix_rows(np.array([stream.state], dtype=np.uint64), n)[0]
+    return z, RngStream((stream.state + n * _GOLDEN) & _MASK64, stream.stream_id)
+
+
+def _splitmix_rows(states: np.ndarray, n: int) -> np.ndarray:
+    """Row i: the next n raw outputs of the stream in state states[i]."""
+    steps = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+    return _mix64_array(states[:, None] + steps)
+
+
+def _to_uniform(z: np.ndarray) -> np.ndarray:
+    return ((z >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53 - 0.5
 
 
 def rng_uniform_open(stream: RngStream) -> tuple[float, RngStream]:
@@ -96,8 +118,18 @@ def rng_uniform_open(stream: RngStream) -> tuple[float, RngStream]:
 def rng_uniform_batch(stream: RngStream, n: int) -> tuple[np.ndarray, RngStream]:
     """n uniform draws on (-0.5, 0.5] as float64."""
     z, stream = rng_batch_u64(stream, n)
-    u = ((z >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53 - 0.5
-    return u, stream
+    return _to_uniform(z), stream
+
+
+def rng_uniform_rows(states, n: int) -> np.ndarray:
+    """The first n uniforms of many streams, one row per stream state.
+
+    Row i equals ``rng_uniform_batch(RngStream(states[i]), n)[0]`` bit for
+    bit; ``states`` comes from :func:`derive_states`.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    return _to_uniform(_splitmix_rows(np.asarray(states, dtype=np.uint64).reshape(-1), n))
 
 
 def gaussian_batch(

@@ -25,9 +25,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import AutoencoderModel, decode, encode
+from .codec import AutoencoderModel, decode, decode_batch, encode, encode_batch
 from .errors import BadMagicError, TruncatedError, VersionError
-from .numerics import RngStream, StatsSummary, descriptive_stats, make_stream, rng_uniform_batch
+from .numerics import (
+    RngStream,
+    StatsSummary,
+    descriptive_stats,
+    make_stream,
+    rng_uniform_batch,
+    rng_uniform_rows,
+)
 
 LATENT_MAGIC = b"DPLZ"
 LATENT_VERSION = 1
@@ -39,22 +46,31 @@ class PrivacyParams:
 
     mask selects which latent coordinates receive noise (True = perturb).
     "No noise" is expressed as sensitivity 0, never as infinite epsilon.
+    clip_radius, when set, projects every latent onto the l1 ball of that
+    radius before the noise is added (clip mode, delta_f <= 2B).
     """
 
     epsilon: float
     sensitivity: float
     mask: np.ndarray
+    clip_radius: float | None = None
 
     def __post_init__(self):
         if not self.epsilon > 0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if self.sensitivity < 0:
             raise ValueError(f"sensitivity must be nonnegative, got {self.sensitivity}")
+        if self.clip_radius is not None and not self.clip_radius > 0:
+            raise ValueError(f"clip_radius must be positive, got {self.clip_radius}")
         object.__setattr__(self, "mask", np.asarray(self.mask, dtype=bool))
 
     @property
     def scale(self) -> float:
         return self.sensitivity / self.epsilon
+
+    @property
+    def n_noisy(self) -> int:
+        return int(np.count_nonzero(self.mask))
 
 
 def full_mask(m: int) -> np.ndarray:
@@ -70,10 +86,16 @@ def identity_mask(m: int, identity_len: int) -> np.ndarray:
     return mask
 
 
+# |u| = 0.5 would map to an infinite draw. The uniforms lie on a 2**-53 grid,
+# so u = 0.5 stands for the top cell (0.5 - 2**-53, 0.5]; its midpoint gives a
+# finite draw, about 36.7 * scale, and every other grid point is below it.
+_U_MAX = 0.5 - 2.0**-54
+
+
 def laplace_from_uniform(u, scale: float):
-    """Inverse-CDF map from u in (-0.5, 0.5] to Laplace(0, scale)."""
+    """Inverse-CDF map from u in [-0.5, 0.5] to Laplace(0, scale); always finite."""
     u = np.asarray(u, dtype=np.float64)
-    return -scale * np.sign(u) * np.log1p(-2.0 * np.abs(u))
+    return -scale * np.sign(u) * np.log1p(-2.0 * np.minimum(np.abs(u), _U_MAX))
 
 
 def laplace_batch(
@@ -86,6 +108,20 @@ def laplace_batch(
     if scale == 0.0:
         return np.zeros(n), stream
     return laplace_from_uniform(u, scale), stream
+
+
+def laplace_rows(states, n: int, scale: float) -> np.ndarray:
+    """n Laplace(0, scale) draws per stream state, one row each.
+
+    Row i equals ``laplace_batch(RngStream(states[i]), n, scale)[0]`` bit for
+    bit, so a block of tasks draws its noise in one array operation.
+    """
+    if scale < 0:
+        raise ValueError(f"scale must be nonnegative, got {scale}")
+    u = rng_uniform_rows(states, n)
+    if scale == 0.0:
+        return np.zeros_like(u)
+    return laplace_from_uniform(u, scale)
 
 
 def laplace_sample(stream: RngStream, scale: float) -> tuple[float, RngStream]:
@@ -135,34 +171,51 @@ def estimate_sensitivity(latents, n_bins: int = 20) -> SensitivityReport:
 
 
 def clip_latent(latent: np.ndarray, radius: float) -> np.ndarray:
-    """Project onto the l1 ball of the given radius (returns a copy)."""
+    """Project onto the l1 ball of the given radius (returns a copy).
+
+    A 2-D array is clipped row by row.
+    """
     if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius}")
-    z = np.array(latent, dtype=np.float64)
-    norm = float(np.sum(np.abs(z)))
-    if norm <= radius:
-        return z
-    return z * (radius / norm)
+    z = np.asarray(latent, dtype=np.float64)
+    norm = np.sum(np.abs(z), axis=-1, keepdims=True)
+    # the factor is exactly 1.0 inside the ball
+    return z * (radius / np.maximum(norm, radius))
+
+
+def _add_noise(latents, params: PrivacyParams, noise: np.ndarray) -> np.ndarray:
+    z = np.array(latents, dtype=np.float64)
+    if z.shape[-1:] != params.mask.shape:
+        raise ValueError(
+            f"mask length {params.mask.size} does not match latents of shape {z.shape}"
+        )
+    if params.clip_radius is not None:
+        z = clip_latent(z, params.clip_radius)
+    z[..., params.mask] += noise
+    return z
 
 
 def perturb_latent(
     latent: np.ndarray, params: PrivacyParams, stream: RngStream
 ) -> tuple[np.ndarray, RngStream]:
-    """Add i.i.d. Laplace(scale) noise to the masked coordinates.
+    """Clip (when params.clip_radius is set), then add Laplace(scale) noise.
 
-    Draws are consumed in coordinate order over the masked positions, so the
-    output is a deterministic function of (latent, params, stream).
-    Unmasked coordinates pass through bit-identical.
+    Noise goes to the masked coordinates only; draws are consumed in
+    coordinate order over the masked positions, so the output is a
+    deterministic function of (latent, params, stream). Unmasked coordinates
+    of an unclipped latent pass through bit-identical.
     """
-    z = np.array(latent, dtype=np.float64)
-    if params.mask.shape != z.shape:
-        raise ValueError(
-            f"mask length {params.mask.size} does not match latent length {z.size}"
-        )
-    n_noisy = int(np.count_nonzero(params.mask))
-    noise, stream = laplace_batch(stream, n_noisy, params.scale)
-    z[params.mask] += noise
-    return z, stream
+    noise, stream = laplace_batch(stream, params.n_noisy, params.scale)
+    return _add_noise(latent, params, noise), stream
+
+
+def perturb_latents(latents, params: PrivacyParams, states) -> np.ndarray:
+    """perturb_latent over a stack of latents, one stream state per row.
+
+    Row i equals ``perturb_latent(latents[i], params, RngStream(states[i]))``
+    bit for bit; ``states`` comes from :func:`derive_states`.
+    """
+    return _add_noise(latents, params, laplace_rows(states, params.n_noisy, params.scale))
 
 
 def dp_image(
@@ -171,15 +224,24 @@ def dp_image(
     params: PrivacyParams,
     stream: RngStream,
 ) -> tuple[np.ndarray, RngStream]:
-    """Encode, perturb the latent, decode.
+    """Encode, clip and perturb the latent, decode: f2[f(X) + N].
 
     Decoding is input-independent post-processing of the perturbed latent,
     so the release costs exactly params.epsilon, the same as releasing the
-    perturbed latent itself.
+    perturbed latent itself. The result equals the matching row of
+    :func:`dp_images`.
     """
-    z = encode(model, image)
-    z_noisy, stream = perturb_latent(z, params, stream)
+    z_noisy, stream = perturb_latent(encode(model, image), params, stream)
     return decode(model, z_noisy), stream
+
+
+def dp_images(model: AutoencoderModel, images, params: PrivacyParams, states) -> np.ndarray:
+    """The mechanism over a stack of images, one stream state per image.
+
+    Image i equals ``dp_image(model, images[i], params, RngStream(states[i]))``
+    bit for bit, whatever else is in the stack.
+    """
+    return decode_batch(model, perturb_latents(encode_batch(model, images), params, states))
 
 
 @dataclass(frozen=True)

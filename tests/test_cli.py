@@ -5,7 +5,10 @@ import pytest
 
 from dpimage.cli import main
 from dpimage.config import RunConfig, SweepSpec, build_config, load_config_file, parse_levels
-from dpimage.data import load_manifest
+from dpimage.codec import load_model
+from dpimage.data import load_manifest, read_pgm, write_pgm
+from dpimage.numerics import derive_stream
+from dpimage.privacy import PrivacyParams, dp_image, full_mask
 from dpimage.errors import ConfigError
 
 
@@ -174,6 +177,35 @@ class TestPerturb:
         assert run("perturb", "--config", cfg, "--input", out / "corpus") == 0
         assert tree_bytes(out / "perturbed") == first
 
+    def test_bytes_independent_of_batch_mates(self, trained, tmp_path):
+        cfg, out = trained
+        request = tmp_path / "request"
+        larger = tmp_path / "larger"
+        request.mkdir()
+        larger.mkdir()
+        corpus = sorted((out / "corpus").glob("*.pgm"))
+        assert len(corpus) == 20
+        for p in corpus:
+            (request / p.name).write_bytes(p.read_bytes())
+            (larger / p.name).write_bytes(p.read_bytes())
+        for k, p in enumerate(corpus[:5]):  # names sort after the request's
+            (larger / f"zz_extra_{k}.pgm").write_bytes(p.read_bytes())
+        for src, dst in ((request, "out_request"), (larger, "out_larger")):
+            assert run(
+                "perturb", "--config", cfg, "--model", out / "model.dpim", "--input", src,
+                "--sensitivity", "5.0", "--output_dir", tmp_path / dst,
+            ) == 0
+        alone = tree_bytes(tmp_path / "out_request" / "perturbed")
+        with_extra = tree_bytes(tmp_path / "out_larger" / "perturbed")
+        assert len(alone) == 20 and len(with_extra) == 25
+        assert all(with_extra[name] == blob for name, blob in alone.items())
+        # the stream address is (seed, 2, position in the request)
+        model = load_model(out / "model.dpim")
+        params = PrivacyParams(epsilon=1.0, sensitivity=5.0, mask=full_mask(model.latent_dim))
+        y, _ = dp_image(model, read_pgm(corpus[17]), params, derive_stream(0, 2, 17))
+        write_pgm(y, tmp_path / "expected.pgm")
+        assert alone[corpus[17].name] == (tmp_path / "expected.pgm").read_bytes()
+
     def test_identity_only_mask(self, trained):
         cfg, out = trained
         assert run("sensitivity", "--config", cfg) == 0
@@ -236,6 +268,17 @@ class TestEvaluateAndSweep:
         assert len(lines) == 3
         levels = [float(line.split(",")[0]) for line in lines[1:]]
         assert levels == [0.0, 0.5]
+
+    def test_sweep_measures_clip_mode(self, trained):
+        cfg, out = trained
+        assert run("sweep", "--config", cfg, "--sweep_levels", "0") == 0
+        unclipped = (out / "sweep.csv").read_text()
+        assert run(
+            "sweep", "--config", cfg, "--sweep_levels", "0",
+            "--sensitivity_mode", "clip", "--clip_radius", "0.5",
+        ) == 0
+        # level 0 adds no noise, so only the clipping can move the row
+        assert (out / "sweep.csv").read_text() != unclipped
 
     def test_sweep_consumes_no_budget(self, trained):
         cfg, out = trained

@@ -5,7 +5,9 @@ from dpimage.codec import (
     TrainConfig,
     align_identity_basis,
     decode,
+    decode_batch,
     encode,
+    encode_batch,
     init_model,
     load_model,
     loss_and_gradients,
@@ -27,6 +29,39 @@ def zero_model(encoder_dims=(64, 16, 8), identity_len=4):
     for w in model.weights:
         w[:] = 0.0
     return model
+
+
+class TestBatchForward:
+    """Rows of a batch carry the bits of the single-image calls."""
+
+    def setup_method(self):
+        self.model = init_model((1024, 256, 64, 32), 12, seed=5, weight_init_scale=2.0)
+        rng = np.random.default_rng(5)
+        self.images = rng.uniform(0.0, 1.0, size=(100, 32, 32))
+        self.latents = rng.normal(0.0, 3.0, size=(100, 32))
+
+    @pytest.mark.parametrize("height", [1, 2, 15, 16, 17, 20, 100])
+    def test_rows_equal_single_calls(self, height):
+        enc = encode_batch(self.model, self.images[:height])
+        dec = decode_batch(self.model, self.latents[:height])
+        assert enc.shape == (height, 32) and dec.shape == (height, 32, 32)
+        for i in range(height):
+            assert np.array_equal(enc[i], encode(self.model, self.images[i]))
+            assert np.array_equal(dec[i], decode(self.model, self.latents[i]))
+
+    def test_shuffled_batch_mates(self):
+        enc = encode_batch(self.model, self.images)
+        dec = decode_batch(self.model, self.latents)
+        for seed in range(3):
+            order = np.random.default_rng(seed).permutation(100)[: 37 + seed]
+            assert np.array_equal(encode_batch(self.model, self.images[order]), enc[order])
+            assert np.array_equal(decode_batch(self.model, self.latents[order]), dec[order])
+
+    def test_wrong_width_rejected(self):
+        with pytest.raises(ValueError):
+            encode_batch(self.model, np.zeros((3, 16, 16)))
+        with pytest.raises(ValueError):
+            decode_batch(self.model, np.zeros((3, 31)))
 
 
 class TestForward:

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
-from dpimage.codec import AutoencoderModel
+from dpimage.codec import AutoencoderModel, init_model
 from dpimage.metrics import (
     ald,
     blur_baseline,
@@ -15,10 +16,13 @@ from dpimage.metrics import (
     fppsr,
     iss,
     iss_from_embeddings,
+    iss_scores,
     l2_distance,
+    l2_distances,
     mosaic_baseline,
     nearest_rank_percentile,
     ssim,
+    ssim_scores,
     write_aggregate_csv,
     write_per_image_csv,
 )
@@ -74,6 +78,14 @@ class TestL2:
             l2_distance(np.zeros((4, 4)), np.zeros((5, 5)))
 
 
+    def test_stack_rows_match_single(self):
+        rng = np.random.default_rng(6)
+        x, y = rng.uniform(size=(2, 9, 32, 32))
+        d = l2_distances(x, y)
+        for i in range(9):
+            assert d[i] == l2_distance(x[i], y[i])
+
+
 class TestAld:
     def test_identical(self):
         x = random_image()
@@ -127,6 +139,48 @@ class TestSsim:
             ssim(np.zeros((8, 8)), np.zeros((8, 8)))
 
 
+def tensordot_ssim(x, y, window=11, sigma=1.5):
+    """Direct 2-D windowed SSIM: the separable stack form's oracle."""
+    half = (window - 1) / 2.0
+    g = np.exp(-((np.arange(window) - half) ** 2) / (2.0 * sigma * sigma))
+    kernel = np.outer(g, g)
+    kernel /= kernel.sum()
+
+    def filt(a):
+        return np.tensordot(sliding_window_view(a, (window, window)), kernel, axes=([2, 3], [0, 1]))
+
+    mu_x, mu_y = filt(x), filt(y)
+    var_x = filt(x * x) - mu_x * mu_x
+    var_y = filt(y * y) - mu_y * mu_y
+    cov = filt(x * y) - mu_x * mu_y
+    c1, c2 = 0.01**2, 0.03**2
+    num = (2.0 * mu_x * mu_y + c1) * (2.0 * cov + c2)
+    den = (mu_x * mu_x + mu_y * mu_y + c1) * (var_x + var_y + c2)
+    return float(np.mean(num / den))
+
+
+class TestSsimStack:
+    @pytest.mark.parametrize(
+        "shape,window,sigma", [((32, 32), 11, 1.5), ((11, 11), 11, 1.5), ((20, 24), 7, 1.0)]
+    )
+    def test_matches_tensordot_oracle(self, shape, window, sigma):
+        rng = np.random.default_rng(7)
+        for _ in range(5):
+            x = rng.uniform(size=shape)
+            y = np.clip(x + rng.normal(0.0, 0.2, size=shape), 0.0, 1.0)
+            expected = tensordot_ssim(x, y, window, sigma)
+            assert abs(ssim(x, y, window, sigma) - expected) < 1e-12
+
+    def test_rows_independent_of_batch_mates(self):
+        rng = np.random.default_rng(8)
+        x, y = rng.uniform(size=(2, 20, 32, 32))
+        scores = ssim_scores(x, y)
+        for i in range(20):
+            assert scores[i] == ssim(x[i], y[i])
+        order = rng.permutation(20)[:7]
+        assert np.array_equal(ssim_scores(x[order], y[order]), scores[order])
+
+
 class TestIss:
     def test_same_image(self):
         model = linear_probe_model()
@@ -141,6 +195,17 @@ class TestIss:
 
     def test_zero_embedding(self):
         assert iss_from_embeddings([0.0, 0.0], [1.0, 0.0]) == 0.5
+
+    def test_rows_match_single(self):
+        rng = np.random.default_rng(10)
+        a, b = rng.normal(size=(2, 30, 12))
+        b[0] = a[0]
+        b[1] = -a[1]
+        a[2] = 0.0
+        scores = iss_scores(a, b)
+        assert scores[0] == 1.0 and scores[1] == 0.0 and scores[2] == 0.5
+        for i in range(30):
+            assert scores[i] == iss_from_embeddings(a[i], b[i])
 
     def test_model_pathway_matches_embeddings(self):
         model = linear_probe_model()
@@ -187,6 +252,18 @@ class TestCalibrate:
         impostor = [(probe_image(1.0, 0.0), probe_image(-0.6, 0.8))] * 5
         report = calibrate_threshold(model, genuine, impostor, percentile=95.0)
         assert report.tau == pytest.approx(0.2, abs=1e-12)
+
+    def test_shared_images_score_like_copies(self):
+        model = init_model((256, 32, 8), 4, seed=2)
+        rng = np.random.default_rng(11)
+        images = [rng.uniform(size=(16, 16)) for _ in range(6)]
+        pairs = [(images[i], images[j]) for i in range(6) for j in range(i + 1, 6)]
+        copies = [(x.copy(), y.copy()) for x, y in pairs]
+        shared = calibrate_threshold(model, pairs[:4], pairs[4:], 90.0)
+        copied = calibrate_threshold(model, copies[:4], copies[4:], 90.0)
+        assert np.array_equal(shared.genuine_scores, copied.genuine_scores)
+        assert np.array_equal(shared.impostor_scores, copied.impostor_scores)
+        assert shared.impostor_scores[0] == iss(model, *pairs[4])
 
     def test_nearest_rank_grid(self):
         grid = [i / 100.0 for i in range(100)]

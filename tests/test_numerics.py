@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from dpimage.numerics import (
     RngStream,
+    derive_states,
     derive_stream,
     descriptive_stats,
     gaussian_batch,
@@ -14,6 +15,7 @@ from dpimage.numerics import (
     rng_next_u64,
     rng_uniform_batch,
     rng_uniform_open,
+    rng_uniform_rows,
     sym_eigen,
 )
 
@@ -94,6 +96,31 @@ class TestSplitmix:
     def test_derive_stream_deterministic(self):
         assert derive_stream(1, 2, 3) == derive_stream(1, 2, 3)
         assert derive_stream(1, 2, 3) != derive_stream(1, 3, 2)
+
+
+class TestStreamArrays:
+    """Array forms of derive_stream and rng_uniform_batch match the scalar path."""
+
+    def test_derive_states_match_scalar(self):
+        rep, item = np.divmod(np.arange(250), 100)
+        for seed in (0, 7, 2**64 - 1):
+            states = derive_states(seed, 3, 2, rep, item)
+            assert states.dtype == np.uint64 and states.shape == (250,)
+            for i in range(250):
+                assert int(states[i]) == derive_stream(seed, 3, 2, int(rep[i]), int(item[i])).state
+
+    def test_derive_states_scalar_indices(self):
+        assert int(derive_states(5)[0]) == derive_stream(5).state
+        assert int(derive_states(5, 2, 9)[0]) == derive_stream(5, 2, 9).state
+
+    def test_uniform_rows_match_batch(self):
+        states = derive_states(11, 2, np.arange(20))
+        rows = rng_uniform_rows(states, 33)
+        assert rows.shape == (20, 33)
+        for i in range(20):
+            expected, _ = rng_uniform_batch(RngStream(int(states[i])), 33)
+            assert np.array_equal(rows[i], expected)
+        assert rng_uniform_rows(states, 0).shape == (20, 0)
 
 
 class TestUniform:

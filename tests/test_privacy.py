@@ -7,21 +7,24 @@ from hypothesis import strategies as st
 
 from dpimage.codec import decode, encode, init_model
 from dpimage.errors import BadMagicError, TruncatedError, VersionError
-from dpimage.numerics import make_stream
+from dpimage.numerics import RngStream, derive_states, derive_stream, make_stream, rng_uniform_batch
 from dpimage.privacy import (
     PrivacyBudgetLedger,
     PrivacyParams,
     clip_latent,
     dp_image,
+    dp_images,
     estimate_sensitivity,
     full_mask,
     identity_mask,
     laplace_batch,
     laplace_from_uniform,
+    laplace_rows,
     laplace_sample,
     latents_to_csv,
     load_latents,
     perturb_latent,
+    perturb_latents,
     save_latents,
     verify_dp_empirical,
 )
@@ -61,6 +64,27 @@ class TestLaplaceSampler:
         i = np.arange(1, n + 1)
         d = max(np.max(cdf - (i - 1) / n), np.max(i / n - cdf))
         assert d < 0.002
+
+    def test_endpoints_finite(self):
+        for u in (0.5, -0.5):
+            v = laplace_from_uniform(u, 1.0)
+            assert np.isfinite(v) and abs(v) > 36.0
+        assert laplace_from_uniform(0.5, 1.0) == -laplace_from_uniform(-0.5, 1.0)
+
+    def test_interior_draws_unchanged(self):
+        u, _ = rng_uniform_batch(make_stream(4), 10**5)
+        u = np.concatenate([u, [0.5 - 2.0**-53, -0.5 + 2.0**-53, 0.0]])
+        unclamped = -2.0 * np.sign(u) * np.log1p(-2.0 * np.abs(u))
+        assert np.array_equal(laplace_from_uniform(u, 2.0), unclamped)
+
+    @pytest.mark.parametrize("scale", [0.0, 0.5, 3.0])
+    def test_rows_match_task_streams(self, scale):
+        rep, item = np.divmod(np.arange(120), 40)
+        rows = laplace_rows(derive_states(9, 3, 1, rep, item), 32, scale)
+        assert rows.shape == (120, 32)
+        for i in range(120):
+            expected, _ = laplace_batch(derive_stream(9, 3, 1, int(rep[i]), int(item[i])), 32, scale)
+            assert np.array_equal(rows[i], expected)
 
     def test_scale_zero_still_consumes_draws(self):
         _, s_a = laplace_batch(make_stream(3), 10, 0.0)
@@ -127,6 +151,12 @@ class TestClip:
     def test_norm_bound(self, values, radius):
         z = clip_latent(np.array(values), radius)
         assert np.sum(np.abs(z)) <= radius + 1e-12
+
+    def test_rows_clipped_independently(self):
+        z = np.random.default_rng(3).normal(0.0, 2.0, size=(10, 6))
+        clipped = clip_latent(z, 4.0)
+        for i in range(10):
+            assert np.array_equal(clipped[i], clip_latent(z[i], 4.0))
 
     @given(
         st.lists(st.floats(min_value=-50, max_value=50), min_size=2, max_size=8),
@@ -203,6 +233,30 @@ class TestPerturb:
             PrivacyParams(epsilon=0.0, sensitivity=1.0, mask=full_mask(2))
         with pytest.raises(ValueError):
             PrivacyParams(epsilon=1.0, sensitivity=-1.0, mask=full_mask(2))
+        with pytest.raises(ValueError):
+            PrivacyParams(epsilon=1.0, sensitivity=1.0, mask=full_mask(2), clip_radius=0.0)
+
+    def test_clip_radius_clips_before_noise(self):
+        z = np.array([3.0, -1.0, 0.5, 0.5])
+        params = PrivacyParams(epsilon=1.0, sensitivity=0.0, mask=full_mask(4), clip_radius=2.0)
+        out, _ = perturb_latent(z, params, make_stream(0))
+        assert np.array_equal(out, clip_latent(z, 2.0))
+        noisy = PrivacyParams(epsilon=1.0, sensitivity=1.0, mask=full_mask(4), clip_radius=2.0)
+        out, _ = perturb_latent(z, noisy, make_stream(1))
+        noise, _ = laplace_batch(make_stream(1), 4, 1.0)
+        assert np.array_equal(out, clip_latent(z, 2.0) + noise)
+
+    @pytest.mark.parametrize("clip_radius", [None, 1.5])
+    def test_stack_rows_match_single(self, clip_radius):
+        params = PrivacyParams(
+            epsilon=0.5, sensitivity=1.0, mask=identity_mask(8, 3), clip_radius=clip_radius
+        )
+        z = np.random.default_rng(4).normal(size=(20, 8))
+        states = derive_states(2, 2, np.arange(20))
+        rows = perturb_latents(z, params, states)
+        for i in range(20):
+            single, _ = perturb_latent(z[i], params, RngStream(int(states[i])))
+            assert np.array_equal(rows[i], single)
 
 
 class TestDpImage:
@@ -222,6 +276,16 @@ class TestDpImage:
         a, _ = dp_image(self.model, self.image, params, make_stream(9))
         b, _ = dp_image(self.model, self.image, params, make_stream(9))
         assert np.array_equal(a, b)
+
+    def test_stack_rows_match_single(self):
+        params = PrivacyParams(epsilon=0.5, sensitivity=1.0, mask=full_mask(8), clip_radius=3.0)
+        images = np.random.default_rng(1).uniform(0, 1, size=(19, 8, 8))
+        states = derive_states(6, 2, np.arange(19))
+        stack = dp_images(self.model, images, params, states)
+        for i in range(19):
+            single, _ = dp_image(self.model, images[i], params, RngStream(int(states[i])))
+            assert np.array_equal(stack[i], single)
+        assert np.array_equal(dp_images(self.model, images[3:5], params, states[3:5]), stack[3:5])
 
     def test_matches_manual_composition(self):
         params = PrivacyParams(epsilon=0.5, sensitivity=1.0, mask=full_mask(8))
