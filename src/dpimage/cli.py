@@ -76,10 +76,10 @@ def _write_provenance(out_dir: Path, command: str, config: RunConfig, extra: dic
     path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
 
 
-def _load_corpus(corpus_dir: Path):
-    manifest = load_manifest(corpus_dir / "manifest.csv")
-    images = {row.path: read_pgm(corpus_dir / row.path) for row in manifest}
-    return manifest, images
+def _load_corpus(corpus_dir: Path, split: str | None = None):
+    """Manifest rows of one split (every row for None) and their images by path."""
+    rows = [r for r in load_manifest(corpus_dir / "manifest.csv") if split in (None, r.split)]
+    return rows, {r.path: read_pgm(corpus_dir / r.path) for r in rows}
 
 
 def _privacy_params(config: RunConfig, epsilon: float, sensitivity: float) -> PrivacyParams:
@@ -106,8 +106,7 @@ def _resolve_delta_f(config: RunConfig, out_dir: Path) -> float:
     )
 
 
-def _calibrate_from_corpus(config: RunConfig, model, manifest, images):
-    eval_rows = [r for r in manifest if r.split == "eval"]
+def _calibrate_from_corpus(config: RunConfig, model, eval_rows, images):
     if len(eval_rows) < 4:
         raise DataError("need at least 4 eval images to calibrate a threshold")
     genuine, impostor = [], []
@@ -137,8 +136,7 @@ def cmd_generate(config: RunConfig) -> None:
 def cmd_train(config: RunConfig, corpus_dir: Path) -> None:
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    manifest, images = _load_corpus(corpus_dir)
-    train_rows = [r for r in manifest if r.split == "train"]
+    train_rows, images = _load_corpus(corpus_dir, "train")
     if not train_rows:
         raise DataError("manifest has no train split")
     corpus = [images[r.path] for r in train_rows]
@@ -221,6 +219,7 @@ def cmd_perturb(config: RunConfig, model_path: Path, inputs: list[Path]) -> None
         if ledger_path.exists()
         else PrivacyBudgetLedger()
     )
+    loaded = len(ledger.entries)
     files = _input_images(inputs)
     for start in range(0, len(files), BLOCK_ROWS):
         block = files[start : start + BLOCK_ROWS]
@@ -236,7 +235,8 @@ def cmd_perturb(config: RunConfig, model_path: Path, inputs: list[Path]) -> None
             if config.mask_mode == "identity_only":
                 release += "#partial-coordinate"
             ledger.record(release, config.epsilon, group="corpus")
-    ledger.save_csv(ledger_path)
+    ledger.save_csv(ledger_path, start=loaded)  # appends this request's rows
+    total = ledger.total()
     _write_provenance(
         out_dir,
         "perturb",
@@ -245,13 +245,13 @@ def cmd_perturb(config: RunConfig, model_path: Path, inputs: list[Path]) -> None
             "delta_f": delta_f,
             "scale": params.scale,
             "n_images": len(files),
-            "ledger_total": ledger.total(),
+            "ledger_total": total,
             "partial_coordinate_dp": config.mask_mode == "identity_only",
         },
     )
     print(
         f"perturbed {len(files)} images at scale {params.scale!r}; "
-        f"ledger total {ledger.total()!r}"
+        f"ledger total {total!r}"
     )
 
 
@@ -277,9 +277,8 @@ def cmd_evaluate(
     if threshold is None:
         if corpus_dir is None:
             raise ConfigError("need --corpus-dir to calibrate a threshold, or pass --threshold")
-        manifest, images = _load_corpus(corpus_dir)
-        cal = _calibrate_from_corpus(config, model, manifest, images)
-        threshold = cal.tau
+        eval_rows, images = _load_corpus(corpus_dir, "eval")
+        threshold = _calibrate_from_corpus(config, model, eval_rows, images).tau
     pairs = [
         (name, read_pgm(orig_files[name]), read_pgm(pert_files[name]))
         for name in sorted(orig_files)
@@ -300,41 +299,63 @@ def cmd_evaluate(
     print(f"evaluated {len(pairs)} pairs; mean ISS {report.mean_iss:.4f}")
 
 
-def _method_report(model, pairs, transform, threshold):
-    method_pairs = [(name, x, transform(x)) for name, x, _ in pairs]
-    return evaluate_pairs(model, method_pairs, threshold)
-
-
 def _baseline_table(model, pairs, dp_report, threshold):
-    """Blur and mosaic rows tuned to match the dp-image mean ISS."""
-    target = dp_report.mean_iss
+    """Blur and mosaic rows tuned to match the dp-image mean ISS.
 
-    def blur_iss(sigma):
+    The search scores each candidate by mean ISS alone; the full metrics are
+    computed for the chosen blur and mosaic only. Candidates transform and
+    encode BLOCK_ROWS images at a time, which bounds the temporaries of wide
+    blur kernels.
+    """
+    target = dp_report.mean_iss
+    x = np.stack([orig for _, orig, _ in pairs])
+    n_id = model.identity_len
+    emb_x = encode_batch(model, x)[:, :n_id]
+    starts = range(0, len(x), BLOCK_ROWS)
+
+    def mean_iss(transform):
+        scores = [
+            iss_scores(
+                emb_x[s : s + BLOCK_ROWS],
+                encode_batch(model, transform(x[s : s + BLOCK_ROWS]))[:, :n_id],
+            )
+            for s in starts
+        ]
+        return float(np.mean(np.concatenate(scores)))
+
+    def report(transform):
+        y = np.concatenate([transform(x[s : s + BLOCK_ROWS]) for s in starts])
+        method_pairs = [(name, x[i], y[i]) for i, (name, _, _) in enumerate(pairs)]
+        return evaluate_pairs(model, method_pairs, threshold)
+
+    def blur(sigma):
         radius = max(1, int(math.ceil(3.0 * sigma)))
-        rep = _method_report(model, pairs, lambda x: blur_baseline(x, sigma, radius), threshold)
-        return rep
+        return lambda a: blur_baseline(a, sigma, radius)
+
+    def mosaic(block):
+        return lambda a: mosaic_baseline(a, block)
 
     lo, hi = 0.05, 16.0
     best_blur = None
     for _ in range(24):  # bisect on sigma; ISS decreases as blur grows
         mid = 0.5 * (lo + hi)
-        rep = blur_iss(mid)
-        if best_blur is None or abs(rep.mean_iss - target) < abs(best_blur[1].mean_iss - target):
-            best_blur = (mid, rep)
-        if rep.mean_iss > target:
+        value = mean_iss(blur(mid))
+        if best_blur is None or abs(value - target) < abs(best_blur[1] - target):
+            best_blur = (mid, value)
+        if value > target:
             lo = mid
         else:
             hi = mid
-    side = pairs[0][1].shape[0]
     best_mosaic = None
-    for block in range(1, side + 1):
-        rep = _method_report(model, pairs, lambda x: mosaic_baseline(x, block), threshold)
-        if best_mosaic is None or abs(rep.mean_iss - target) < abs(best_mosaic[1].mean_iss - target):
-            best_mosaic = (block, rep)
+    for block in range(1, x.shape[-2] + 1):
+        value = mean_iss(mosaic(block))
+        if best_mosaic is None or abs(value - target) < abs(best_mosaic[1] - target):
+            best_mosaic = (block, value)
+
     rows = []
     for name, rep in (
-        ("blur", best_blur[1]),
-        ("mosaic", best_mosaic[1]),
+        ("blur", report(blur(best_blur[0]))),
+        ("mosaic", report(mosaic(best_mosaic[0]))),
         ("dp_image", dp_report),
     ):
         rows.append(
@@ -358,9 +379,9 @@ def cmd_sweep(config: RunConfig, model_path: Path, corpus_dir: Path, spec: Sweep
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     model = load_model(model_path)
-    manifest, images = _load_corpus(corpus_dir)
-    cal = _calibrate_from_corpus(config, model, manifest, images)
-    x_eval = np.stack([images[r.path] for r in manifest if r.split == "eval"])
+    eval_rows, images = _load_corpus(corpus_dir, "eval")
+    cal = _calibrate_from_corpus(config, model, eval_rows, images)
+    x_eval = np.stack([images[r.path] for r in eval_rows])
     z_eval = encode_batch(model, x_eval)
     n_id = model.identity_len
     # tasks in (repetition, image) order; they run one block of rows at a

@@ -9,6 +9,8 @@ share across threads.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -357,37 +359,47 @@ def save_model(model: AutoencoderModel, path) -> None:
 
 
 def load_model(path) -> AutoencoderModel:
+    """Read a model file; its parameters are views into one writable buffer.
+
+    A view that does not fall on an 8-byte boundary (the header of an odd
+    number of encoder dims ends mid-word) is copied, since BLAS rounds
+    unaligned operands differently.
+    """
     with open(path, "rb") as f:
-        blob = f.read()
+        blob = bytearray(os.fstat(f.fileno()).st_size)
+        del blob[f.readinto(blob) :]
     if blob[:4] != MODEL_MAGIC:
-        raise BadMagicError(f"bad magic {blob[:4]!r}, expected {MODEL_MAGIC!r}")
+        raise BadMagicError(f"bad magic {bytes(blob[:4])!r}, expected {MODEL_MAGIC!r}")
     offset = 4
 
-    def take(n: int) -> bytes:
+    def take(n: int) -> int:
+        """Claim the next n bytes; returns their offset."""
         nonlocal offset
         if offset + n > len(blob):
             raise TruncatedError(
                 f"model file ends at byte {len(blob)}, needed {offset + n}"
             )
-        out = blob[offset : offset + n]
         offset += n
-        return out
+        return offset - n
 
-    version, n_dims = struct.unpack("<II", take(8))
+    def params(*shape: int) -> np.ndarray:
+        count = math.prod(shape)
+        a = np.frombuffer(blob, dtype="<f8", count=count, offset=take(8 * count))
+        return (a if a.flags.aligned else a.copy()).reshape(shape)
+
+    version, n_dims = struct.unpack_from("<II", blob, take(8))
     if version != MODEL_VERSION:
         raise VersionError(f"unsupported model version {version}")
     if n_dims < 2:
         raise TruncatedError(f"model needs >= 2 encoder dims, found {n_dims}")
-    encoder_dims = struct.unpack(f"<{n_dims}I", take(4 * n_dims))
-    (identity_len,) = struct.unpack("<I", take(4))
+    encoder_dims = struct.unpack_from(f"<{n_dims}I", blob, take(4 * n_dims))
+    (identity_len,) = struct.unpack_from("<I", blob, take(4))
     full = encoder_dims + tuple(reversed(encoder_dims[:-1]))
     weights = []
     biases = []
     for fan_in, fan_out in zip(full[:-1], full[1:]):
-        w = np.frombuffer(take(8 * fan_out * fan_in), dtype="<f8")
-        weights.append(w.reshape(fan_out, fan_in).copy())
-        b = np.frombuffer(take(8 * fan_out), dtype="<f8")
-        biases.append(b.copy())
+        weights.append(params(fan_out, fan_in))
+        biases.append(params(fan_out))
     if offset != len(blob):
         raise TruncatedError(f"{len(blob) - offset} unexpected trailing bytes")
     return AutoencoderModel(

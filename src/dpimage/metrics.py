@@ -249,7 +249,11 @@ def fed(embeddings_a, embeddings_b) -> float:
 
 
 def blur_baseline(x: np.ndarray, kernel_sigma: float, kernel_radius: int) -> np.ndarray:
-    """Gaussian blur with clamp-to-edge padding; radius 0 is the identity."""
+    """Gaussian blur with clamp-to-edge padding; radius 0 is the identity.
+
+    Takes one image or a stack of shape (..., h, w); each image of a stack
+    equals its own one-image call bit for bit.
+    """
     x = np.asarray(x, dtype=np.float64)
     if kernel_radius < 0:
         raise ValueError(f"kernel_radius must be >= 0, got {kernel_radius}")
@@ -262,24 +266,29 @@ def blur_baseline(x: np.ndarray, kernel_sigma: float, kernel_radius: int) -> np.
     taps /= taps.sum()
 
     def pass_axis(a, axis):
-        pad = [(0, 0), (0, 0)]
+        pad = [(0, 0)] * a.ndim
         pad[axis] = (kernel_radius, kernel_radius)
         padded = np.pad(a, pad, mode="edge")
         return sliding_window_view(padded, taps.size, axis=axis) @ taps
 
-    return pass_axis(pass_axis(x, 0), 1)
+    return pass_axis(pass_axis(x, x.ndim - 2), x.ndim - 1)
 
 
 def mosaic_baseline(x: np.ndarray, block: int) -> np.ndarray:
-    """Replace each block x block tile by its mean; edge tiles use their own."""
+    """Replace each block x block tile by its mean; edge tiles use their own.
+
+    Takes one image or a stack of shape (..., h, w); each image of a stack
+    equals its own one-image call bit for bit.
+    """
     x = np.asarray(x, dtype=np.float64)
     if block < 1:
         raise ValueError(f"block must be >= 1, got {block}")
     out = np.empty_like(x)
-    for i in range(0, x.shape[0], block):
-        for j in range(0, x.shape[1], block):
-            tile = x[i : i + block, j : j + block]
-            out[i : i + block, j : j + block] = tile.mean()
+    h, w = x.shape[-2:]
+    for i in range(0, h, block):
+        for j in range(0, w, block):
+            tile = x[..., i : i + block, j : j + block]
+            out[..., i : i + block, j : j + block] = tile.mean(axis=(-2, -1), keepdims=True)
     return out
 
 

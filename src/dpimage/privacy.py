@@ -19,6 +19,7 @@ guarantee. The toolkit itself never does this.
 from __future__ import annotations
 
 import csv
+import io
 import struct
 import threading
 from dataclasses import dataclass
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import AutoencoderModel, decode, decode_batch, encode, encode_batch
-from .errors import BadMagicError, TruncatedError, VersionError
+from .errors import BadMagicError, FormatError, TruncatedError, VersionError
 from .numerics import (
     RngStream,
     StatsSummary,
@@ -38,6 +39,7 @@ from .numerics import (
 
 LATENT_MAGIC = b"DPLZ"
 LATENT_VERSION = 1
+LEDGER_HEADER = ("release_id", "epsilon", "group")
 
 
 @dataclass(frozen=True)
@@ -282,19 +284,55 @@ class PrivacyBudgetLedger:
             sums[e.group] = sums.get(e.group, 0.0) + e.epsilon
         return max(sums.values(), default=0.0)
 
-    def save_csv(self, path) -> None:
-        with open(path, "w", newline="") as f:
+    def save_csv(self, path, start: int = 0) -> None:
+        """Write the ledger as CSV; ``entries[:start]`` are already in the file.
+
+        start 0 writes the header and every row. start > 0 appends only the
+        rows after it, so a release request costs its own rows, not the
+        ledger's length.
+        """
+        entries = self.entries
+        if not 0 <= start <= len(entries):
+            raise ValueError(f"start {start} outside [0, {len(entries)}]")
+        with open(path, "a" if start else "w", newline="") as f:
             writer = csv.writer(f)
-            writer.writerow(["release_id", "epsilon", "group"])
-            for e in self.entries:
-                writer.writerow([e.release_id, repr(e.epsilon), e.group])
+            if not start:
+                writer.writerow(LEDGER_HEADER)
+            writer.writerows((e.release_id, repr(e.epsilon), e.group) for e in entries[start:])
 
     @classmethod
     def load_csv(cls, path) -> "PrivacyBudgetLedger":
-        ledger = cls()
+        """Read a ledger written by save_csv; a malformed file raises FormatError.
+
+        The error names the file and the line. A last line without its line
+        end is malformed too: it is what an interrupted append leaves.
+        """
         with open(path, newline="") as f:
-            for rec in csv.DictReader(f):
-                ledger.record(rec["release_id"], float(rec["epsilon"]), rec["group"])
+            text = f.read()
+        rows = csv.reader(io.StringIO(text))
+
+        def malformed(what: str) -> FormatError:
+            return FormatError(f"{path}, line {rows.line_num}: {what}")
+
+        header = next(rows, None)
+        if header is not None and header != list(LEDGER_HEADER):
+            raise malformed(f"header {header}, expected {list(LEDGER_HEADER)}")
+        entries = []
+        for row in rows:
+            try:
+                release_id, epsilon, group = row
+                epsilon = float(epsilon)
+            except ValueError:
+                if len(row) != 3:
+                    raise malformed(f"{len(row)} fields, expected 3") from None
+                raise malformed(f"epsilon {row[1]!r} is not a number") from None
+            if not epsilon > 0:
+                raise malformed(f"epsilon must be positive, got {epsilon}")
+            entries.append(LedgerEntry(release_id, epsilon, group))
+        if text and not text.endswith("\n"):
+            raise malformed("last row has no line end")
+        ledger = cls()
+        ledger._entries = entries
         return ledger
 
 

@@ -1,14 +1,16 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
 
-from dpimage.cli import main
+from dpimage.cli import _baseline_table, main
 from dpimage.config import RunConfig, SweepSpec, build_config, load_config_file, parse_levels
 from dpimage.codec import load_model
 from dpimage.data import load_manifest, read_pgm, write_pgm
+from dpimage.metrics import blur_baseline, evaluate_pairs, mosaic_baseline
 from dpimage.numerics import derive_stream
-from dpimage.privacy import PrivacyParams, dp_image, full_mask
+from dpimage.privacy import PrivacyBudgetLedger, PrivacyParams, dp_image, full_mask
 from dpimage.errors import ConfigError
 
 
@@ -169,6 +171,22 @@ class TestPerturb:
         prov = json.loads((out / "provenance_perturb.json").read_text())
         assert prov["extra"]["ledger_total"] == pytest.approx(0.5 * 20)
 
+    def test_ledger_appends_equal_full_write(self, trained, tmp_path):
+        cfg, out = trained
+        corpus = sorted((out / "corpus").glob("*.pgm"))
+        whole = PrivacyBudgetLedger()
+        for epsilon, request in ((0.5, corpus[:3]), (0.25, corpus[3:10]), (2.0, corpus[10:12])):
+            assert run(
+                "perturb", "--config", cfg, "--sensitivity", "5.0", "--epsilon", epsilon,
+                "--input", *request,
+            ) == 0
+            for p in request:
+                whole.record(p.name, epsilon, group="corpus")
+        whole.save_csv(tmp_path / "whole.csv")
+        assert (out / "ledger.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+        prov = json.loads((out / "provenance_perturb.json").read_text())
+        assert prov["extra"]["ledger_total"] == whole.total()
+
     def test_deterministic(self, trained):
         cfg, out = trained
         assert run("sensitivity", "--config", cfg) == 0
@@ -260,6 +278,22 @@ class TestEvaluateAndSweep:
         methods = [line.split(",")[0] for line in table[1:]]
         assert methods == ["blur", "mosaic", "dp_image"]
 
+    def test_baseline_search_matches_full_metric_search(self, trained):
+        cfg, out = trained
+        assert run(
+            "perturb", "--config", cfg, "--sensitivity", "5.0", "--input", out / "corpus"
+        ) == 0
+        model = load_model(out / "model.dpim")
+        pairs = [
+            (p.name, read_pgm(p), read_pgm(out / "perturbed" / p.name))
+            for p in sorted((out / "corpus").glob("*.pgm"))
+        ]
+        dp_report = evaluate_pairs(model, pairs, 0.9)
+        rows, notes = _baseline_table(model, pairs, dp_report, 0.9)
+        sigma, block, expected = full_metric_search(model, pairs, dp_report, 0.9)
+        assert (notes["blur_sigma"], notes["mosaic_block"]) == (sigma, block)
+        assert rows == expected
+
     def test_sweep_outputs(self, trained):
         cfg, out = trained
         assert run("sweep", "--config", cfg, "--sweep_levels", "0,0.5") == 0
@@ -299,6 +333,40 @@ class TestEvaluateAndSweep:
         assert float(agg["threshold"]) == 0.5
 
 
+def full_metric_search(model, pairs, dp_report, threshold):
+    """The table search that ran evaluate_pairs on every candidate, one image at a time."""
+
+    def report(transform):
+        return evaluate_pairs(model, [(name, x, transform(x)) for name, x, _ in pairs], threshold)
+
+    def closer(best, rep):
+        return best is None or abs(rep.mean_iss - target) < abs(best[1].mean_iss - target)
+
+    target = dp_report.mean_iss
+    lo, hi = 0.05, 16.0
+    best_blur = None
+    for _ in range(24):
+        mid = 0.5 * (lo + hi)
+        radius = max(1, int(math.ceil(3.0 * mid)))
+        rep = report(lambda x: blur_baseline(x, mid, radius))
+        if closer(best_blur, rep):
+            best_blur = (mid, rep)
+        if rep.mean_iss > target:
+            lo = mid
+        else:
+            hi = mid
+    best_mosaic = None
+    for block in range(1, pairs[0][1].shape[0] + 1):
+        rep = report(lambda x: mosaic_baseline(x, block))
+        if closer(best_mosaic, rep):
+            best_mosaic = (block, rep)
+    rows = [
+        (name, r.mean_l2, r.mean_ald_inf, r.mean_ssim, r.mean_iss, r.fed, r.fppsr)
+        for name, r in (("blur", best_blur[1]), ("mosaic", best_mosaic[1]), ("dp_image", dp_report))
+    ]
+    return best_blur[0], best_mosaic[0], rows
+
+
 class TestErrorReporting:
     def test_missing_model_is_one_line_error(self, tiny_cfg, tmp_path, capsys):
         assert run("generate", "--config", tiny_cfg) == 0
@@ -307,3 +375,23 @@ class TestErrorReporting:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert err[0].startswith("error:")
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("release_id,epsilon,group\r\na.pgm,0.5,corpus\r\nb.pgm,0.5\r\n", "line 3"),
+            ("image,epsilon,group\r\na.pgm,0.5,corpus\r\n", "line 1"),
+        ],
+    )
+    def test_malformed_ledger_is_one_line_error(self, trained, capsys, text, where):
+        cfg, out = trained
+        ledger = out / "ledger.csv"
+        ledger.write_bytes(text.encode())
+        capsys.readouterr()
+        code = run("perturb", "--config", cfg, "--sensitivity", "5.0", "--input", out / "corpus")
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error:format: ") and f"ledger.csv, {where}:" in err[0]
+        assert ledger.read_bytes() == text.encode()
+        assert not (out / "perturbed").exists() or not any((out / "perturbed").iterdir())

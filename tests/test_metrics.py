@@ -374,6 +374,40 @@ class TestBlur:
         assert out.min() >= 0.0 and out.max() <= 1.0
 
 
+def mosaic_oracle(x, block):
+    """One-image tile loop: each tile takes the mean of its own pixels."""
+    out = np.empty_like(x)
+    for i in range(0, x.shape[0], block):
+        for j in range(0, x.shape[1], block):
+            out[i : i + block, j : j + block] = x[i : i + block, j : j + block].mean()
+    return out
+
+
+class TestBaselineStacks:
+    """A stack's rows equal one-image calls bit for bit."""
+
+    def stack(self):
+        return np.random.default_rng(12).uniform(0.0, 1.0, size=(20, 32, 32))
+
+    @pytest.mark.parametrize("block", [1, 2, 5, 7, 16, 31, 32])
+    def test_mosaic_rows(self, block):
+        x = self.stack()
+        out = mosaic_baseline(x, block)
+        for i in range(len(x)):
+            assert np.array_equal(out[i], mosaic_baseline(x[i], block))
+            assert np.array_equal(out[i], mosaic_oracle(x[i], block))
+        assert np.array_equal(mosaic_baseline(x.reshape(4, 5, 32, 32), block).reshape(x.shape), out)
+
+    @pytest.mark.parametrize("sigma, radius", [(0.6, 2), (2.5, 8), (16.0, 48)])
+    def test_blur_rows(self, sigma, radius):
+        x = self.stack()
+        out = blur_baseline(x, sigma, radius)
+        for i in range(len(x)):
+            assert np.array_equal(out[i], blur_baseline(x[i], sigma, radius))
+        nested = blur_baseline(x.reshape(4, 5, 32, 32), sigma, radius)
+        assert np.array_equal(nested.reshape(x.shape), out)
+
+
 class TestMosaic:
     def test_block_one_identity(self):
         x = random_image(8)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpimage.codec import decode, encode, init_model
-from dpimage.errors import BadMagicError, TruncatedError, VersionError
+from dpimage.errors import BadMagicError, FormatError, TruncatedError, VersionError
 from dpimage.numerics import RngStream, derive_states, derive_stream, make_stream, rng_uniform_batch
 from dpimage.privacy import (
     PrivacyBudgetLedger,
@@ -344,6 +344,39 @@ class TestLedger:
         ledger.save_csv(path)
         back = PrivacyBudgetLedger.load_csv(path)
         assert back.entries == ledger.entries
+
+    def test_append_equals_full_write(self, tmp_path):
+        ledger = PrivacyBudgetLedger()
+        ledger.record("a,with comma", 0.25, group="g1")
+        ledger.save_csv(tmp_path / "appended.csv")
+        ledger.record("b", 0.125, group="g2")
+        ledger.record("c", 0.5, group="g1")
+        ledger.save_csv(tmp_path / "appended.csv", start=1)
+        ledger.save_csv(tmp_path / "whole.csv")
+        assert (tmp_path / "appended.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+        assert PrivacyBudgetLedger.load_csv(tmp_path / "appended.csv").entries == ledger.entries
+
+    def test_start_outside_entries_rejected(self, tmp_path):
+        ledger = PrivacyBudgetLedger()
+        ledger.record("a", 0.25)
+        with pytest.raises(ValueError):
+            ledger.save_csv(tmp_path / "ledger.csv", start=2)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("release_id,epsilon\r\n", "line 1: header"),
+            ("release_id,epsilon,group\r\na,0.5,g\r\nb,0.5\r\n", "line 3: 2 fields"),
+            ("release_id,epsilon,group\r\na,half,g\r\n", "line 2: epsilon 'half'"),
+            ("release_id,epsilon,group\r\na,0.0,g\r\n", "line 2: epsilon must be positive"),
+            ("release_id,epsilon,group\r\na,0.5,g\r\nb,0.5,g", "line 3: last row has no line end"),
+        ],
+    )
+    def test_malformed_file_named_with_line(self, tmp_path, text, message):
+        path = tmp_path / "ledger.csv"
+        path.write_bytes(text.encode())
+        with pytest.raises(FormatError, match=f"ledger.csv, {message}"):
+            PrivacyBudgetLedger.load_csv(path)
 
 
 class TestVerifyDp:
