@@ -23,7 +23,6 @@ import numpy as np
 from . import __version__
 from .codec import (
     BLOCK_ROWS,
-    TrainConfig,
     align_identity_basis,
     decode_batch,
     encode_batch,
@@ -31,7 +30,7 @@ from .codec import (
     save_model,
     train,
 )
-from .config import RunConfig, SweepSpec, build_config, config_dict
+from .config import RunConfig, build_config, config_dict, parse_levels
 from .data import generate_corpus, load_manifest, read_pgm, save_manifest, write_pgm
 from .errors import ConfigError, DataError, DpImageError
 from .metrics import (
@@ -141,17 +140,7 @@ def cmd_train(config: RunConfig, corpus_dir: Path) -> None:
         raise DataError("manifest has no train split")
     corpus = [images[r.path] for r in train_rows]
     labels = [r.identity_id for r in train_rows]
-    tc = TrainConfig(
-        epochs=config.epochs,
-        batch_size=config.batch_size,
-        learning_rate=config.learning_rate,
-        momentum=config.momentum,
-        seed=config.seed,
-        weight_init_scale=config.weight_init_scale,
-    )
-    model, trace = train(
-        corpus, tc, latent_dim=config.latent_dim, identity_len=config.identity_len
-    )
+    model, trace = train(corpus, config)
     model = align_identity_basis(model, corpus, labels)
     save_model(model, out_dir / "model.dpim")
     with open(out_dir / "loss_trace.csv", "w", newline="") as f:
@@ -288,7 +277,9 @@ def cmd_evaluate(
     write_aggregate_csv(report, out_dir / "aggregate.csv")
     extra = {"threshold": threshold, "mean_iss": report.mean_iss}
     if baselines:
-        table, notes = _baseline_table(model, pairs, report, threshold)
+        table, notes = _baseline_table(
+            model, pairs, report, threshold, config.ssim_window, config.ssim_sigma
+        )
         with open(out_dir / "table.csv", "w", newline="") as f:
             f.write("method,l2,ald_inf,ssim,iss,fed,fppsr\n")
             for row in table:
@@ -299,13 +290,13 @@ def cmd_evaluate(
     print(f"evaluated {len(pairs)} pairs; mean ISS {report.mean_iss:.4f}")
 
 
-def _baseline_table(model, pairs, dp_report, threshold):
+def _baseline_table(model, pairs, dp_report, threshold, ssim_window, ssim_sigma):
     """Blur and mosaic rows tuned to match the dp-image mean ISS.
 
     The search scores each candidate by mean ISS alone; the full metrics are
-    computed for the chosen blur and mosaic only. Candidates transform and
-    encode BLOCK_ROWS images at a time, which bounds the temporaries of wide
-    blur kernels.
+    computed for the chosen blur and mosaic only, with the SSIM window of the
+    dp-image row. Candidates transform and encode BLOCK_ROWS images at a
+    time, which bounds the temporaries of wide blur kernels.
     """
     target = dp_report.mean_iss
     x = np.stack([orig for _, orig, _ in pairs])
@@ -326,7 +317,7 @@ def _baseline_table(model, pairs, dp_report, threshold):
     def report(transform):
         y = np.concatenate([transform(x[s : s + BLOCK_ROWS]) for s in starts])
         method_pairs = [(name, x[i], y[i]) for i, (name, _, _) in enumerate(pairs)]
-        return evaluate_pairs(model, method_pairs, threshold)
+        return evaluate_pairs(model, method_pairs, threshold, ssim_window, ssim_sigma)
 
     def blur(sigma):
         radius = max(1, int(math.ceil(3.0 * sigma)))
@@ -375,20 +366,21 @@ def _baseline_table(model, pairs, dp_report, threshold):
     return rows, notes
 
 
-def cmd_sweep(config: RunConfig, model_path: Path, corpus_dir: Path, spec: SweepSpec) -> None:
+def cmd_sweep(config: RunConfig, model_path: Path, corpus_dir: Path) -> None:
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     model = load_model(model_path)
     eval_rows, images = _load_corpus(corpus_dir, "eval")
     cal = _calibrate_from_corpus(config, model, eval_rows, images)
+    levels = parse_levels(config.sweep_levels)
     x_eval = np.stack([images[r.path] for r in eval_rows])
     z_eval = encode_batch(model, x_eval)
     n_id = model.identity_len
     # tasks in (repetition, image) order; they run one block of rows at a
     # time, so at most one block of decoded images is alive
-    rep, image = np.divmod(np.arange(spec.repetitions * len(x_eval)), len(x_eval))
+    rep, image = np.divmod(np.arange(config.sweep_repetitions * len(x_eval)), len(x_eval))
     results = []
-    for level_index, level in enumerate(spec.levels):
+    for level_index, level in enumerate(levels):
         # the level is the noise scale b = delta_f / epsilon itself
         params = _privacy_params(config, 1.0, level)
         states = derive_states(config.seed, _STREAM_SWEEP, level_index, rep, image)
@@ -418,7 +410,7 @@ def cmd_sweep(config: RunConfig, model_path: Path, corpus_dir: Path, spec: Sweep
         out_dir,
         "sweep",
         config,
-        {"threshold": cal.tau, "levels": list(spec.levels), "repetitions": spec.repetitions},
+        {"threshold": cal.tau, "levels": list(levels), "repetitions": config.sweep_repetitions},
     )
     for level, mean_iss, mean_fppsr, _, _ in results:
         print(f"level {level}: mean ISS {mean_iss:.4f}, FPPSR {mean_fppsr:.4f}")
@@ -506,7 +498,7 @@ def main(argv=None) -> int:
                 args.baselines,
             )
         elif args.command == "sweep":
-            cmd_sweep(config, model_path, corpus_dir, SweepSpec.from_config(config))
+            cmd_sweep(config, model_path, corpus_dir)
         return 0
     except DpImageError as exc:
         print(f"error:{exc.category}: {exc}", file=sys.stderr)

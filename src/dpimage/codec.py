@@ -16,15 +16,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import RunConfig
 from .errors import BadMagicError, TrainingError, TruncatedError, VersionError
-from .numerics import make_stream, rng_uniform_batch, sym_eigen
+from .numerics import make_stream, rng_uniform_batch
 
 MODEL_MAGIC = b"DPIM"
 MODEL_VERSION = 1
 
 DEFAULT_HIDDEN_DIMS = (256, 64)
-DEFAULT_LATENT_DIM = 32
-DEFAULT_IDENTITY_LEN = 12
 
 # Rows per forward-pass matrix product. OpenBLAS rounds a row's product
 # differently at different matrix heights: a 1-row pass (GEMV), small and
@@ -33,26 +32,6 @@ DEFAULT_IDENTITY_LEN = 12
 # always run zero-padded blocks of this height. 16 rows keep the padding of
 # single-image calls and the block temporaries small.
 BLOCK_ROWS = 16
-
-
-@dataclass
-class TrainConfig:
-    epochs: int = 200
-    batch_size: int = 32
-    learning_rate: float = 1.0
-    momentum: float = 0.9
-    seed: int = 0
-    weight_init_scale: float = 1.0  # bound is scale / sqrt(fan_in)
-
-    def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not self.learning_rate > 0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
 
 
 @dataclass(eq=False)
@@ -228,17 +207,14 @@ def init_model(
 
 
 def train(
-    corpus,
-    config: TrainConfig,
-    hidden_dims=DEFAULT_HIDDEN_DIMS,
-    latent_dim: int = DEFAULT_LATENT_DIM,
-    identity_len: int = DEFAULT_IDENTITY_LEN,
+    corpus, config: RunConfig, hidden_dims=DEFAULT_HIDDEN_DIMS
 ) -> tuple[AutoencoderModel, list[float]]:
     """Fit the autoencoder on a corpus of equal-sized images.
 
     Minibatch gradient descent with momentum; batch order is reshuffled
-    each epoch from the seeded stream. Returns the model and the per-epoch
-    loss trace.
+    each epoch from the seeded stream. The latent size, identity block,
+    optimizer settings and seed come from the config. Returns the model and
+    the per-epoch loss trace.
     """
     if len(corpus) == 0:
         raise ValueError("corpus must be nonempty")
@@ -247,7 +223,10 @@ def train(
         raise ValueError(f"corpus images disagree in shape: {sorted(sides)}")
     d = int(np.prod(next(iter(sides))))
     model = init_model(
-        (d, *hidden_dims, latent_dim), identity_len, config.seed, config.weight_init_scale
+        (d, *hidden_dims, config.latent_dim),
+        config.identity_len,
+        config.seed,
+        config.weight_init_scale,
     )
     x_all = np.stack([np.asarray(img, dtype=np.float64).reshape(-1) for img in corpus])
     n = x_all.shape[0]
@@ -323,11 +302,11 @@ def align_identity_basis(
         ridge = 1e-12
     w_mat = s_within + ridge * np.eye(m)
     w_mat = (w_mat + w_mat.T) / 2.0
-    wl, p = sym_eigen(w_mat)
+    wl, p = np.linalg.eigh(w_mat)
     whiten = np.diag(wl**-0.5) @ p.T
     mixed = whiten @ s_between @ whiten.T
     mixed = (mixed + mixed.T) / 2.0
-    _, v = sym_eigen(mixed)
+    v = np.linalg.eigh(mixed)[1][:, ::-1]  # eigh sorts ascending
     a = v.T @ whiten
     a_inv = p @ np.diag(wl**0.5) @ v
 
@@ -409,13 +388,3 @@ def load_model(path) -> AutoencoderModel:
         biases=biases,
     )
 
-
-def models_equal(a: AutoencoderModel, b: AutoencoderModel) -> bool:
-    """Field-by-field equality, exact on every parameter."""
-    return (
-        a.encoder_dims == b.encoder_dims
-        and a.identity_len == b.identity_len
-        and len(a.weights) == len(b.weights)
-        and all(np.array_equal(x, y) for x, y in zip(a.weights, b.weights))
-        and all(np.array_equal(x, y) for x, y in zip(a.biases, b.biases))
-    )

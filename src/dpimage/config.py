@@ -7,6 +7,7 @@ an error so typos never silently fall back to defaults.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -49,6 +50,12 @@ class RunConfig:
             )
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if not self.learning_rate > 0:
+            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
         if self.sensitivity_mode not in ("empirical", "clip"):
             raise ConfigError(
                 f"sensitivity_mode must be 'empirical' or 'clip', got {self.sensitivity_mode!r}"
@@ -57,12 +64,14 @@ class RunConfig:
             raise ConfigError(
                 f"mask_mode must be 'all' or 'identity_only', got {self.mask_mode!r}"
             )
-        if not self.epsilon > 0:
-            raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
-        if self.sensitivity < 0:
-            raise ConfigError(f"sensitivity must be >= 0, got {self.sensitivity}")
-        if not self.clip_radius > 0:
-            raise ConfigError(f"clip_radius must be positive, got {self.clip_radius}")
+        # "no noise" is sensitivity 0; an infinite epsilon or a NaN would
+        # release without noise or poison every pixel
+        if not 0 < self.epsilon < math.inf:
+            raise ConfigError(f"epsilon must be positive and finite, got {self.epsilon}")
+        if not 0 <= self.sensitivity < math.inf:
+            raise ConfigError(f"sensitivity must be >= 0 and finite, got {self.sensitivity}")
+        if not 0 < self.clip_radius < math.inf:
+            raise ConfigError(f"clip_radius must be positive and finite, got {self.clip_radius}")
         if not 0 < self.fppsr_percentile <= 100:
             raise ConfigError(
                 f"fppsr_percentile must be in (0, 100], got {self.fppsr_percentile}"
@@ -81,31 +90,11 @@ def parse_levels(text: str) -> tuple[float, ...]:
         raise ConfigError(f"bad sweep_levels {text!r}: {exc}") from None
     if not levels:
         raise ConfigError("sweep_levels must contain at least one value")
-    if any(lv < 0 for lv in levels):
-        raise ConfigError(f"sweep_levels must be nonnegative, got {levels}")
+    if not all(0 <= lv < math.inf for lv in levels):
+        raise ConfigError(f"sweep_levels must be nonnegative and finite, got {levels}")
     if list(levels) != sorted(levels):
         raise ConfigError(f"sweep_levels must be ascending, got {levels}")
     return levels
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    levels: tuple[float, ...] = (0.0, 0.25, 0.5, 1.0)
-    repetitions: int = 100
-
-    def __post_init__(self):
-        if len(self.levels) == 0:
-            raise ConfigError("sweep needs at least one level")
-        if any(lv < 0 for lv in self.levels):
-            raise ConfigError(f"levels must be nonnegative, got {self.levels}")
-        if list(self.levels) != sorted(self.levels):
-            raise ConfigError(f"levels must be ascending, got {self.levels}")
-        if self.repetitions < 1:
-            raise ConfigError(f"repetitions must be >= 1, got {self.repetitions}")
-
-    @classmethod
-    def from_config(cls, config: RunConfig) -> "SweepSpec":
-        return cls(levels=parse_levels(config.sweep_levels), repetitions=config.sweep_repetitions)
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}

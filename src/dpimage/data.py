@@ -264,7 +264,7 @@ def write_pgm(img: np.ndarray, path) -> None:
     img = np.asarray(img, dtype=np.float64)
     if img.ndim != 2:
         raise DataError(f"expected a 2-D image, got shape {img.shape}")
-    if img.min() < 0.0 or img.max() > 1.0:
+    if not np.all((img >= 0.0) & (img <= 1.0)):  # NaN fails both
         raise DataError("pixel values must lie in [0, 1]")
     h, w = img.shape
     data = np.rint(img * 255.0).astype(np.uint8)

@@ -18,7 +18,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .codec import BLOCK_ROWS, AutoencoderModel, encode, encode_batch
-from .numerics import StatsSummary, descriptive_stats, sym_eigen
+from .numerics import StatsSummary, descriptive_stats
 
 SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
@@ -39,10 +39,6 @@ def l2_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     x, y = _check_same_shape(x, y)
     d = (y - x).reshape(len(x), -1)
     return np.sqrt(np.sum(d * d, axis=1))
-
-
-def l2_distance(x: np.ndarray, y: np.ndarray) -> float:
-    return float(l2_distances([x], [y])[0])
 
 
 def ald(x: np.ndarray, y: np.ndarray, p=math.inf) -> float:
@@ -133,12 +129,6 @@ def identity_embedding(model: AutoencoderModel, image: np.ndarray) -> np.ndarray
     return encode(model, image)[: model.identity_len]
 
 
-def iss(model: AutoencoderModel, x: np.ndarray, y: np.ndarray) -> float:
-    """Identity similarity score between two images under the model."""
-    e = encode_batch(model, [x, y])[:, : model.identity_len]
-    return iss_from_embeddings(e[0], e[1])
-
-
 def _pair_iss(model: AutoencoderModel, pairs) -> np.ndarray:
     """ISS of each (x, y) pair, encoding each distinct image object once.
 
@@ -157,15 +147,6 @@ def _pair_iss(model: AutoencoderModel, pairs) -> np.ndarray:
     emb = encode_batch(model, unique)[:, : model.identity_len]
     index = np.array(index, dtype=np.intp).reshape(-1, 2)
     return iss_scores(emb[index[:, 0]], emb[index[:, 1]])
-
-
-def fppsr(model: AutoencoderModel, pairs, threshold: float) -> float:
-    """Fraction of (original, perturbed) pairs whose ISS fell below threshold."""
-    if len(pairs) == 0:
-        raise ValueError("need at least one pair")
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError(f"threshold must be in [0, 1], got {threshold}")
-    return float(np.mean(_pair_iss(model, pairs) < threshold))
 
 
 @dataclass(frozen=True)
@@ -217,7 +198,7 @@ def calibrate_threshold(
 
 def _psd_sqrt(m: np.ndarray) -> np.ndarray:
     sym = (m + m.T) / 2.0  # guard against BLAS rounding asymmetry
-    w, v = sym_eigen(sym)
+    w, v = np.linalg.eigh(sym)
     w = np.clip(w, 0.0, None)
     return v @ np.diag(np.sqrt(w)) @ v.T
 
@@ -327,6 +308,8 @@ def evaluate_pairs(
     """
     if len(pairs) == 0:
         raise ValueError("need at least one pair")
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError(f"threshold must be in [0, 1], got {threshold}")
     ordered = sorted(pairs, key=lambda rec: rec[0])
     x, y = _check_same_shape([rec[1] for rec in ordered], [rec[2] for rec in ordered])
     emb_x = encode_batch(model, x)[:, : model.identity_len]

@@ -1,8 +1,7 @@
 """Deterministic numeric kernel.
 
 Seeded splitmix64 streams with value semantics (advancing returns a new
-stream), uniform/Gaussian samplers, descriptive statistics, and a cyclic
-Jacobi eigensolver for small symmetric matrices.
+stream), uniform/Gaussian samplers and descriptive statistics.
 
 All floating point is 64-bit. Streams are plain values, so every sampler is
 a pure function ``(stream, ...) -> (result, advanced_stream)`` and results
@@ -16,7 +15,6 @@ adversary may predict the noise.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +30,6 @@ class RngStream:
     """Immutable splitmix64 stream state."""
 
     state: int
-    stream_id: int = 0
 
 
 def _mix64(z: int) -> int:
@@ -57,7 +54,7 @@ def make_stream(seed: int, stream_id: int = 0) -> RngStream:
     """
     sid = stream_id & _MASK64
     state = (seed ^ _mix64((sid * _GOLDEN) & _MASK64)) & _MASK64
-    return RngStream(state=state, stream_id=sid)
+    return RngStream(state)
 
 
 def derive_stream(seed: int, *indices: int) -> RngStream:
@@ -88,7 +85,7 @@ def derive_states(seed: int, *indices) -> np.ndarray:
 def rng_next_u64(stream: RngStream) -> tuple[int, RngStream]:
     """Next raw 64-bit output; returns (value, advanced stream)."""
     state = (stream.state + _GOLDEN) & _MASK64
-    return _mix64(state), RngStream(state, stream.stream_id)
+    return _mix64(state), RngStream(state)
 
 
 def rng_batch_u64(stream: RngStream, n: int) -> tuple[np.ndarray, RngStream]:
@@ -96,7 +93,7 @@ def rng_batch_u64(stream: RngStream, n: int) -> tuple[np.ndarray, RngStream]:
     if n < 0:
         raise ValueError("n must be nonnegative")
     z = _splitmix_rows(np.array([stream.state], dtype=np.uint64), n)[0]
-    return z, RngStream((stream.state + n * _GOLDEN) & _MASK64, stream.stream_id)
+    return z, RngStream((stream.state + n * _GOLDEN) & _MASK64)
 
 
 def _splitmix_rows(states: np.ndarray, n: int) -> np.ndarray:
@@ -107,12 +104,6 @@ def _splitmix_rows(states: np.ndarray, n: int) -> np.ndarray:
 
 def _to_uniform(z: np.ndarray) -> np.ndarray:
     return ((z >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53 - 0.5
-
-
-def rng_uniform_open(stream: RngStream) -> tuple[float, RngStream]:
-    """Uniform draw on (-0.5, 0.5]; never returns exactly -0.5."""
-    u, stream = rng_next_u64(stream)
-    return ((u >> 11) + 1) * 2.0**-53 - 0.5, stream
 
 
 def rng_uniform_batch(stream: RngStream, n: int) -> tuple[np.ndarray, RngStream]:
@@ -149,82 +140,6 @@ def gaussian_batch(
     u2 = u[1::2] + 0.5
     r = np.sqrt(-2.0 * np.log(u1))
     return mean + std * r * np.cos(2.0 * np.pi * u2), stream
-
-
-def gaussian_sample(
-    stream: RngStream, mean: float = 0.0, std: float = 1.0
-) -> tuple[float, RngStream]:
-    """Single Gaussian draw; std = 0 returns mean exactly."""
-    vals, stream = gaussian_batch(stream, 1, mean, std)
-    return float(vals[0]), stream
-
-
-def check_symmetric(m: np.ndarray) -> np.ndarray:
-    """Validate a square, exactly symmetric float matrix and return it."""
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if m.shape[0] < 1:
-        raise ValueError("matrix dimension must be >= 1")
-    if not np.array_equal(m, m.T):
-        raise ValueError("matrix is not exactly symmetric")
-    return m
-
-
-def sym_eigen(m: np.ndarray, max_sweeps: int = 100) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
-
-    Iterates sweeps of (p, q) rotations until the largest off-diagonal
-    magnitude drops below 1e-12 times the Frobenius norm of the input.
-
-    Returns:
-        (eigenvalues, eigenvectors): eigenvalues sorted descending and the
-        matching orthonormal eigenvectors as columns, so that
-        ``V @ diag(w) @ V.T`` reconstructs the input.
-    """
-    a = check_symmetric(m).copy()
-    n = a.shape[0]
-    if n > 256:
-        raise ValueError(f"dimension {n} exceeds the supported maximum of 256")
-    v = np.eye(n)
-    fro = math.sqrt(float(np.sum(a * a)))
-    tol = 1e-12 * fro
-    if n > 1 and fro > 0.0:
-        for _ in range(max_sweeps):
-            off = np.abs(a - np.diag(np.diag(a))).max()
-            if off < tol:
-                break
-            for p in range(n - 1):
-                for q in range(p + 1, n):
-                    apq = a[p, q]
-                    if abs(apq) < tol:
-                        continue
-                    # Rotation angle per Golub & Van Loan 8.4.
-                    theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                    t = math.copysign(1.0, theta) / (
-                        abs(theta) + math.sqrt(theta * theta + 1.0)
-                    )
-                    c = 1.0 / math.sqrt(t * t + 1.0)
-                    s = t * c
-                    col_p = a[:, p].copy()
-                    col_q = a[:, q].copy()
-                    a[:, p] = c * col_p - s * col_q
-                    a[:, q] = s * col_p + c * col_q
-                    row_p = a[p, :].copy()
-                    row_q = a[q, :].copy()
-                    a[p, :] = c * row_p - s * row_q
-                    a[q, :] = s * row_p + c * row_q
-                    a[p, q] = 0.0
-                    a[q, p] = 0.0
-                    vp = v[:, p].copy()
-                    vq = v[:, q].copy()
-                    v[:, p] = c * vp - s * vq
-                    v[:, q] = s * vp + c * vq
-        else:
-            raise ArithmeticError("Jacobi iteration failed to converge")
-    w = np.diag(a).copy()
-    order = np.argsort(-w, kind="stable")
-    return w[order], v[:, order]
 
 
 @dataclass(frozen=True)

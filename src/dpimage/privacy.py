@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import struct
 import threading
 from dataclasses import dataclass
@@ -58,12 +59,12 @@ class PrivacyParams:
     clip_radius: float | None = None
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if self.sensitivity < 0:
-            raise ValueError(f"sensitivity must be nonnegative, got {self.sensitivity}")
-        if self.clip_radius is not None and not self.clip_radius > 0:
-            raise ValueError(f"clip_radius must be positive, got {self.clip_radius}")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
+        if not 0 <= self.sensitivity < math.inf:
+            raise ValueError(f"sensitivity must be nonnegative and finite, got {self.sensitivity}")
+        if self.clip_radius is not None and not 0 < self.clip_radius < math.inf:
+            raise ValueError(f"clip_radius must be positive and finite, got {self.clip_radius}")
         object.__setattr__(self, "mask", np.asarray(self.mask, dtype=bool))
 
     @property
@@ -126,12 +127,6 @@ def laplace_rows(states, n: int, scale: float) -> np.ndarray:
     return laplace_from_uniform(u, scale)
 
 
-def laplace_sample(stream: RngStream, scale: float) -> tuple[float, RngStream]:
-    """Single Laplace(0, scale) draw; scale 0 returns 0."""
-    vals, stream = laplace_batch(stream, 1, scale)
-    return float(vals[0]), stream
-
-
 @dataclass(frozen=True)
 class SensitivityReport:
     """Empirical feature-space sensitivity over a set of latents.
@@ -163,8 +158,9 @@ def estimate_sensitivity(latents, n_bins: int = 20) -> SensitivityReport:
     iu = np.triu_indices(z.shape[0], k=1)
     pair_values = distances[iu]
     delta_f = float(pair_values.max())
-    upper = delta_f if delta_f > 0 else 1.0
-    edges = np.linspace(0.0, upper, n_bins + 1)
+    edges = np.linspace(0.0, delta_f, n_bins + 1)
+    if not np.all(np.diff(edges) > 0):  # delta_f 0, or too small to split
+        edges = np.linspace(0.0, 1.0, n_bins + 1)
     return SensitivityReport(
         delta_f=delta_f,
         distances=distances,

@@ -2,13 +2,14 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dpimage.cli import _baseline_table, main
-from dpimage.config import RunConfig, SweepSpec, build_config, load_config_file, parse_levels
+from dpimage.config import RunConfig, build_config, load_config_file, parse_levels
 from dpimage.codec import load_model
 from dpimage.data import load_manifest, read_pgm, write_pgm
-from dpimage.metrics import blur_baseline, evaluate_pairs, mosaic_baseline
+from dpimage.metrics import blur_baseline, evaluate_pairs, mosaic_baseline, ssim_scores
 from dpimage.numerics import derive_stream
 from dpimage.privacy import PrivacyBudgetLedger, PrivacyParams, dp_image, full_mask
 from dpimage.errors import ConfigError
@@ -63,15 +64,22 @@ class TestConfig:
             RunConfig(mask_mode="everything")
         with pytest.raises(ConfigError):
             RunConfig(sweep_levels="1.0,0.5")
+        for levels in ("0,inf", "0,nan"):
+            with pytest.raises(ConfigError, match="finite"):
+                RunConfig(sweep_levels=levels)
         with pytest.raises(ConfigError):
             RunConfig(identity_len=64)
 
     def test_parse_levels(self):
         assert parse_levels("0,0.25,0.5,1.0") == (0.0, 0.25, 0.5, 1.0)
 
-    def test_sweep_spec_from_config(self):
-        spec = SweepSpec.from_config(RunConfig(sweep_levels="0,1", sweep_repetitions=3))
-        assert spec.levels == (0.0, 1.0) and spec.repetitions == 3
+    def test_sweep_spec_from_config(self, trained):
+        cfg, out = trained
+        assert run(
+            "sweep", "--config", cfg, "--sweep_levels", "0, 1", "--sweep_repetitions", "1"
+        ) == 0
+        prov = json.loads((out / "provenance_sweep.json").read_text())
+        assert prov["extra"]["levels"] == [0.0, 1.0] and prov["extra"]["repetitions"] == 1
 
 
 class TestGenerate:
@@ -109,6 +117,17 @@ class TestTrain:
 
     def test_epochs_zero_rejected(self, tiny_cfg):
         assert run("train", "--config", tiny_cfg, "--epochs", "0") == 1
+
+    @pytest.mark.parametrize(
+        "flag, value", [("batch_size", "0"), ("momentum", "1"), ("learning_rate", "0")]
+    )
+    def test_bad_optimizer_setting_is_config_error(self, tiny_cfg, tmp_path, capsys, flag, value):
+        assert run("generate", "--config", tiny_cfg) == 0
+        capsys.readouterr()
+        assert run("train", "--config", tiny_cfg, f"--{flag}", value) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error:config: {flag} ")
+        assert not (tmp_path / "out" / "model.dpim").exists()
 
     def test_deterministic_model_bytes(self, tiny_cfg, tmp_path):
         assert run("generate", "--config", tiny_cfg) == 0
@@ -278,6 +297,24 @@ class TestEvaluateAndSweep:
         methods = [line.split(",")[0] for line in table[1:]]
         assert methods == ["blur", "mosaic", "dp_image"]
 
+    def test_baselines_use_configured_ssim_window(self, trained):
+        cfg, out = trained
+        assert run(
+            "perturb", "--config", cfg, "--sensitivity", "5.0", "--input", out / "corpus"
+        ) == 0
+        assert run(
+            "evaluate", "--config", cfg, "--originals", out / "corpus",
+            "--perturbed", out / "perturbed", "--baselines", "--ssim_window", "7",
+        ) == 0
+        notes = json.loads((out / "provenance_evaluate.json").read_text())["extra"]["baseline_notes"]
+        sigma = notes["blur_sigma"]
+        x = np.stack([read_pgm(p) for p in sorted((out / "corpus").glob("*.pgm"))])
+        y = blur_baseline(x, sigma, max(1, math.ceil(3.0 * sigma)))
+        rows = [line.split(",") for line in (out / "table.csv").read_text().splitlines()]
+        blur_ssim = float(next(row for row in rows if row[0] == "blur")[3])
+        assert blur_ssim == float(np.mean(ssim_scores(x, y, 7, 1.5)))
+        assert blur_ssim != float(np.mean(ssim_scores(x, y, 11, 1.5)))
+
     def test_baseline_search_matches_full_metric_search(self, trained):
         cfg, out = trained
         assert run(
@@ -289,7 +326,7 @@ class TestEvaluateAndSweep:
             for p in sorted((out / "corpus").glob("*.pgm"))
         ]
         dp_report = evaluate_pairs(model, pairs, 0.9)
-        rows, notes = _baseline_table(model, pairs, dp_report, 0.9)
+        rows, notes = _baseline_table(model, pairs, dp_report, 0.9, 11, 1.5)
         sigma, block, expected = full_metric_search(model, pairs, dp_report, 0.9)
         assert (notes["blur_sigma"], notes["mosaic_block"]) == (sigma, block)
         assert rows == expected
@@ -318,6 +355,18 @@ class TestEvaluateAndSweep:
         cfg, out = trained
         assert run("sweep", "--config", cfg, "--sweep_levels", "0", "--sweep_repetitions", "1") == 0
         assert not (out / "ledger.csv").exists()
+
+    def test_threshold_outside_unit_interval_rejected(self, trained, capsys):
+        cfg, out = trained
+        capsys.readouterr()
+        code = run(
+            "evaluate", "--config", cfg,
+            "--originals", out / "corpus", "--perturbed", out / "corpus", "--threshold", "5",
+        )
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "threshold" in err[0]
+        assert not (out / "aggregate.csv").exists()
 
     def test_threshold_override(self, trained):
         cfg, out = trained
@@ -395,3 +444,25 @@ class TestErrorReporting:
         assert err[0].startswith("error:format: ") and f"ledger.csv, {where}:" in err[0]
         assert ledger.read_bytes() == text.encode()
         assert not (out / "perturbed").exists() or not any((out / "perturbed").iterdir())
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--epsilon", "inf"),
+            ("--sensitivity", "inf"),
+            ("--sensitivity_mode", "clip", "--clip_radius", "inf"),
+        ],
+    )
+    def test_non_finite_privacy_parameter_rejected(self, trained, capsys, flags):
+        cfg, out = trained
+        corpus = sorted((out / "corpus").glob("*.pgm"))
+        assert run("perturb", "--config", cfg, "--sensitivity", "5.0", "--input", *corpus[:3]) == 0
+        ledger = (out / "ledger.csv").read_bytes()
+        released = tree_bytes(out / "perturbed")
+        capsys.readouterr()
+        code = run("perturb", "--config", cfg, "--sensitivity", "5.0", *flags, "--input", *corpus)
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:config: ") and "finite" in err[0]
+        assert (out / "ledger.csv").read_bytes() == ledger
+        assert tree_bytes(out / "perturbed") == released

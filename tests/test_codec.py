@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from dpimage.codec import (
-    TrainConfig,
     align_identity_basis,
     decode,
     decode_batch,
@@ -11,17 +10,27 @@ from dpimage.codec import (
     init_model,
     load_model,
     loss_and_gradients,
-    models_equal,
     save_model,
     train,
 )
+from dpimage.config import RunConfig
 from dpimage.data import generate_corpus
-from dpimage.errors import BadMagicError, TrainingError, TruncatedError, VersionError
+from dpimage.errors import BadMagicError, ConfigError, TrainingError, TruncatedError, VersionError
 
 
 def small_corpus(n=12, side=8, seed=0):
     rng = np.random.default_rng(seed)
     return [rng.uniform(0.0, 1.0, size=(side, side)) for _ in range(n)]
+
+
+def models_equal(a, b):
+    """Exact equality of dims, identity block and every parameter."""
+    return (
+        a.encoder_dims == b.encoder_dims
+        and a.identity_len == b.identity_len
+        and len(a.weights) == len(b.weights)
+        and all(np.array_equal(x, y) for x, y in zip(a.weights + a.biases, b.weights + b.biases))
+    )
 
 
 def zero_model(encoder_dims=(64, 16, 8), identity_len=4):
@@ -158,15 +167,18 @@ class TestGradients:
 class TestTrain:
     def test_overfit_single_image(self):
         img = small_corpus(1, side=8)[0]
-        cfg = TrainConfig(epochs=800, batch_size=1, learning_rate=2.0, seed=0, weight_init_scale=2.0)
-        model, trace = train([img], cfg, hidden_dims=(32,), latent_dim=8, identity_len=4)
+        cfg = RunConfig(epochs=800, batch_size=1, latent_dim=8, identity_len=4)
+        model, trace = train([img], cfg, hidden_dims=(32,))
         assert trace[-1] < 1e-3
 
     def test_deterministic(self):
         corpus = small_corpus(10)
-        cfg = TrainConfig(epochs=5, batch_size=4, learning_rate=0.5, seed=3)
-        a, ta = train(corpus, cfg, hidden_dims=(16,), latent_dim=8, identity_len=4)
-        b, tb = train(corpus, cfg, hidden_dims=(16,), latent_dim=8, identity_len=4)
+        cfg = RunConfig(
+            epochs=5, batch_size=4, learning_rate=0.5, seed=3, weight_init_scale=1.0,
+            latent_dim=8, identity_len=4,
+        )
+        a, ta = train(corpus, cfg, hidden_dims=(16,))
+        b, tb = train(corpus, cfg, hidden_dims=(16,))
         assert models_equal(a, b)
         assert ta == tb
 
@@ -176,30 +188,30 @@ class TestTrain:
         corpus = small_corpus(4)
         corpus[2] = corpus[2].copy()
         corpus[2][0, 0] = np.nan
-        cfg = TrainConfig(epochs=1, batch_size=4, learning_rate=0.1, seed=0)
+        cfg = RunConfig(
+            epochs=1, batch_size=4, learning_rate=0.1, weight_init_scale=1.0,
+            latent_dim=8, identity_len=4,
+        )
         with pytest.raises(TrainingError, match="non-finite"):
-            train(corpus, cfg, hidden_dims=(16,), latent_dim=8, identity_len=4)
+            train(corpus, cfg, hidden_dims=(16,))
 
     def test_mixed_shapes_rejected(self):
-        cfg = TrainConfig(epochs=1)
+        cfg = RunConfig(epochs=1)
         with pytest.raises(ValueError):
             train([np.zeros((8, 8)), np.zeros((4, 4))], cfg)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            TrainConfig(epochs=0)
-        with pytest.raises(ValueError):
-            TrainConfig(momentum=1.0)
-        with pytest.raises(ValueError):
-            TrainConfig(learning_rate=0.0)
+        for bad in ({"epochs": 0}, {"batch_size": 0}, {"momentum": 1.0}, {"learning_rate": 0.0}):
+            with pytest.raises(ConfigError):
+                RunConfig(**bad)
 
 
 class TestAlignment:
     def build(self):
         images, manifest = generate_corpus(6, 6, 32, seed=1)
         labels = [r.identity_id for r in manifest]
-        cfg = TrainConfig(epochs=40, batch_size=12, learning_rate=2.0, seed=0, weight_init_scale=2.0)
-        model, _ = train(images, cfg, hidden_dims=(64, 32), latent_dim=16, identity_len=6)
+        cfg = RunConfig(epochs=40, batch_size=12, latent_dim=16, identity_len=6)
+        model, _ = train(images, cfg, hidden_dims=(64, 32))
         return model, images, labels
 
     def test_reconstruction_preserved(self):
@@ -215,6 +227,18 @@ class TestAlignment:
         aligned = align_identity_basis(model, images, labels)
         z = np.stack([encode(aligned, img) for img in images])
         assert np.max(np.abs(z.mean(axis=0))) < 1e-8
+
+    def test_between_scatter_diagonal_descending(self):
+        # the aligned axes are the between-identity eigenvectors, largest first
+        model, images, labels = self.build()
+        z = encode_batch(align_identity_basis(model, images, labels), images)
+        labels = np.asarray(labels)
+        centers = np.stack([z[labels == i].mean(axis=0) for i in np.unique(labels)])
+        counts = np.array([np.sum(labels == i) for i in np.unique(labels)])
+        scatter = (centers * counts[:, None]).T @ centers
+        diag = np.diag(scatter)
+        assert np.max(np.abs(scatter - np.diag(diag))) <= 1e-10 * diag[0]
+        assert np.all(np.diff(diag) <= 1e-10 * diag[0])
 
     def test_leading_block_concentrates_identity(self):
         model, images, labels = self.build()

@@ -190,3 +190,8 @@ class TestPgm:
     def test_out_of_range_write_rejected(self, tmp_path):
         with pytest.raises(DataError):
             write_pgm(np.full((4, 4), 1.5), tmp_path / "x.pgm")
+        img = np.full((4, 4), 0.5)
+        img[1, 2] = np.nan
+        with pytest.raises(DataError):
+            write_pgm(img, tmp_path / "nan.pgm")
+        assert not (tmp_path / "nan.pgm").exists()

@@ -13,11 +13,8 @@ from dpimage.metrics import (
     calibrate_threshold,
     evaluate_pairs,
     fed,
-    fppsr,
-    iss,
     iss_from_embeddings,
     iss_scores,
-    l2_distance,
     l2_distances,
     mosaic_baseline,
     nearest_rank_percentile,
@@ -51,31 +48,46 @@ def probe_image(e0, e1):
     return np.array([[e0, e1], [0.0, 0.0]])
 
 
+def l2(x, y):
+    return float(l2_distances([x], [y])[0])
+
+
+def pair_report(model, pairs, threshold):
+    """evaluate_pairs over (x, y) pairs; a 1x1 SSIM window fits 2x2 probes."""
+    return evaluate_pairs(
+        model, [(f"{i:03d}", x, y) for i, (x, y) in enumerate(pairs)], threshold, ssim_window=1
+    )
+
+
+def pair_iss(model, x, y):
+    return pair_report(model, [(x, y)], 0.5).rows[0].iss
+
+
 class TestL2:
     def test_identical(self):
         x = random_image()
-        assert l2_distance(x, x) == 0.0
+        assert l2(x, x) == 0.0
 
     def test_unit_cube_distance(self):
-        assert l2_distance(np.zeros((32, 32)), np.ones((32, 32))) == 32.0
+        assert l2(np.zeros((32, 32)), np.ones((32, 32))) == 32.0
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=50)
     def test_symmetry(self, seed):
         rng = np.random.default_rng(seed)
         x, y = random_image(8, rng), random_image(8, rng)
-        assert l2_distance(x, y) == l2_distance(y, x)
+        assert l2(x, y) == l2(y, x)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=50)
     def test_triangle_inequality(self, seed):
         rng = np.random.default_rng(seed)
         x, y, z = (random_image(8, rng) for _ in range(3))
-        assert l2_distance(x, z) <= l2_distance(x, y) + l2_distance(y, z) + 1e-12
+        assert l2(x, z) <= l2(x, y) + l2(y, z) + 1e-12
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            l2_distance(np.zeros((4, 4)), np.zeros((5, 5)))
+            l2(np.zeros((4, 4)), np.zeros((5, 5)))
 
 
     def test_stack_rows_match_single(self):
@@ -83,7 +95,7 @@ class TestL2:
         x, y = rng.uniform(size=(2, 9, 32, 32))
         d = l2_distances(x, y)
         for i in range(9):
-            assert d[i] == l2_distance(x[i], y[i])
+            assert d[i] == l2(x[i], y[i])
 
 
 class TestAld:
@@ -185,7 +197,7 @@ class TestIss:
     def test_same_image(self):
         model = linear_probe_model()
         x = probe_image(0.3, 0.7)
-        assert iss(model, x, x) == 1.0
+        assert pair_iss(model, x, x) == 1.0
 
     def test_orthogonal(self):
         assert iss_from_embeddings([1.0, 0.0], [0.0, 1.0]) == 0.5
@@ -210,7 +222,7 @@ class TestIss:
     def test_model_pathway_matches_embeddings(self):
         model = linear_probe_model()
         x, y = probe_image(1.0, 0.0), probe_image(-0.6, 0.8)
-        assert iss(model, x, y) == pytest.approx(
+        assert pair_iss(model, x, y) == pytest.approx(
             iss_from_embeddings([1.0, 0.0], [-0.6, 0.8]), abs=1e-12
         )
 
@@ -219,16 +231,16 @@ class TestFppsr:
     def test_no_change_no_success(self):
         model = linear_probe_model()
         pairs = [(probe_image(0.5, 0.5), probe_image(0.5, 0.5))] * 3
-        assert fppsr(model, pairs, 1.0) == 0.0
+        assert pair_report(model, pairs, 1.0).fppsr == 0.0
 
     def test_opposite_embeddings_all_succeed(self):
         model = linear_probe_model()
         pairs = [(probe_image(1.0, 0.0), probe_image(-1.0, 0.0))] * 4
-        assert fppsr(model, pairs, 0.5) == 1.0
+        assert pair_report(model, pairs, 0.5).fppsr == 1.0
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            fppsr(linear_probe_model(), [], 0.5)
+            pair_report(linear_probe_model(), [], 0.5)
 
     def test_threshold_extremes(self):
         model = linear_probe_model()
@@ -237,11 +249,17 @@ class TestFppsr:
             (probe_image(*rng.uniform(0.1, 1.0, 2)), probe_image(*rng.uniform(0.1, 1.0, 2)))
             for _ in range(6)
         ]
-        assert fppsr(model, pairs, 0.0) == 0.0
-        max_iss = max(iss(model, x, y) for x, y in pairs)
+        assert pair_report(model, pairs, 0.0).fppsr == 0.0
+        max_iss = max(pair_iss(model, x, y) for x, y in pairs)
         above = min(1.0, max_iss + 1e-9)
         if above > max_iss:
-            assert fppsr(model, pairs, above) == 1.0
+            assert pair_report(model, pairs, above).fppsr == 1.0
+
+    @pytest.mark.parametrize("threshold", [-0.1, 1.5, math.nan])
+    def test_threshold_outside_unit_interval_rejected(self, threshold):
+        pairs = [(probe_image(1.0, 0.0), probe_image(0.5, 0.5))] * 2
+        with pytest.raises(ValueError, match="threshold"):
+            pair_report(linear_probe_model(), pairs, threshold)
 
 
 class TestCalibrate:
@@ -263,7 +281,7 @@ class TestCalibrate:
         copied = calibrate_threshold(model, copies[:4], copies[4:], 90.0)
         assert np.array_equal(shared.genuine_scores, copied.genuine_scores)
         assert np.array_equal(shared.impostor_scores, copied.impostor_scores)
-        assert shared.impostor_scores[0] == iss(model, *pairs[4])
+        assert shared.impostor_scores[0] == pair_iss(model, *pairs[4])
 
     def test_nearest_rank_grid(self):
         grid = [i / 100.0 for i in range(100)]

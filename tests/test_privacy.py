@@ -20,7 +20,6 @@ from dpimage.privacy import (
     laplace_batch,
     laplace_from_uniform,
     laplace_rows,
-    laplace_sample,
     latents_to_csv,
     load_latents,
     perturb_latent,
@@ -41,12 +40,12 @@ class TestLaplaceSampler:
         assert laplace_from_uniform(0.25, 1.0) == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_zero_scale(self):
-        v, _ = laplace_sample(make_stream(0), 0.0)
-        assert v == 0.0
+        v, _ = laplace_batch(make_stream(0), 1, 0.0)
+        assert v[0] == 0.0
 
     def test_negative_scale_rejected(self):
         with pytest.raises(ValueError):
-            laplace_sample(make_stream(0), -1.0)
+            laplace_batch(make_stream(0), 1, -1.0)
 
     def test_sign_symmetry(self):
         assert laplace_from_uniform(-0.25, 2.0) == -laplace_from_uniform(0.25, 2.0)
@@ -97,6 +96,11 @@ class TestSensitivity:
         rep = estimate_sensitivity([[1.0, 2.0], [1.0, 2.0]])
         assert rep.delta_f == 0.0
         assert rep.distances[0, 1] == 0.0
+
+    def test_subnormal_distance(self):
+        rep = estimate_sensitivity([[0.0, 0.0], [0.0, 5e-324]])
+        assert rep.delta_f == 5e-324
+        assert rep.stats.counts.sum() == 1
 
     def test_hand_example(self):
         rep = estimate_sensitivity([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
@@ -235,6 +239,13 @@ class TestPerturb:
             PrivacyParams(epsilon=1.0, sensitivity=-1.0, mask=full_mask(2))
         with pytest.raises(ValueError):
             PrivacyParams(epsilon=1.0, sensitivity=1.0, mask=full_mask(2), clip_radius=0.0)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                PrivacyParams(epsilon=bad, sensitivity=1.0, mask=full_mask(2))
+            with pytest.raises(ValueError, match="finite"):
+                PrivacyParams(epsilon=1.0, sensitivity=bad, mask=full_mask(2))
+            with pytest.raises(ValueError, match="finite"):
+                PrivacyParams(epsilon=1.0, sensitivity=1.0, mask=full_mask(2), clip_radius=bad)
 
     def test_clip_radius_clips_before_noise(self):
         z = np.array([3.0, -1.0, 0.5, 0.5])
