@@ -62,7 +62,9 @@ _STREAM_PERTURB = 2
 _STREAM_SWEEP = 3
 
 
-def _write_provenance(out_dir: Path, command: str, config: RunConfig, extra: dict | None = None) -> None:
+def _write_provenance(
+    out_dir: Path, command: str, config: RunConfig, extra: dict | None = None
+) -> None:
     # one file per command, so a directory shared by several pipeline stages
     # keeps every stage's reproduction record
     record = {
@@ -162,14 +164,16 @@ def cmd_sensitivity(config: RunConfig, model_path: Path, corpus_dir: Path) -> No
     latents_to_csv(latents, out_dir / "latents.csv")
     with open(out_dir / "sensitivity_histogram.csv", "w", newline="") as f:
         f.write("bin_low,bin_high,count\n")
-        edges = report.stats.bin_edges
-        for i, count in enumerate(report.stats.counts):
+        edges = report.bin_edges
+        for i, count in enumerate(report.counts):
             f.write(f"{float(edges[i])!r},{float(edges[i + 1])!r},{int(count)}\n")
+    # the first 20 eval latents, sliced from the full matrix: each entry sums
+    # the same values in the same order as their own pairwise matrix would
     eval_index = [i for i, r in enumerate(manifest) if r.split == "eval"][:20]
-    heat = estimate_sensitivity(latents[eval_index]).distances if len(eval_index) >= 2 else None
     with open(out_dir / "sensitivity_heatmap.csv", "w", newline="") as f:
         f.write("i,j,distance\n")
-        if heat is not None:
+        if len(eval_index) >= 2:
+            heat = report.distances[np.ix_(eval_index, eval_index)]
             for i in range(heat.shape[0]):
                 for j in range(heat.shape[1]):
                     f.write(f"{i},{j},{float(heat[i, j])!r}\n")
@@ -424,30 +428,29 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"dpimage {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--config", type=Path, default=None, help="key=value config file")
-        for f in fields(RunConfig):
-            p.add_argument(f"--{f.name}", type=str, default=None, help=f"override {f.name}")
+    # --config and one flag per RunConfig field, shared by every command
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", type=Path, default=None, help="key=value config file")
+    for f in fields(RunConfig):
+        common.add_argument(f"--{f.name}", type=str, default=None, help=f"override {f.name}")
 
-    p_gen = sub.add_parser("generate", help="write a synthetic labeled corpus")
-    add_common(p_gen)
+    def command(name: str, text: str) -> argparse.ArgumentParser:
+        return sub.add_parser(name, parents=[common], help=text)
 
-    p_train = sub.add_parser("train", help="train the autoencoder on the train split")
-    add_common(p_train)
+    command("generate", "write a synthetic labeled corpus")
+
+    p_train = command("train", "train the autoencoder on the train split")
     p_train.add_argument("--corpus-dir", type=Path, default=None)
 
-    p_sens = sub.add_parser("sensitivity", help="estimate feature-space sensitivity")
-    add_common(p_sens)
+    p_sens = command("sensitivity", "estimate feature-space sensitivity")
     p_sens.add_argument("--model", type=Path, default=None)
     p_sens.add_argument("--corpus-dir", type=Path, default=None)
 
-    p_pert = sub.add_parser("perturb", help="apply the privacy mechanism to images")
-    add_common(p_pert)
+    p_pert = command("perturb", "apply the privacy mechanism to images")
     p_pert.add_argument("--model", type=Path, default=None)
     p_pert.add_argument("--input", type=Path, nargs="+", required=True)
 
-    p_eval = sub.add_parser("evaluate", help="privacy/utility metrics over image pairs")
-    add_common(p_eval)
+    p_eval = command("evaluate", "privacy/utility metrics over image pairs")
     p_eval.add_argument("--model", type=Path, default=None)
     p_eval.add_argument("--originals", type=Path, required=True)
     p_eval.add_argument("--perturbed", type=Path, required=True)
@@ -455,12 +458,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--threshold", type=float, default=None)
     p_eval.add_argument("--baselines", action="store_true")
 
-    p_sweep = sub.add_parser("sweep", help="noise sweep reproducing the trend curves")
-    add_common(p_sweep)
+    p_sweep = command("sweep", "noise sweep reproducing the trend curves")
     p_sweep.add_argument("--model", type=Path, default=None)
     p_sweep.add_argument("--corpus-dir", type=Path, default=None)
 
     return parser
+
+
+# built once per process: building costs far more than one parse
+_PARSER = build_parser()
 
 
 def _config_from_args(args) -> RunConfig:
@@ -473,7 +479,7 @@ def _config_from_args(args) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         config = _config_from_args(args)
         out_dir = Path(config.output_dir)

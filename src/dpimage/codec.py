@@ -33,6 +33,10 @@ DEFAULT_HIDDEN_DIMS = (256, 64)
 # single-image calls and the block temporaries small.
 BLOCK_ROWS = 16
 
+# ridge on the within-identity scatter in the basis alignment, as a fraction
+# of its mean eigenvalue
+WITHIN_REG = 0.01
+
 
 @dataclass(eq=False)
 class AutoencoderModel:
@@ -257,19 +261,14 @@ def train(
     return model, trace
 
 
-def align_identity_basis(
-    model: AutoencoderModel,
-    corpus,
-    identity_labels,
-    within_reg: float = 0.01,
-) -> AutoencoderModel:
+def align_identity_basis(model: AutoencoderModel, corpus, identity_labels) -> AutoencoderModel:
     """Rebase the latent space so leading coordinates discriminate identity.
 
     Applies an exact invertible reparameterization z' = A (z - mu): the
     encoder's latent layer absorbs (A, -A mu) and the decoder's first layer
     absorbs (A^-1, +mu), so decode(encode(x)) is unchanged up to float
     rounding. A whitens the pooled within-identity scatter (ridge-regularized
-    by ``within_reg`` times its mean eigenvalue) and then rotates onto the
+    by ``WITHIN_REG`` times its mean eigenvalue) and then rotates onto the
     eigenbasis of the between-identity scatter, largest ratio first. After
     alignment the first ``identity_len`` latent coordinates are the most
     identity-related directions, and within-identity variation has roughly
@@ -297,7 +296,7 @@ def align_identity_basis(
     s_within /= denom_w
     s_between /= classes.size - 1
 
-    ridge = within_reg * np.trace(s_within) / m
+    ridge = WITHIN_REG * np.trace(s_within) / m
     if ridge <= 0.0:
         ridge = 1e-12
     w_mat = s_within + ridge * np.eye(m)

@@ -45,6 +45,9 @@ _EYE_RY = 0.042
 _MOUTH_DROP = 0.24  # mouth center sits this far below face center
 _MOUTH_THICKNESS = 0.022
 
+EVAL_FRACTION = 0.2  # share of each identity's samples held out for eval
+MIN_IDENTITY_DISTANCE = 0.6  # in range-normalized identity parameter space
+
 
 @dataclass(frozen=True)
 class FaceParams:
@@ -60,16 +63,6 @@ class FaceParams:
     jitter_y: float = 0.0
     brightness: float = 0.0
     noise_std: float = 0.0
-
-    def identity_tuple(self) -> tuple[float, ...]:
-        return (
-            self.face_width,
-            self.face_height,
-            self.eye_spacing,
-            self.eye_height,
-            self.mouth_width,
-            self.mouth_curve,
-        )
 
 
 def _check_ranges(params: FaceParams) -> None:
@@ -135,32 +128,22 @@ class ManifestRow:
     split: str  # "train" or "eval"
 
 
-DatasetManifest = list  # of ManifestRow
-
-
-def _uniform_in(lo: float, hi: float, u: float) -> float:
-    return lo + (u + 0.5) * (hi - lo)
+def _sample_ranges(ranges: dict, stream: RngStream) -> tuple[dict, RngStream]:
+    """One uniform draw per named range, in the dict's order."""
+    us, stream = rng_uniform_batch(stream, len(ranges))
+    values = {name: lo + (u + 0.5) * (hi - lo) for (name, (lo, hi)), u in zip(ranges.items(), us)}
+    return values, stream
 
 
 def sample_identity_params(stream: RngStream) -> tuple[FaceParams, RngStream]:
     """Draw one identity; nuisance fields left at their neutral values."""
-    names = list(IDENTITY_PARAM_RANGES)
-    us, stream = rng_uniform_batch(stream, len(names))
-    values = {
-        name: _uniform_in(*IDENTITY_PARAM_RANGES[name], us[i])
-        for i, name in enumerate(names)
-    }
+    values, stream = _sample_ranges(IDENTITY_PARAM_RANGES, stream)
     return FaceParams(**values), stream
 
 
 def sample_nuisance(params: FaceParams, stream: RngStream) -> tuple[FaceParams, RngStream]:
     """Resample the nuisance fields of an identity's parameters."""
-    names = list(NUISANCE_PARAM_RANGES)
-    us, stream = rng_uniform_batch(stream, len(names))
-    values = {
-        name: _uniform_in(*NUISANCE_PARAM_RANGES[name], us[i])
-        for i, name in enumerate(names)
-    }
+    values, stream = _sample_ranges(NUISANCE_PARAM_RANGES, stream)
     return replace(params, **values), stream
 
 
@@ -174,21 +157,16 @@ def identity_distance(a: FaceParams, b: FaceParams) -> float:
 
 
 def generate_corpus(
-    n_identities: int,
-    samples_per_identity: int,
-    side: int,
-    seed: int,
-    eval_fraction: float = 0.2,
-    min_identity_distance: float = 0.6,
+    n_identities: int, samples_per_identity: int, side: int, seed: int
 ) -> tuple[list[np.ndarray], list[ManifestRow]]:
     """Deterministic synthetic corpus with ground-truth identity labels.
 
     Identity parameters are drawn once per identity; nuisance is resampled
     per image. Identities are rejection-sampled to keep every pair at least
-    ``min_identity_distance`` apart in normalized parameter space, so no two
+    MIN_IDENTITY_DISTANCE apart in normalized parameter space, so no two
     ground-truth identities are near-duplicates. The last
-    floor(samples * eval_fraction) samples of each identity form the eval
-    split.
+    min(samples - 1, max(2, ceil(samples * EVAL_FRACTION))) samples of each
+    identity form the eval split (none for a single sample).
     """
     if n_identities < 2:
         raise DataError("need at least 2 identities")
@@ -201,18 +179,18 @@ def generate_corpus(
     if samples_per_identity >= 2:
         # keep at least two eval samples per identity once there is room, so
         # the eval split always offers genuine (same-identity) pairs
-        wanted = max(2, math.ceil(samples_per_identity * eval_fraction))
+        wanted = max(2, math.ceil(samples_per_identity * EVAL_FRACTION))
         n_eval = min(samples_per_identity - 1, wanted)
     for ident in range(n_identities):
         stream = derive_stream(seed, 0, ident)
         for _ in range(1000):
             params, stream = sample_identity_params(stream)
-            if all(identity_distance(params, p) >= min_identity_distance for p in accepted):
+            if all(identity_distance(params, p) >= MIN_IDENTITY_DISTANCE for p in accepted):
                 break
         else:
             raise DataError(
                 f"could not place identity {ident} at separation "
-                f"{min_identity_distance}; lower it or reduce n_identities"
+                f"{MIN_IDENTITY_DISTANCE}; reduce n_identities"
             )
         accepted.append(params)
         for k in range(samples_per_identity):

@@ -18,7 +18,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .codec import BLOCK_ROWS, AutoencoderModel, encode, encode_batch
-from .numerics import StatsSummary, descriptive_stats
 
 SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
@@ -154,11 +153,8 @@ class ThresholdReport:
     """Calibrated decision threshold plus the score evidence behind it."""
 
     tau: float
-    percentile: float
     genuine_scores: np.ndarray
     impostor_scores: np.ndarray
-    genuine_stats: StatsSummary
-    impostor_stats: StatsSummary
 
 
 def nearest_rank_percentile(values, percentile: float) -> float:
@@ -184,16 +180,7 @@ def calibrate_threshold(
     scores = _pair_iss(model, list(genuine_pairs) + list(impostor_pairs))
     genuine = scores[: len(genuine_pairs)]
     impostor = scores[len(genuine_pairs) :]
-    tau = nearest_rank_percentile(impostor, percentile)
-    edges = np.linspace(0.0, 1.0, 21)
-    return ThresholdReport(
-        tau=tau,
-        percentile=percentile,
-        genuine_scores=genuine,
-        impostor_scores=impostor,
-        genuine_stats=descriptive_stats(genuine, edges),
-        impostor_stats=descriptive_stats(impostor, edges),
-    )
+    return ThresholdReport(nearest_rank_percentile(impostor, percentile), genuine, impostor)
 
 
 def _psd_sqrt(m: np.ndarray) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Deterministic numeric kernel.
 
 Seeded splitmix64 streams with value semantics (advancing returns a new
-stream), uniform/Gaussian samplers and descriptive statistics.
+stream) and uniform/Gaussian samplers.
 
 All floating point is 64-bit. Streams are plain values, so every sampler is
 a pure function ``(stream, ...) -> (result, advanced_stream)`` and results
@@ -82,14 +82,8 @@ def derive_states(seed: int, *indices) -> np.ndarray:
     return np.uint64(seed & _MASK64) ^ _mix64_array(sid * np.uint64(_GOLDEN))
 
 
-def rng_next_u64(stream: RngStream) -> tuple[int, RngStream]:
-    """Next raw 64-bit output; returns (value, advanced stream)."""
-    state = (stream.state + _GOLDEN) & _MASK64
-    return _mix64(state), RngStream(state)
-
-
 def rng_batch_u64(stream: RngStream, n: int) -> tuple[np.ndarray, RngStream]:
-    """n raw outputs as a uint64 array, bit-identical to n scalar calls."""
+    """n raw outputs as a uint64 array, plus the advanced stream."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     z = _splitmix_rows(np.array([stream.state], dtype=np.uint64), n)[0]
@@ -140,43 +134,3 @@ def gaussian_batch(
     u2 = u[1::2] + 0.5
     r = np.sqrt(-2.0 * np.log(u1))
     return mean + std * r * np.cos(2.0 * np.pi * u2), stream
-
-
-@dataclass(frozen=True)
-class StatsSummary:
-    """Min/max/mean plus a histogram over caller-supplied bin edges.
-
-    ``counts[i]`` covers ``[edges[i], edges[i+1])`` (last bin closed on the
-    right); values outside the edges land in ``underflow``/``overflow`` so
-    the counts always partition the input.
-    """
-
-    minimum: float
-    maximum: float
-    mean: float
-    bin_edges: np.ndarray
-    counts: np.ndarray
-    underflow: int
-    overflow: int
-
-
-def descriptive_stats(values, bin_edges) -> StatsSummary:
-    """Summarize a nonempty sequence of reals over strictly increasing edges."""
-    vals = np.asarray(values, dtype=np.float64).ravel()
-    if vals.size == 0:
-        raise ValueError("values must be nonempty")
-    edges = np.asarray(bin_edges, dtype=np.float64).ravel()
-    if edges.size < 2 or not np.all(np.diff(edges) > 0):
-        raise ValueError("bin edges must be strictly increasing with >= 2 entries")
-    counts, _ = np.histogram(vals, bins=edges)
-    underflow = int(np.count_nonzero(vals < edges[0]))
-    overflow = int(np.count_nonzero(vals > edges[-1]))
-    return StatsSummary(
-        minimum=float(vals.min()),
-        maximum=float(vals.max()),
-        mean=float(vals.mean()),
-        bin_edges=edges,
-        counts=counts,
-        underflow=underflow,
-        overflow=overflow,
-    )

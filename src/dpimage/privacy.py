@@ -29,18 +29,12 @@ import numpy as np
 
 from .codec import AutoencoderModel, decode, decode_batch, encode, encode_batch
 from .errors import BadMagicError, FormatError, TruncatedError, VersionError
-from .numerics import (
-    RngStream,
-    StatsSummary,
-    descriptive_stats,
-    make_stream,
-    rng_uniform_batch,
-    rng_uniform_rows,
-)
+from .numerics import RngStream, make_stream, rng_uniform_batch, rng_uniform_rows
 
 LATENT_MAGIC = b"DPLZ"
 LATENT_VERSION = 1
 LEDGER_HEADER = ("release_id", "epsilon", "group")
+SENSITIVITY_BINS = 20  # histogram bins over [0, delta_f]
 
 
 @dataclass(frozen=True)
@@ -96,8 +90,15 @@ _U_MAX = 0.5 - 2.0**-54
 
 
 def laplace_from_uniform(u, scale: float):
-    """Inverse-CDF map from u in [-0.5, 0.5] to Laplace(0, scale); always finite."""
+    """Inverse-CDF map from u in [-0.5, 0.5] to Laplace(0, scale); always finite.
+
+    Scale 0 maps every u to +0.0.
+    """
+    if scale < 0:
+        raise ValueError(f"scale must be nonnegative, got {scale}")
     u = np.asarray(u, dtype=np.float64)
+    if scale == 0.0:
+        return np.zeros_like(u)
     return -scale * np.sign(u) * np.log1p(-2.0 * np.minimum(np.abs(u), _U_MAX))
 
 
@@ -105,11 +106,7 @@ def laplace_batch(
     stream: RngStream, n: int, scale: float
 ) -> tuple[np.ndarray, RngStream]:
     """n Laplace(0, scale) draws; consumes n uniforms even when scale is 0."""
-    if scale < 0:
-        raise ValueError(f"scale must be nonnegative, got {scale}")
     u, stream = rng_uniform_batch(stream, n)
-    if scale == 0.0:
-        return np.zeros(n), stream
     return laplace_from_uniform(u, scale), stream
 
 
@@ -119,25 +116,21 @@ def laplace_rows(states, n: int, scale: float) -> np.ndarray:
     Row i equals ``laplace_batch(RngStream(states[i]), n, scale)[0]`` bit for
     bit, so a block of tasks draws its noise in one array operation.
     """
-    if scale < 0:
-        raise ValueError(f"scale must be nonnegative, got {scale}")
-    u = rng_uniform_rows(states, n)
-    if scale == 0.0:
-        return np.zeros_like(u)
-    return laplace_from_uniform(u, scale)
+    return laplace_from_uniform(rng_uniform_rows(states, n), scale)
 
 
 @dataclass(frozen=True)
 class SensitivityReport:
     """Empirical feature-space sensitivity over a set of latents.
 
-    distances is the full pairwise l1 matrix; stats summarizes the
-    off-diagonal pairs (each unordered pair counted once).
+    distances is the full pairwise l1 matrix; counts histograms the
+    off-diagonal pairs (each unordered pair counted once) over bin_edges.
     """
 
     delta_f: float
     distances: np.ndarray
-    stats: StatsSummary
+    bin_edges: np.ndarray
+    counts: np.ndarray
 
 
 def pairwise_l1(latents: np.ndarray) -> np.ndarray:
@@ -149,7 +142,7 @@ def pairwise_l1(latents: np.ndarray) -> np.ndarray:
     return out
 
 
-def estimate_sensitivity(latents, n_bins: int = 20) -> SensitivityReport:
+def estimate_sensitivity(latents) -> SensitivityReport:
     """Max pairwise l1 latent distance plus histogram/heatmap material."""
     z = np.asarray(latents, dtype=np.float64)
     if z.ndim != 2 or z.shape[0] < 2:
@@ -158,14 +151,11 @@ def estimate_sensitivity(latents, n_bins: int = 20) -> SensitivityReport:
     iu = np.triu_indices(z.shape[0], k=1)
     pair_values = distances[iu]
     delta_f = float(pair_values.max())
-    edges = np.linspace(0.0, delta_f, n_bins + 1)
+    edges = np.linspace(0.0, delta_f, SENSITIVITY_BINS + 1)
     if not np.all(np.diff(edges) > 0):  # delta_f 0, or too small to split
-        edges = np.linspace(0.0, 1.0, n_bins + 1)
-    return SensitivityReport(
-        delta_f=delta_f,
-        distances=distances,
-        stats=descriptive_stats(pair_values, edges),
-    )
+        edges = np.linspace(0.0, 1.0, SENSITIVITY_BINS + 1)
+    counts, _ = np.histogram(pair_values, bins=edges)
+    return SensitivityReport(delta_f, distances, edges, counts)
 
 
 def clip_latent(latent: np.ndarray, radius: float) -> np.ndarray:

@@ -5,13 +5,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dpimage import cli
 from dpimage.cli import _baseline_table, main
 from dpimage.config import RunConfig, build_config, load_config_file, parse_levels
 from dpimage.codec import load_model
 from dpimage.data import load_manifest, read_pgm, write_pgm
 from dpimage.metrics import blur_baseline, evaluate_pairs, mosaic_baseline, ssim_scores
 from dpimage.numerics import derive_stream
-from dpimage.privacy import PrivacyBudgetLedger, PrivacyParams, dp_image, full_mask
+from dpimage.privacy import (
+    PrivacyBudgetLedger,
+    PrivacyParams,
+    dp_image,
+    full_mask,
+    load_latents,
+)
 from dpimage.errors import ConfigError
 
 
@@ -72,6 +79,21 @@ class TestConfig:
 
     def test_parse_levels(self):
         assert parse_levels("0,0.25,0.5,1.0") == (0.0, 0.25, 0.5, 1.0)
+
+    def test_parser_built_once(self, tiny_cfg, monkeypatch):
+        def rebuilt():
+            raise AssertionError("main rebuilt the parser")
+
+        monkeypatch.setattr(cli, "build_parser", rebuilt)
+        assert run("generate", "--config", tiny_cfg) == 0
+        assert run("generate", "--config", tiny_cfg, "--seed", "1") == 0
+
+    def test_subcommand_help_lists_shared_and_own_flags(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["train", "--help"])
+        assert exit_info.value.code == 0
+        text = capsys.readouterr().out
+        assert "--epochs" in text and "--corpus-dir" in text and "--config" in text
 
     def test_sweep_spec_from_config(self, trained):
         cfg, out = trained
@@ -156,6 +178,40 @@ class TestSensitivity:
         assert heat[0] == "i,j,distance"
         diag = [line for line in heat[1:] if line.split(",")[0] == line.split(",")[1]]
         assert all(float(line.split(",")[2]) == 0.0 for line in diag)
+
+    def test_csv_contents(self, tmp_path):
+        # 12 identities x 5 samples: 24 eval images, so the heatmap's cut at
+        # the first 20 is exercised
+        out = tmp_path / "out"
+        cfg = write_cfg(
+            tmp_path, n_identities=12, samples_per_identity=5, epochs=2, output_dir=out
+        )
+        for command in ("generate", "train", "sensitivity"):
+            assert run(command, "--config", cfg) == 0
+
+        def csv_rows(name):
+            return [line.split(",") for line in (out / name).read_text().splitlines()[1:]]
+
+        z = load_latents(out / "latents.dplz")
+        dist = np.array([[np.sum(np.abs(b - a)) for b in z] for a in z])
+        n = len(z)
+        hist = csv_rows("sensitivity_histogram.csv")
+        edges = [float(row[0]) for row in hist] + [float(hist[-1][1])]
+        counts = [int(row[2]) for row in hist]
+        assert sum(counts) == n * (n - 1) // 2
+        expected, _ = np.histogram(dist[np.triu_indices(n, k=1)], bins=edges)
+        assert counts == expected.tolist()
+        assert edges[-1] == float((out / "delta_f.txt").read_text())
+
+        manifest = load_manifest(out / "corpus" / "manifest.csv")
+        eval_index = [i for i, r in enumerate(manifest) if r.split == "eval"]
+        assert len(eval_index) == 24
+        eval_index = eval_index[:20]
+        heat = csv_rows("sensitivity_heatmap.csv")
+        cells = [(i, j) for i in range(20) for j in range(20)]
+        assert [(int(i), int(j)) for i, j, _ in heat] == cells
+        got = np.array([float(d) for _, _, d in heat]).reshape(20, 20)
+        assert np.array_equal(got, dist[np.ix_(eval_index, eval_index)])
 
     def test_latent_exports(self, trained):
         cfg, out = trained

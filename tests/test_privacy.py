@@ -42,10 +42,19 @@ class TestLaplaceSampler:
     def test_zero_scale(self):
         v, _ = laplace_batch(make_stream(0), 1, 0.0)
         assert v[0] == 0.0
+        rows = laplace_rows(derive_states(0, np.arange(3)), 4, 0.0)
+        # +0.0 everywhere; the inverse-CDF formula would give -0.0 for u < 0
+        assert np.array_equal(rows, np.zeros((3, 4))) and not np.signbit(rows).any()
 
     def test_negative_scale_rejected(self):
         with pytest.raises(ValueError):
             laplace_batch(make_stream(0), 1, -1.0)
+        with pytest.raises(ValueError):
+            laplace_rows(derive_states(0, np.arange(3)), 4, -1.0)
+
+    def test_draw_mean(self):
+        draws, _ = laplace_batch(make_stream(5), 10**4, 1.0)
+        assert abs(np.mean(draws)) < 0.05  # 3 sigma / sqrt(n) with sigma = sqrt(2)
 
     def test_sign_symmetry(self):
         assert laplace_from_uniform(-0.25, 2.0) == -laplace_from_uniform(0.25, 2.0)
@@ -100,11 +109,27 @@ class TestSensitivity:
     def test_subnormal_distance(self):
         rep = estimate_sensitivity([[0.0, 0.0], [0.0, 5e-324]])
         assert rep.delta_f == 5e-324
-        assert rep.stats.counts.sum() == 1
+        assert rep.counts.sum() == 1
 
     def test_hand_example(self):
         rep = estimate_sensitivity([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
         assert rep.delta_f == 3.0  # pair (1,0),(0,2)
+
+    @given(
+        st.lists(
+            st.lists(st.floats(min_value=-50, max_value=50), min_size=3, max_size=3),
+            min_size=2,
+            max_size=12,
+        )
+    )
+    @settings(max_examples=100)
+    def test_counts_partition_pairs(self, latents):
+        # every unordered pair lands in exactly one bin, the top one closed
+        rep = estimate_sensitivity(latents)
+        n = len(latents)
+        assert int(rep.counts.sum()) == n * (n - 1) // 2
+        assert rep.counts.size == rep.bin_edges.size - 1
+        assert np.all(np.diff(rep.bin_edges) > 0)
 
     def test_diagonal_zero(self):
         rng = np.random.default_rng(0)
