@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import sys
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
@@ -54,7 +55,6 @@ from .privacy import (
     identity_mask,
     latents_to_csv,
     perturb_latents,
-    save_latents,
 )
 
 # stream_id namespaces so every pipeline stage draws independent randomness
@@ -160,7 +160,6 @@ def cmd_sensitivity(config: RunConfig, model_path: Path, corpus_dir: Path) -> No
     manifest, images = _load_corpus(corpus_dir)
     latents = encode_batch(model, [images[r.path] for r in manifest])
     report = estimate_sensitivity(latents)
-    save_latents(latents, out_dir / "latents.dplz")
     latents_to_csv(latents, out_dir / "latents.csv")
     with open(out_dir / "sensitivity_histogram.csv", "w", newline="") as f:
         f.write("bin_low,bin_high,count\n")
@@ -196,6 +195,10 @@ def _input_images(paths: list[Path]) -> list[Path]:
             files.append(p)
     if not files:
         raise DataError("no input images found")
+    # releases go to perturbed/<name>: a shared name would lose one but charge both
+    shared = sorted(name for name, k in Counter(p.name for p in files).items() if k > 1)
+    if shared:
+        raise DataError(f"input images share file names: {shared[:5]}")
     return files
 
 
@@ -253,7 +256,7 @@ def cmd_evaluate(
     model_path: Path,
     originals: Path,
     perturbed: Path,
-    corpus_dir: Path | None,
+    corpus_dir: Path,
     threshold: float | None,
     baselines: bool,
 ) -> None:
@@ -268,8 +271,6 @@ def cmd_evaluate(
     if missing:
         raise DataError(f"originals and perturbed are misaligned on: {missing[:5]}")
     if threshold is None:
-        if corpus_dir is None:
-            raise ConfigError("need --corpus-dir to calibrate a threshold, or pass --threshold")
         eval_rows, images = _load_corpus(corpus_dir, "eval")
         threshold = _calibrate_from_corpus(config, model, eval_rows, images).tau
     pairs = [
@@ -499,7 +500,7 @@ def main(argv=None) -> int:
                 model_path,
                 args.originals,
                 args.perturbed,
-                corpus_dir if args.threshold is None else None,
+                corpus_dir,
                 args.threshold,
                 args.baselines,
             )

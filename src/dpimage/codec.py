@@ -252,11 +252,12 @@ def train(
                     "reduce learning_rate"
                 )
             epoch_loss += loss * len(idx)
-            for layer in range(len(model.weights)):
-                vel_w[layer] = config.momentum * vel_w[layer] - config.learning_rate * gw[layer]
-                vel_b[layer] = config.momentum * vel_b[layer] - config.learning_rate * gb[layer]
-                model.weights[layer] = model.weights[layer] + vel_w[layer]
-                model.biases[layer] = model.biases[layer] + vel_b[layer]
+            # v = mu * v - lr * g; p = p + v, in place: each value rounds the same
+            for v, g, p in zip(vel_w + vel_b, gw + gb, model.weights + model.biases):
+                v *= config.momentum
+                g *= config.learning_rate
+                v -= g
+                p += v
         trace.append(epoch_loss / n)
     return model, trace
 

@@ -47,6 +47,7 @@ _MOUTH_THICKNESS = 0.022
 
 EVAL_FRACTION = 0.2  # share of each identity's samples held out for eval
 MIN_IDENTITY_DISTANCE = 0.6  # in range-normalized identity parameter space
+MANIFEST_COLUMNS = ("path", "identity_id", "split")
 
 
 @dataclass(frozen=True)
@@ -212,28 +213,29 @@ def generate_corpus(
 def save_manifest(manifest: list[ManifestRow], path) -> None:
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(["path", "identity_id", "split"])
+        writer.writerow(MANIFEST_COLUMNS)
         for row in manifest:
             writer.writerow([row.path, row.identity_id, row.split])
 
 
 def load_manifest(path) -> list[ManifestRow]:
+    """Read a manifest written by save_manifest; a bad one raises DataError naming the file."""
     rows = []
     with open(path, newline="") as f:
         reader = csv.DictReader(f)
+        missing = [c for c in MANIFEST_COLUMNS if c not in (reader.fieldnames or ())]
+        if missing:
+            raise DataError(f"{path}: manifest lacks column(s) {missing}")
         for rec in reader:
+            where = f"{path}, line {reader.line_num}"
             if rec["split"] not in ("train", "eval"):
-                raise DataError(f"unknown split {rec['split']!r} in manifest")
-            rows.append(
-                ManifestRow(
-                    path=rec["path"],
-                    identity_id=int(rec["identity_id"]),
-                    split=rec["split"],
-                )
-            )
+                raise DataError(f"{where}: unknown split {rec['split']!r}")
+            if not (rec["identity_id"] or "").isdecimal():  # None: a short row
+                raise DataError(f"{where}: identity_id {rec['identity_id']!r} is not an integer")
+            rows.append(ManifestRow(rec["path"], int(rec["identity_id"]), rec["split"]))
     ids = sorted({r.identity_id for r in rows})
     if ids != list(range(len(ids))):
-        raise DataError("manifest identity_ids are not dense from 0")
+        raise DataError(f"{path}: identity_ids are not dense from 0")
     return rows
 
 

@@ -16,7 +16,7 @@ class ConfigError(DpImageError):
 
 
 class FormatError(DpImageError):
-    """Malformed file content (model, latent, image or ledger files)."""
+    """Malformed file content (model, image or ledger files)."""
 
     category = "format"
 

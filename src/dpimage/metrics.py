@@ -3,7 +3,7 @@
 Privacy side: identity similarity score (ISS) from the cosine of the
 identity-block embeddings, and the de-identification success rate (FPPSR)
 against a threshold calibrated from impostor statistics. Utility side:
-l2 distance, relative l_p distortion, windowed SSIM, and a Frechet distance
+l2 distance, relative l_inf distortion, windowed SSIM, and a Frechet distance
 between Gaussian fits of embedding sets (FED). All metrics are pure
 functions; batch evaluation aggregates in image_id order.
 """
@@ -40,15 +40,13 @@ def l2_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(d * d, axis=1))
 
 
-def ald(x: np.ndarray, y: np.ndarray, p=math.inf) -> float:
-    """Relative l_p distortion ||y - x||_p / ||x||_p over flattened pixels."""
+def ald_inf(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Relative l_inf distortion max|y - x| / max|x| of each pair in two image stacks."""
     x, y = _check_same_shape(x, y)
-    if p != math.inf and (not isinstance(p, (int, np.integer)) or p < 1):
-        raise ValueError(f"p must be a positive integer or inf, got {p}")
-    denom = np.linalg.norm(x.ravel(), ord=p)
-    if denom == 0.0:
+    denom = np.max(np.abs(x.reshape(len(x), -1)), axis=1)
+    if np.any(denom == 0.0):
         raise ValueError("ALD undefined for an all-zero reference image")
-    return float(np.linalg.norm((y - x).ravel(), ord=p) / denom)
+    return np.max(np.abs((y - x).reshape(len(x), -1)), axis=1) / denom
 
 
 def _gaussian_band(n: int, window: int, sigma: float) -> np.ndarray:
@@ -261,17 +259,14 @@ def mosaic_baseline(x: np.ndarray, block: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class MetricsRow:
-    image_id: str
-    l2: float
-    ald_inf: float
-    ssim: float
-    iss: float
-
-
-@dataclass(frozen=True)
 class MetricsReport:
-    rows: tuple[MetricsRow, ...]
+    """Per-image metrics as arrays in image_id order, and their aggregates."""
+
+    image_ids: tuple[str, ...]
+    l2: np.ndarray
+    ald_inf: np.ndarray
+    ssim: np.ndarray
+    iss: np.ndarray
     mean_l2: float
     mean_ald_inf: float
     mean_ssim: float
@@ -290,7 +285,7 @@ def evaluate_pairs(
 ) -> MetricsReport:
     """Per-image and aggregate metrics over (image_id, original, perturbed).
 
-    Rows are ordered by image_id ascending so aggregation is deterministic
+    Images are ordered by image_id ascending so aggregation is deterministic
     regardless of input or scheduling order.
     """
     if len(pairs) == 0:
@@ -302,36 +297,32 @@ def evaluate_pairs(
     emb_x = encode_batch(model, x)[:, : model.identity_len]
     emb_y = encode_batch(model, y)[:, : model.identity_len]
     l2_vals = l2_distances(x, y)
+    ald_vals = ald_inf(x, y)
     ssim_vals = ssim_scores(x, y, ssim_window, ssim_sigma)
     iss_vals = iss_scores(emb_x, emb_y)
-    rows = tuple(
-        MetricsRow(
-            image_id=str(rec[0]),
-            l2=float(l2_vals[i]),
-            ald_inf=ald(x[i], y[i], math.inf),
-            ssim=float(ssim_vals[i]),
-            iss=float(iss_vals[i]),
-        )
-        for i, rec in enumerate(ordered)
-    )
     return MetricsReport(
-        rows=rows,
+        image_ids=tuple(str(rec[0]) for rec in ordered),
+        l2=l2_vals,
+        ald_inf=ald_vals,
+        ssim=ssim_vals,
+        iss=iss_vals,
         mean_l2=float(np.mean(l2_vals)),
-        mean_ald_inf=float(np.mean([r.ald_inf for r in rows])),
+        mean_ald_inf=float(np.mean(ald_vals)),
         mean_ssim=float(np.mean(ssim_vals)),
         mean_iss=float(np.mean(iss_vals)),
-        fed=fed(emb_x, emb_y) if len(rows) >= 2 else float("nan"),
+        fed=fed(emb_x, emb_y) if len(x) >= 2 else float("nan"),
         fppsr=float(np.mean(iss_vals < threshold)),
         threshold=threshold,
     )
 
 
 def write_per_image_csv(report: MetricsReport, path) -> None:
+    columns = (report.l2, report.ald_inf, report.ssim, report.iss)
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["image_id", "l2", "ald_inf", "ssim", "iss"])
-        for r in report.rows:
-            writer.writerow([r.image_id, repr(r.l2), repr(r.ald_inf), repr(r.ssim), repr(r.iss)])
+        for image_id, *values in zip(report.image_ids, *columns):
+            writer.writerow([image_id] + [repr(float(v)) for v in values])
 
 
 def write_aggregate_csv(report: MetricsReport, path) -> None:

@@ -5,11 +5,15 @@ perturbation, the encode-perturb-decode image mechanism, budget accounting
 with sequential/parallel composition, and an empirical one-dimensional
 check of the privacy-loss ratio bound.
 
-Two sensitivity modes are supported. The empirical mode measures the
-maximum pairwise l1 distance over the latents of a local dataset; it is an
-experience value only and says nothing about unseen images. The clip mode
-projects every latent onto an l1 ball of radius B, which yields the
-provable bound delta_f <= 2B.
+The guarantee is d_X-privacy (Chatzikokolakis et al., PETS 2013): noise of
+scale delta_f / epsilon on f(x) bounds the privacy loss between any two
+images x and x' by epsilon * ||f(x) - f(x')||_1 / delta_f. The empirical
+mode takes delta_f as the maximum pairwise l1 distance over a local
+dataset's latents, so pairs within it cost at most epsilon. The clip mode
+projects every latent onto an l1 ball of radius B and uses delta_f = 2B,
+which caps every pair at epsilon. A mask confines the guarantee to the
+masked coordinates. The inverse-CDF Laplace draw on doubles is open to
+Mironov's floating-point attack (CCS 2012).
 
 Never select or discard mechanism outputs by comparing them to the original
 image: output selection conditioned on the input voids the privacy
@@ -21,18 +25,15 @@ from __future__ import annotations
 import csv
 import io
 import math
-import struct
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .codec import AutoencoderModel, decode, decode_batch, encode, encode_batch
-from .errors import BadMagicError, FormatError, TruncatedError, VersionError
+from .errors import FormatError
 from .numerics import RngStream, make_stream, rng_uniform_batch, rng_uniform_rows
 
-LATENT_MAGIC = b"DPLZ"
-LATENT_VERSION = 1
 LEDGER_HEADER = ("release_id", "epsilon", "group")
 SENSITIVITY_BINS = 20  # histogram bins over [0, delta_f]
 
@@ -368,35 +369,6 @@ def verify_dp_empirical(
     max_log_ratio = float(np.max(np.abs(np.log(p_hat / q_hat))))
     epsilon = delta_f / scale
     return max_log_ratio, max_log_ratio <= epsilon * 1.1
-
-
-def save_latents(latents: np.ndarray, path) -> None:
-    """Canonical binary latent file: magic, version, count, dim, f64 LE."""
-    z = np.asarray(latents, dtype=np.float64)
-    if z.ndim != 2:
-        raise ValueError(f"expected a (count, m) array, got shape {z.shape}")
-    with open(path, "wb") as f:
-        f.write(LATENT_MAGIC)
-        f.write(struct.pack("<III", LATENT_VERSION, z.shape[0], z.shape[1]))
-        f.write(z.astype("<f8").tobytes(order="C"))
-
-
-def load_latents(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        blob = f.read()
-    if blob[:4] != LATENT_MAGIC:
-        raise BadMagicError(f"bad magic {blob[:4]!r}, expected {LATENT_MAGIC!r}")
-    if len(blob) < 16:
-        raise TruncatedError("latent file header incomplete")
-    version, count, m = struct.unpack("<III", blob[4:16])
-    if version != LATENT_VERSION:
-        raise VersionError(f"unsupported latent file version {version}")
-    expected = 16 + 8 * count * m
-    if len(blob) < expected:
-        raise TruncatedError(f"latent file ends at {len(blob)}, needed {expected}")
-    if len(blob) > expected:
-        raise TruncatedError(f"{len(blob) - expected} unexpected trailing bytes")
-    return np.frombuffer(blob[16:], dtype="<f8").reshape(count, m).copy()
 
 
 def latents_to_csv(latents: np.ndarray, path) -> None:

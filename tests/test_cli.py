@@ -8,7 +8,7 @@ import pytest
 from dpimage import cli
 from dpimage.cli import _baseline_table, main
 from dpimage.config import RunConfig, build_config, load_config_file, parse_levels
-from dpimage.codec import load_model
+from dpimage.codec import encode_batch, load_model
 from dpimage.data import load_manifest, read_pgm, write_pgm
 from dpimage.metrics import blur_baseline, evaluate_pairs, mosaic_baseline, ssim_scores
 from dpimage.numerics import derive_stream
@@ -17,7 +17,6 @@ from dpimage.privacy import (
     PrivacyParams,
     dp_image,
     full_mask,
-    load_latents,
 )
 from dpimage.errors import ConfigError
 
@@ -192,7 +191,7 @@ class TestSensitivity:
         def csv_rows(name):
             return [line.split(",") for line in (out / name).read_text().splitlines()[1:]]
 
-        z = load_latents(out / "latents.dplz")
+        z = np.loadtxt(out / "latents.csv", delimiter=",", skiprows=1)
         dist = np.array([[np.sum(np.abs(b - a)) for b in z] for a in z])
         n = len(z)
         hist = csv_rows("sensitivity_histogram.csv")
@@ -216,8 +215,14 @@ class TestSensitivity:
     def test_latent_exports(self, trained):
         cfg, out = trained
         assert run("sensitivity", "--config", cfg) == 0
-        assert (out / "latents.dplz").exists()
-        assert (out / "latents.csv").read_text().startswith("z0,")
+        manifest = load_manifest(out / "corpus" / "manifest.csv")
+        images = [read_pgm(out / "corpus" / r.path) for r in manifest]
+        expected = encode_batch(load_model(out / "model.dpim"), images)
+        lines = (out / "latents.csv").read_text().splitlines()
+        assert lines[0] == ",".join(f"z{i}" for i in range(expected.shape[1]))
+        got = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        assert np.array_equal(got, expected)
+        assert sorted(p.name for p in out.glob("latents.*")) == ["latents.csv"]
 
 
 class TestPerturb:
@@ -520,5 +525,45 @@ class TestErrorReporting:
         assert code == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:config: ") and "finite" in err[0]
+        assert (out / "ledger.csv").read_bytes() == ledger
+        assert tree_bytes(out / "perturbed") == released
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("path,identity_id\na.pgm,0\n", "manifest.csv: manifest lacks column(s) ['split']"),
+            ("path,identity_id,split\na.pgm,0,train\nb.pgm,one,eval\n", "manifest.csv, line 3: "),
+        ],
+        ids=["missing_column", "bad_identity_id"],
+    )
+    def test_malformed_manifest_is_one_line_error(self, trained, capsys, text, where):
+        cfg, out = trained
+        (out / "corpus" / "manifest.csv").write_text(text)
+        capsys.readouterr()
+        assert run("sweep", "--config", cfg) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error:data: ") and where in err[0]
+
+    @pytest.mark.parametrize("twice", ["directory", "file"])
+    def test_inputs_sharing_a_name_release_nothing(self, trained, tmp_path, capsys, twice):
+        cfg, out = trained
+        corpus = sorted((out / "corpus").glob("*.pgm"))
+        assert run("perturb", "--config", cfg, "--sensitivity", "5.0", "--input", *corpus[:3]) == 0
+        ledger = (out / "ledger.csv").read_bytes()
+        released = tree_bytes(out / "perturbed")
+        shared = corpus[5] if twice == "directory" else corpus[4]
+        if twice == "directory":
+            other = tmp_path / "other"
+            other.mkdir()
+            (other / shared.name).write_bytes(corpus[6].read_bytes())
+            inputs = [out / "corpus", other]
+        else:
+            inputs = [shared, corpus[5], shared]
+        capsys.readouterr()
+        code = run("perturb", "--config", cfg, "--sensitivity", "5.0", "--input", *inputs)
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:data: ") and shared.name in err[0]
         assert (out / "ledger.csv").read_bytes() == ledger
         assert tree_bytes(out / "perturbed") == released

@@ -16,6 +16,7 @@ from dpimage.codec import (
 from dpimage.config import RunConfig
 from dpimage.data import generate_corpus
 from dpimage.errors import BadMagicError, ConfigError, TrainingError, TruncatedError, VersionError
+from dpimage.numerics import make_stream, rng_uniform_batch
 
 
 def small_corpus(n=12, side=8, seed=0):
@@ -164,7 +165,45 @@ class TestGradients:
             loss_and_gradients(model, [])
 
 
+def allocating_train(corpus, cfg, hidden_dims):
+    """train() with the momentum update written out of place, as a reference."""
+    x_all = np.stack([img.reshape(-1) for img in corpus])
+    n = len(x_all)
+    dims = (x_all.shape[1], *hidden_dims, cfg.latent_dim)
+    model = init_model(dims, cfg.identity_len, cfg.seed, cfg.weight_init_scale)
+    stream = make_stream(cfg.seed, stream_id=1)
+    vel_w = [np.zeros_like(w) for w in model.weights]
+    vel_b = [np.zeros_like(b) for b in model.biases]
+    trace = []
+    for _ in range(cfg.epochs):
+        u, stream = rng_uniform_batch(stream, n)
+        order = np.argsort(u, kind="stable")
+        epoch_loss = 0.0
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            loss, gw, gb = loss_and_gradients(model, x_all[idx])
+            epoch_loss += loss * len(idx)
+            for layer in range(len(model.weights)):
+                vel_w[layer] = cfg.momentum * vel_w[layer] - cfg.learning_rate * gw[layer]
+                vel_b[layer] = cfg.momentum * vel_b[layer] - cfg.learning_rate * gb[layer]
+                model.weights[layer] = model.weights[layer] + vel_w[layer]
+                model.biases[layer] = model.biases[layer] + vel_b[layer]
+        trace.append(epoch_loss / n)
+    return model, trace
+
+
 class TestTrain:
+    def test_in_place_update_matches_allocating_reference(self):
+        corpus = small_corpus(10)
+        cfg = RunConfig(
+            epochs=6, batch_size=4, learning_rate=0.7, momentum=0.9, seed=5,
+            weight_init_scale=2.0, latent_dim=8, identity_len=4,
+        )
+        model, trace = train(corpus, cfg, hidden_dims=(16,))
+        expected, expected_trace = allocating_train(corpus, cfg, (16,))
+        assert models_equal(model, expected)
+        assert trace == expected_trace
+
     def test_overfit_single_image(self):
         img = small_corpus(1, side=8)[0]
         cfg = RunConfig(epochs=800, batch_size=1, latent_dim=8, identity_len=4)

@@ -8,7 +8,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from dpimage.codec import AutoencoderModel, init_model
 from dpimage.metrics import (
-    ald,
+    ald_inf,
     blur_baseline,
     calibrate_threshold,
     evaluate_pairs,
@@ -60,7 +60,7 @@ def pair_report(model, pairs, threshold):
 
 
 def pair_iss(model, x, y):
-    return pair_report(model, [(x, y)], 0.5).rows[0].iss
+    return pair_report(model, [(x, y)], 0.5).iss[0]
 
 
 class TestL2:
@@ -101,25 +101,30 @@ class TestL2:
 class TestAld:
     def test_identical(self):
         x = random_image()
-        assert ald(x, x) == 0.0
+        assert ald_inf([x], [x])[0] == 0.0
 
     def test_double(self):
         x = random_image() + 0.1
-        for p in (1, 2, math.inf):
-            assert ald(x, 2 * x, p) == pytest.approx(1.0, abs=1e-12)
+        assert ald_inf([x], [2 * x])[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_constant_images(self):
         x = np.full((32, 32), 0.5)
         y = np.full((32, 32), 0.75)
-        assert ald(x, y, math.inf) == pytest.approx(0.5, abs=1e-12)
+        assert ald_inf([x], [y])[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_zero_reference_rejected(self):
         with pytest.raises(ValueError):
-            ald(np.zeros((8, 8)), np.ones((8, 8)))
+            ald_inf([random_image(8), np.zeros((8, 8))], [np.ones((8, 8))] * 2)
 
-    def test_bad_p(self):
-        with pytest.raises(ValueError):
-            ald(np.ones((8, 8)), np.ones((8, 8)), p=0.5)
+    def test_stack_rows_match_single(self):
+        rng = np.random.default_rng(7)
+        x, y = rng.uniform(size=(2, 9, 32, 32))
+        d = ald_inf(x, y)
+        for i in range(9):
+            assert d[i] == ald_inf(x[i : i + 1], y[i : i + 1])[0]
+            assert d[i] == np.linalg.norm((y[i] - x[i]).ravel(), np.inf) / np.linalg.norm(
+                x[i].ravel(), np.inf
+            )
 
 
 class TestSsim:
@@ -471,9 +476,9 @@ class TestEvaluatePairs:
             biases=[np.zeros(2), np.zeros(256)],
         )
         report = evaluate_pairs(model16, pairs, threshold=0.5)
-        assert all(r.l2 == 0.0 for r in report.rows)
-        assert all(abs(r.ssim - 1.0) < 1e-12 for r in report.rows)
-        assert all(r.iss == 1.0 for r in report.rows)
+        assert np.all(report.l2 == 0.0)
+        assert np.all(np.abs(report.ssim - 1.0) < 1e-12)
+        assert np.all(report.iss == 1.0)
         assert report.fppsr == 0.0
         assert report.fed < 1e-8
 

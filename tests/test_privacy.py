@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpimage.codec import decode, encode, init_model
-from dpimage.errors import BadMagicError, FormatError, TruncatedError, VersionError
+from dpimage.errors import FormatError
 from dpimage.numerics import RngStream, derive_states, derive_stream, make_stream, rng_uniform_batch
 from dpimage.privacy import (
     PrivacyBudgetLedger,
@@ -21,10 +21,8 @@ from dpimage.privacy import (
     laplace_from_uniform,
     laplace_rows,
     latents_to_csv,
-    load_latents,
     perturb_latent,
     perturb_latents,
-    save_latents,
     verify_dp_empirical,
 )
 
@@ -437,36 +435,6 @@ class TestVerifyDp:
 
 
 class TestLatentIO:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(0)
-        z = rng.normal(size=(10, 8))
-        path = tmp_path / "z.dplz"
-        save_latents(z, path)
-        assert np.array_equal(load_latents(path), z)
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "bad"
-        path.write_bytes(b"XXXX" + bytes(12))
-        with pytest.raises(BadMagicError):
-            load_latents(path)
-
-    def test_bad_version(self, tmp_path):
-        path = tmp_path / "v"
-        save_latents(np.zeros((2, 2)), path)
-        blob = bytearray(path.read_bytes())
-        blob[4] = 9
-        path.write_bytes(bytes(blob))
-        with pytest.raises(VersionError):
-            load_latents(path)
-
-    def test_truncated(self, tmp_path):
-        path = tmp_path / "t"
-        save_latents(np.zeros((4, 4)), path)
-        blob = path.read_bytes()
-        path.write_bytes(blob[:-8])
-        with pytest.raises(TruncatedError):
-            load_latents(path)
-
     def test_csv_export(self, tmp_path):
         path = tmp_path / "z.csv"
         latents_to_csv(np.array([[1.0, 2.5], [3.0, -0.125]]), path)
