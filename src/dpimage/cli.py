@@ -1,8 +1,9 @@
 """Command-line pipeline: generate, train, sensitivity, perturb, evaluate, sweep.
 
 Every command is replayable: outputs are a pure function of (config, seed),
-and each output directory carries one provenance_<command>.json per stage,
-sufficient to reproduce the run. Reports are CSV; images are binary PGM.
+and of the ledger's earlier rows for perturb. Each output directory carries
+one provenance_<command>.json per stage, sufficient to reproduce the run.
+Reports are CSV; images are binary PGM.
 
 The harness never selects or filters outputs by similarity to the original
 image; doing so would condition the release on the input and void the
@@ -32,7 +33,7 @@ from .codec import (
     train,
 )
 from .config import RunConfig, build_config, config_dict, parse_levels
-from .data import generate_corpus, load_manifest, read_pgm, save_manifest, write_pgm
+from .data import generate_corpus, load_manifest, read_pgm, save_manifest, write_file, write_pgm
 from .errors import ConfigError, DataError, DpImageError
 from .metrics import (
     blur_baseline,
@@ -73,8 +74,8 @@ def _write_provenance(
         "extra": extra or {},
         "toolkit_version": __version__,
     }
-    path = out_dir / f"provenance_{command}.json"
-    path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+    blob = (json.dumps(record, indent=2, sort_keys=True) + "\n").encode()
+    write_file(out_dir / f"provenance_{command}.json", blob)
 
 
 def _load_corpus(corpus_dir: Path, split: str | None = None):
@@ -204,8 +205,6 @@ def _input_images(paths: list[Path]) -> list[Path]:
 
 def cmd_perturb(config: RunConfig, model_path: Path, inputs: list[Path]) -> None:
     out_dir = Path(config.output_dir)
-    perturbed_dir = out_dir / "perturbed"
-    perturbed_dir.mkdir(parents=True, exist_ok=True)
     model = load_model(model_path)
     delta_f = _resolve_delta_f(config, out_dir)
     params = _privacy_params(config, config.epsilon, delta_f)
@@ -215,22 +214,23 @@ def cmd_perturb(config: RunConfig, model_path: Path, inputs: list[Path]) -> None
         if ledger_path.exists()
         else PrivacyBudgetLedger()
     )
-    loaded = len(ledger.entries)
+    loaded = len(ledger)
     files = _input_images(inputs)
-    for start in range(0, len(files), BLOCK_ROWS):
-        block = files[start : start + BLOCK_ROWS]
-        # each image's stream is addressed by its position in the request
-        states = derive_states(config.seed, _STREAM_PERTURB, np.arange(start, start + len(block)))
-        released = dp_images(model, [read_pgm(path) for path in block], params, states)
-        for path, image in zip(block, released):
-            write_pgm(image, perturbed_dir / path.name)
-            # group tracks data disjointness only (same corpus: budgets add);
-            # masked releases are annotated on the release id, since the
-            # epsilon guarantee then covers only the masked coordinate subspace
-            release = path.name
-            if config.mask_mode == "identity_only":
-                release += "#partial-coordinate"
-            ledger.record(release, config.epsilon, group="corpus")
+    # every input is read before the first release, so a bad one releases nothing
+    images = [read_pgm(path) for path in files]
+    # each image's stream is addressed by its ledger row, so every release,
+    # in this request or any other, gets fresh noise
+    states = derive_states(config.seed, _STREAM_PERTURB, loaded + np.arange(len(files)))
+    released = dp_images(model, images, params, states)
+    perturbed_dir = out_dir / "perturbed"
+    perturbed_dir.mkdir(parents=True, exist_ok=True)
+    # group tracks data disjointness only (same corpus: budgets add); masked
+    # releases are annotated on the release id, since the epsilon guarantee
+    # then covers only the masked coordinate subspace
+    tag = "#partial-coordinate" if config.mask_mode == "identity_only" else ""
+    for path, image in zip(files, released):
+        write_pgm(image, perturbed_dir / path.name)
+        ledger.record(path.name + tag, config.epsilon, group="corpus")
     ledger.save_csv(ledger_path, start=loaded)  # appends this request's rows
     total = ledger.total()
     _write_provenance(
@@ -241,7 +241,11 @@ def cmd_perturb(config: RunConfig, model_path: Path, inputs: list[Path]) -> None
             "delta_f": delta_f,
             "scale": params.scale,
             "n_images": len(files),
+            "first_ledger_row": loaded,
+            "ledger_rows": len(ledger),
             "ledger_total": total,
+            # the loss per unit of l1 latent distance, epsilon / delta_f
+            "epsilon_per_l1": config.epsilon / delta_f if delta_f > 0 else None,
             "partial_coordinate_dp": config.mask_mode == "identity_only",
         },
     )

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -248,9 +249,19 @@ def write_pgm(img: np.ndarray, path) -> None:
         raise DataError("pixel values must lie in [0, 1]")
     h, w = img.shape
     data = np.rint(img * 255.0).astype(np.uint8)
-    with open(path, "wb") as f:
-        f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        f.write(data.tobytes(order="C"))
+    write_file(path, f"P5\n{w} {h}\n255\n".encode("ascii") + data.tobytes(order="C"))
+
+
+def write_file(path, blob: bytes) -> None:
+    """Make blob the whole content of path, rewriting an existing file in place.
+
+    The bytes equal those of open(path, "wb"), with the same permissions for
+    a new file. Truncating to zero on open makes ext4 flush the old blocks on
+    close; truncating after the write does not. Neither way is atomic.
+    """
+    with os.fdopen(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
+        f.write(blob)
+        f.truncate()
 
 
 def _pgm_tokens(blob: bytes):

@@ -246,46 +246,52 @@ class PrivacyBudgetLedger:
     Releases within one disjointness group touch the same data and compose
     sequentially (budgets add); distinct groups touch disjoint data and
     compose in parallel (overall budget is the max over groups). Appends are
-    serialized; entries are never mutated or removed.
+    serialized; entries are never mutated or removed. Rows are kept as plain
+    tuples next to running per-group sums, added in row order.
     """
 
     def __init__(self):
-        self._entries: list[LedgerEntry] = []
+        self._rows: list[tuple[str, float, str]] = []
+        self._sums: dict[str, float] = {}
         self._lock = threading.Lock()
 
     def record(self, release_id: str, epsilon: float, group: str = "default") -> None:
         if not epsilon > 0:
             raise ValueError(f"epsilon must be positive, got {epsilon}")
+        epsilon = float(epsilon)
         with self._lock:
-            self._entries.append(LedgerEntry(release_id, float(epsilon), group))
+            self._rows.append((release_id, epsilon, group))
+            self._sums[group] = self._sums.get(group, 0.0) + epsilon
+
+    def __len__(self) -> int:
+        return len(self._rows)
 
     @property
     def entries(self) -> tuple[LedgerEntry, ...]:
         with self._lock:
-            return tuple(self._entries)
+            return tuple(LedgerEntry(*row) for row in self._rows)
 
     def total(self) -> float:
         """Overall budget: max over groups of the within-group epsilon sum."""
-        sums: dict[str, float] = {}
-        for e in self.entries:
-            sums[e.group] = sums.get(e.group, 0.0) + e.epsilon
-        return max(sums.values(), default=0.0)
+        with self._lock:
+            return max(self._sums.values(), default=0.0)
 
     def save_csv(self, path, start: int = 0) -> None:
-        """Write the ledger as CSV; ``entries[:start]`` are already in the file.
+        """Write the ledger as CSV; the first ``start`` rows are already in the file.
 
         start 0 writes the header and every row. start > 0 appends only the
         rows after it, so a release request costs its own rows, not the
         ledger's length.
         """
-        entries = self.entries
-        if not 0 <= start <= len(entries):
-            raise ValueError(f"start {start} outside [0, {len(entries)}]")
+        with self._lock:
+            if not 0 <= start <= len(self._rows):
+                raise ValueError(f"start {start} outside [0, {len(self._rows)}]")
+            rows = self._rows[start:]
         with open(path, "a" if start else "w", newline="") as f:
             writer = csv.writer(f)
             if not start:
                 writer.writerow(LEDGER_HEADER)
-            writer.writerows((e.release_id, repr(e.epsilon), e.group) for e in entries[start:])
+            writer.writerows(rows)  # csv writes a float as its repr
 
     @classmethod
     def load_csv(cls, path) -> "PrivacyBudgetLedger":
@@ -304,7 +310,8 @@ class PrivacyBudgetLedger:
         header = next(rows, None)
         if header is not None and header != list(LEDGER_HEADER):
             raise malformed(f"header {header}, expected {list(LEDGER_HEADER)}")
-        entries = []
+        ledger = cls()
+        entries, sums = ledger._rows, ledger._sums
         for row in rows:
             try:
                 release_id, epsilon, group = row
@@ -315,11 +322,10 @@ class PrivacyBudgetLedger:
                 raise malformed(f"epsilon {row[1]!r} is not a number") from None
             if not epsilon > 0:
                 raise malformed(f"epsilon must be positive, got {epsilon}")
-            entries.append(LedgerEntry(release_id, epsilon, group))
+            entries.append((release_id, epsilon, group))
+            sums[group] = sums.get(group, 0.0) + epsilon
         if text and not text.endswith("\n"):
             raise malformed("last row has no line end")
-        ledger = cls()
-        ledger._entries = entries
         return ledger
 
 

@@ -267,13 +267,23 @@ class TestPerturb:
         prov = json.loads((out / "provenance_perturb.json").read_text())
         assert prov["extra"]["ledger_total"] == whole.total()
 
-    def test_deterministic(self, trained):
+    def test_deterministic(self, trained, tmp_path):
         cfg, out = trained
-        assert run("sensitivity", "--config", cfg) == 0
-        assert run("perturb", "--config", cfg, "--input", out / "corpus") == 0
-        first = tree_bytes(out / "perturbed")
-        assert run("perturb", "--config", cfg, "--input", out / "corpus") == 0
-        assert tree_bytes(out / "perturbed") == first
+        corpus = sorted((out / "corpus").glob("*.pgm"))[:4]
+        releases = []
+        for dst in ("first", "second"):
+            pair = []
+            for _ in range(2):
+                assert run(
+                    "perturb", "--config", cfg, "--model", out / "model.dpim",
+                    "--sensitivity", "5.0", "--output_dir", tmp_path / dst, "--input", *corpus,
+                ) == 0
+                pair.append(tree_bytes(tmp_path / dst / "perturbed"))
+            releases.append(pair)
+        assert releases[0] == releases[1]
+        # a repeated request is a new release: fresh noise for every image
+        first, second = releases[0]
+        assert len(first) == 4 and all(second[name] != blob for name, blob in first.items())
 
     def test_bytes_independent_of_batch_mates(self, trained, tmp_path):
         cfg, out = trained
@@ -288,7 +298,12 @@ class TestPerturb:
             (larger / p.name).write_bytes(p.read_bytes())
         for k, p in enumerate(corpus[:5]):  # names sort after the request's
             (larger / f"zz_extra_{k}.pgm").write_bytes(p.read_bytes())
+        earlier = PrivacyBudgetLedger()  # three releases made before this request
+        for k in range(3):
+            earlier.record(f"earlier_{k}.pgm", 1.0, group="corpus")
         for src, dst in ((request, "out_request"), (larger, "out_larger")):
+            (tmp_path / dst).mkdir()
+            earlier.save_csv(tmp_path / dst / "ledger.csv")
             assert run(
                 "perturb", "--config", cfg, "--model", out / "model.dpim", "--input", src,
                 "--sensitivity", "5.0", "--output_dir", tmp_path / dst,
@@ -297,12 +312,30 @@ class TestPerturb:
         with_extra = tree_bytes(tmp_path / "out_larger" / "perturbed")
         assert len(alone) == 20 and len(with_extra) == 25
         assert all(with_extra[name] == blob for name, blob in alone.items())
-        # the stream address is (seed, 2, position in the request)
+        # the stream address is (seed, 2, ledger row of the release)
         model = load_model(out / "model.dpim")
         params = PrivacyParams(epsilon=1.0, sensitivity=5.0, mask=full_mask(model.latent_dim))
-        y, _ = dp_image(model, read_pgm(corpus[17]), params, derive_stream(0, 2, 17))
-        write_pgm(y, tmp_path / "expected.pgm")
-        assert alone[corpus[17].name] == (tmp_path / "expected.pgm").read_bytes()
+        for k in (0, 17):
+            y, _ = dp_image(model, read_pgm(corpus[k]), params, derive_stream(0, 2, 3 + k))
+            write_pgm(y, tmp_path / "expected.pgm")
+            assert alone[corpus[k].name] == (tmp_path / "expected.pgm").read_bytes()
+
+    def test_split_request_equals_one_request(self, trained, tmp_path):
+        cfg, out = trained
+        corpus = sorted((out / "corpus").glob("*.pgm"))
+        for dst, requests in (("whole", [corpus]), ("split", [corpus[:10], corpus[10:]])):
+            for request in requests:
+                assert run(
+                    "perturb", "--config", cfg, "--model", out / "model.dpim", "--input", *request,
+                    "--sensitivity", "5.0", "--epsilon", "0.5", "--output_dir", tmp_path / dst,
+                ) == 0
+        whole, split = tmp_path / "whole", tmp_path / "split"
+        assert len(tree_bytes(whole / "perturbed")) == 20
+        assert tree_bytes(split / "perturbed") == tree_bytes(whole / "perturbed")
+        assert (split / "ledger.csv").read_bytes() == (whole / "ledger.csv").read_bytes()
+        extra = json.loads((split / "provenance_perturb.json").read_text())["extra"]
+        assert extra["first_ledger_row"] == 10 and extra["ledger_rows"] == 20
+        assert extra["epsilon_per_l1"] == 0.5 / 5.0
 
     def test_identity_only_mask(self, trained):
         cfg, out = trained
@@ -544,6 +577,17 @@ class TestErrorReporting:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert err[0].startswith("error:data: ") and where in err[0]
+
+    def test_unreadable_input_releases_nothing(self, trained, capsys):
+        cfg, out = trained
+        corpus = sorted((out / "corpus").glob("*.pgm"))
+        inputs = [*corpus[:16], out / "missing.pgm"]
+        capsys.readouterr()
+        assert run("perturb", "--config", cfg, "--sensitivity", "5.0", "--input", *inputs) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "missing.pgm" in err[0]
+        assert not (out / "ledger.csv").exists()
+        assert not (out / "perturbed").exists() or not any((out / "perturbed").iterdir())
 
     @pytest.mark.parametrize("twice", ["directory", "file"])
     def test_inputs_sharing_a_name_release_nothing(self, trained, tmp_path, capsys, twice):

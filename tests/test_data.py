@@ -1,3 +1,5 @@
+import stat
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from dpimage.data import (
     render_face,
     sample_identity_params,
     save_manifest,
+    write_file,
     write_pgm,
 )
 from dpimage.errors import BadMagicError, BadMaxvalError, DataError, TruncatedError
@@ -195,3 +198,18 @@ class TestPgm:
         with pytest.raises(DataError):
             write_pgm(img, tmp_path / "nan.pgm")
         assert not (tmp_path / "nan.pgm").exists()
+
+
+class TestWriteFile:
+    def test_shorter_rewrite_leaves_only_new_bytes(self, tmp_path):
+        path = tmp_path / "f.bin"
+        write_file(path, b"a much longer first version\n")
+        write_file(path, b"short")
+        assert path.read_bytes() == b"short"
+
+    def test_new_file_mode_matches_open(self, tmp_path):
+        with open(tmp_path / "opened.bin", "wb") as f:
+            f.write(b"x")
+        write_file(tmp_path / "written.bin", b"x")
+        modes = [stat.S_IMODE((tmp_path / n).stat().st_mode) for n in ("opened.bin", "written.bin")]
+        assert modes[0] == modes[1]

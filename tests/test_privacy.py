@@ -1,4 +1,6 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from dpimage.codec import decode, encode, init_model
 from dpimage.errors import FormatError
 from dpimage.numerics import RngStream, derive_states, derive_stream, make_stream, rng_uniform_batch
 from dpimage.privacy import (
+    LedgerEntry,
     PrivacyBudgetLedger,
     PrivacyParams,
     clip_latent,
@@ -395,6 +398,41 @@ class TestLedger:
         ledger.record("a", 0.25)
         with pytest.raises(ValueError):
             ledger.save_csv(tmp_path / "ledger.csv", start=2)
+
+    @given(
+        records=st.integers(1, 3).flatmap(
+            lambda n_groups: st.lists(
+                st.tuples(
+                    st.text(
+                        st.characters(min_codepoint=32, max_codepoint=126) | st.sampled_from("\r\n")
+                    ),
+                    st.floats(min_value=1e-6, max_value=1e3),
+                    st.sampled_from([f"g{k}" for k in range(n_groups)]),
+                ),
+                max_size=40,
+            )
+        ),
+        cut=st.integers(0, 40),
+    )
+    @settings(max_examples=100)
+    def test_loaded_total_equals_sequential_sum(self, records, cut):
+        cut = min(cut, len(records))
+        ledger = PrivacyBudgetLedger()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "ledger.csv"
+            for record in records[:cut]:
+                ledger.record(*record)
+            ledger.save_csv(path)
+            for record in records[cut:]:
+                ledger.record(*record)
+            ledger.save_csv(path, start=cut)
+            back = PrivacyBudgetLedger.load_csv(path)
+        sums = {}  # the sequential per-group sum, in row order
+        for _, epsilon, group in records:
+            sums[group] = sums.get(group, 0.0) + epsilon
+        assert back.total() == max(sums.values(), default=0.0)
+        assert len(back) == len(records)
+        assert back.entries == tuple(LedgerEntry(*r) for r in records)
 
     @pytest.mark.parametrize(
         "text, message",
