@@ -23,15 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .codec import (
-    BLOCK_ROWS,
-    align_identity_basis,
-    decode_batch,
-    encode_batch,
-    load_model,
-    save_model,
-    train,
-)
+from .codec import align_identity_basis, decode_batch, encode_batch, load_model, save_model, train
 from .config import RunConfig, build_config, config_dict, parse_levels
 from .data import generate_corpus, load_manifest, read_pgm, save_manifest, write_file, write_pgm
 from .errors import ConfigError, DataError, DpImageError
@@ -108,7 +100,7 @@ def _resolve_delta_f(config: RunConfig, out_dir: Path) -> float:
     )
 
 
-def _calibrate_from_corpus(config: RunConfig, model, eval_rows, images):
+def _calibrate_from_corpus(model, eval_rows, images):
     if len(eval_rows) < 4:
         raise DataError("need at least 4 eval images to calibrate a threshold")
     genuine, impostor = [], []
@@ -118,7 +110,7 @@ def _calibrate_from_corpus(config: RunConfig, model, eval_rows, images):
             (genuine if a.identity_id == b.identity_id else impostor).append(pair)
     if not genuine or not impostor:
         raise DataError("eval split lacks genuine or impostor pairs")
-    return calibrate_threshold(model, genuine, impostor, config.fppsr_percentile)
+    return calibrate_threshold(model, genuine, impostor)
 
 
 def cmd_generate(config: RunConfig) -> None:
@@ -276,19 +268,17 @@ def cmd_evaluate(
         raise DataError(f"originals and perturbed are misaligned on: {missing[:5]}")
     if threshold is None:
         eval_rows, images = _load_corpus(corpus_dir, "eval")
-        threshold = _calibrate_from_corpus(config, model, eval_rows, images).tau
+        threshold = _calibrate_from_corpus(model, eval_rows, images).tau
     pairs = [
         (name, read_pgm(orig_files[name]), read_pgm(pert_files[name]))
         for name in sorted(orig_files)
     ]
-    report = evaluate_pairs(model, pairs, threshold, config.ssim_window, config.ssim_sigma)
+    report = evaluate_pairs(model, pairs, threshold)
     write_per_image_csv(report, out_dir / "per_image.csv")
     write_aggregate_csv(report, out_dir / "aggregate.csv")
     extra = {"threshold": threshold, "mean_iss": report.mean_iss}
     if baselines:
-        table, notes = _baseline_table(
-            model, pairs, report, threshold, config.ssim_window, config.ssim_sigma
-        )
+        table, notes = _baseline_table(model, pairs, report, threshold)
         with open(out_dir / "table.csv", "w", newline="") as f:
             f.write("method,l2,ald_inf,ssim,iss,fed,fppsr\n")
             for row in table:
@@ -299,41 +289,26 @@ def cmd_evaluate(
     print(f"evaluated {len(pairs)} pairs; mean ISS {report.mean_iss:.4f}")
 
 
-def _baseline_table(model, pairs, dp_report, threshold, ssim_window, ssim_sigma):
+def _baseline_table(model, pairs, dp_report, threshold):
     """Blur and mosaic rows tuned to match the dp-image mean ISS.
 
-    The search scores each candidate by mean ISS alone; the full metrics are
-    computed for the chosen blur and mosaic only, with the SSIM window of the
-    dp-image row. Candidates transform and encode BLOCK_ROWS images at a
-    time, which bounds the temporaries of wide blur kernels.
+    The search scores each candidate stack by mean ISS alone; the full
+    metrics are computed for the chosen blur and mosaic only.
     """
     target = dp_report.mean_iss
     x = np.stack([orig for _, orig, _ in pairs])
     n_id = model.identity_len
     emb_x = encode_batch(model, x)[:, :n_id]
-    starts = range(0, len(x), BLOCK_ROWS)
 
-    def mean_iss(transform):
-        scores = [
-            iss_scores(
-                emb_x[s : s + BLOCK_ROWS],
-                encode_batch(model, transform(x[s : s + BLOCK_ROWS]))[:, :n_id],
-            )
-            for s in starts
-        ]
-        return float(np.mean(np.concatenate(scores)))
+    def mean_iss(y):
+        return float(np.mean(iss_scores(emb_x, encode_batch(model, y)[:, :n_id])))
 
-    def report(transform):
-        y = np.concatenate([transform(x[s : s + BLOCK_ROWS]) for s in starts])
+    def report(y):
         method_pairs = [(name, x[i], y[i]) for i, (name, _, _) in enumerate(pairs)]
-        return evaluate_pairs(model, method_pairs, threshold, ssim_window, ssim_sigma)
+        return evaluate_pairs(model, method_pairs, threshold)
 
     def blur(sigma):
-        radius = max(1, int(math.ceil(3.0 * sigma)))
-        return lambda a: blur_baseline(a, sigma, radius)
-
-    def mosaic(block):
-        return lambda a: mosaic_baseline(a, block)
+        return blur_baseline(x, sigma, max(1, int(math.ceil(3.0 * sigma))))
 
     lo, hi = 0.05, 16.0
     best_blur = None
@@ -348,14 +323,14 @@ def _baseline_table(model, pairs, dp_report, threshold, ssim_window, ssim_sigma)
             hi = mid
     best_mosaic = None
     for block in range(1, x.shape[-2] + 1):
-        value = mean_iss(mosaic(block))
+        value = mean_iss(mosaic_baseline(x, block))
         if best_mosaic is None or abs(value - target) < abs(best_mosaic[1] - target):
             best_mosaic = (block, value)
 
     rows = []
     for name, rep in (
         ("blur", report(blur(best_blur[0]))),
-        ("mosaic", report(mosaic(best_mosaic[0]))),
+        ("mosaic", report(mosaic_baseline(x, best_mosaic[0]))),
         ("dp_image", dp_report),
     ):
         rows.append(
@@ -380,27 +355,25 @@ def cmd_sweep(config: RunConfig, model_path: Path, corpus_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     model = load_model(model_path)
     eval_rows, images = _load_corpus(corpus_dir, "eval")
-    cal = _calibrate_from_corpus(config, model, eval_rows, images)
+    cal = _calibrate_from_corpus(model, eval_rows, images)
     levels = parse_levels(config.sweep_levels)
     x_eval = np.stack([images[r.path] for r in eval_rows])
     z_eval = encode_batch(model, x_eval)
     n_id = model.identity_len
-    # tasks in (repetition, image) order; they run one block of rows at a
-    # time, so at most one block of decoded images is alive
-    rep, image = np.divmod(np.arange(config.sweep_repetitions * len(x_eval)), len(x_eval))
+    image = np.arange(len(x_eval))
     results = []
     for level_index, level in enumerate(levels):
         # the level is the noise scale b = delta_f / epsilon itself
         params = _privacy_params(config, 1.0, level)
-        states = derive_states(config.seed, _STREAM_SWEEP, level_index, rep, image)
         iss_vals, l2_vals, ssim_vals = [], [], []
-        for start in range(0, len(image), BLOCK_ROWS):
-            img = image[start : start + BLOCK_ROWS]
-            noisy = perturb_latents(z_eval[img], params, states[start : start + BLOCK_ROWS])
-            y = decode_batch(model, noisy)
-            iss_vals.append(iss_scores(z_eval[img, :n_id], encode_batch(model, y)[:, :n_id]))
-            l2_vals.append(l2_distances(x_eval[img], y))
-            ssim_vals.append(ssim_scores(x_eval[img], y, config.ssim_window, config.ssim_sigma))
+        # one release of the whole split per repetition; scores are joined in
+        # (repetition, image) order, which fixes the bits of their means
+        for rep in range(config.sweep_repetitions):
+            states = derive_states(config.seed, _STREAM_SWEEP, level_index, rep, image)
+            y = decode_batch(model, perturb_latents(z_eval, params, states))
+            iss_vals.append(iss_scores(z_eval[:, :n_id], encode_batch(model, y)[:, :n_id]))
+            l2_vals.append(l2_distances(x_eval, y))
+            ssim_vals.append(ssim_scores(x_eval, y))
         iss_vals = np.concatenate(iss_vals)
         results.append(
             (

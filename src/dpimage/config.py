@@ -32,9 +32,6 @@ class RunConfig:
     sensitivity_mode: str = "empirical"  # empirical | clip
     clip_radius: float = 8.0
     mask_mode: str = "all"  # all | identity_only
-    ssim_window: int = 11
-    ssim_sigma: float = 1.5
-    fppsr_percentile: float = 95.0
     sweep_levels: str = "0,0.25,0.5,1.0"
     sweep_repetitions: int = 100
     output_dir: str = "runs/out"
@@ -72,10 +69,6 @@ class RunConfig:
             raise ConfigError(f"sensitivity must be >= 0 and finite, got {self.sensitivity}")
         if not 0 < self.clip_radius < math.inf:
             raise ConfigError(f"clip_radius must be positive and finite, got {self.clip_radius}")
-        if not 0 < self.fppsr_percentile <= 100:
-            raise ConfigError(
-                f"fppsr_percentile must be in (0, 100], got {self.fppsr_percentile}"
-            )
         if self.sweep_repetitions < 1:
             raise ConfigError(
                 f"sweep_repetitions must be >= 1, got {self.sweep_repetitions}"

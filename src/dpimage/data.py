@@ -224,16 +224,21 @@ def load_manifest(path) -> list[ManifestRow]:
     rows = []
     with open(path, newline="") as f:
         reader = csv.DictReader(f)
-        missing = [c for c in MANIFEST_COLUMNS if c not in (reader.fieldnames or ())]
-        if missing:
-            raise DataError(f"{path}: manifest lacks column(s) {missing}")
-        for rec in reader:
-            where = f"{path}, line {reader.line_num}"
-            if rec["split"] not in ("train", "eval"):
-                raise DataError(f"{where}: unknown split {rec['split']!r}")
-            if not (rec["identity_id"] or "").isdecimal():  # None: a short row
-                raise DataError(f"{where}: identity_id {rec['identity_id']!r} is not an integer")
-            rows.append(ManifestRow(rec["path"], int(rec["identity_id"]), rec["split"]))
+        try:  # the reader raises csv.Error on what it cannot split, such as a huge field
+            missing = [c for c in MANIFEST_COLUMNS if c not in (reader.fieldnames or ())]
+            if missing:
+                raise DataError(f"{path}: manifest lacks column(s) {missing}")
+            for rec in reader:
+                where = f"{path}, line {reader.line_num}"
+                if rec["split"] not in ("train", "eval"):
+                    raise DataError(f"{where}: unknown split {rec['split']!r}")
+                if not (rec["identity_id"] or "").isdecimal():  # None: a short row
+                    raise DataError(
+                        f"{where}: identity_id {rec['identity_id']!r} is not an integer"
+                    )
+                rows.append(ManifestRow(rec["path"], int(rec["identity_id"]), rec["split"]))
+        except csv.Error as exc:  # DictReader.line_num still counts the last good row
+            raise DataError(f"{path}, line {reader.reader.line_num}: {exc}") from None
     ids = sorted({r.identity_id for r in rows})
     if ids != list(range(len(ids))):
         raise DataError(f"{path}: identity_ids are not dense from 0")

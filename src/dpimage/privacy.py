@@ -307,23 +307,26 @@ class PrivacyBudgetLedger:
         def malformed(what: str) -> FormatError:
             return FormatError(f"{path}, line {rows.line_num}: {what}")
 
-        header = next(rows, None)
-        if header is not None and header != list(LEDGER_HEADER):
-            raise malformed(f"header {header}, expected {list(LEDGER_HEADER)}")
         ledger = cls()
         entries, sums = ledger._rows, ledger._sums
-        for row in rows:
-            try:
-                release_id, epsilon, group = row
-                epsilon = float(epsilon)
-            except ValueError:
-                if len(row) != 3:
-                    raise malformed(f"{len(row)} fields, expected 3") from None
-                raise malformed(f"epsilon {row[1]!r} is not a number") from None
-            if not epsilon > 0:
-                raise malformed(f"epsilon must be positive, got {epsilon}")
-            entries.append((release_id, epsilon, group))
-            sums[group] = sums.get(group, 0.0) + epsilon
+        try:  # the reader raises csv.Error on what it cannot split, such as a huge field
+            header = next(rows, None)
+            if header is not None and header != list(LEDGER_HEADER):
+                raise malformed(f"header {header}, expected {list(LEDGER_HEADER)}")
+            for row in rows:
+                try:
+                    release_id, epsilon, group = row
+                    epsilon = float(epsilon)
+                except ValueError:
+                    if len(row) != 3:
+                        raise malformed(f"{len(row)} fields, expected 3") from None
+                    raise malformed(f"epsilon {row[1]!r} is not a number") from None
+                if not epsilon > 0:
+                    raise malformed(f"epsilon must be positive, got {epsilon}")
+                entries.append((release_id, epsilon, group))
+                sums[group] = sums.get(group, 0.0) + epsilon
+        except csv.Error as exc:
+            raise malformed(str(exc)) from None
         if text and not text.endswith("\n"):
             raise malformed("last row has no line end")
         return ledger

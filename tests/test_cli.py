@@ -8,15 +8,23 @@ import pytest
 from dpimage import cli
 from dpimage.cli import _baseline_table, main
 from dpimage.config import RunConfig, build_config, load_config_file, parse_levels
-from dpimage.codec import encode_batch, load_model
+from dpimage.codec import decode, encode, encode_batch, load_model
 from dpimage.data import load_manifest, read_pgm, write_pgm
-from dpimage.metrics import blur_baseline, evaluate_pairs, mosaic_baseline, ssim_scores
+from dpimage.metrics import (
+    blur_baseline,
+    evaluate_pairs,
+    iss_scores,
+    l2_distances,
+    mosaic_baseline,
+    ssim_scores,
+)
 from dpimage.numerics import derive_stream
 from dpimage.privacy import (
     PrivacyBudgetLedger,
     PrivacyParams,
     dp_image,
     full_mask,
+    perturb_latent,
 )
 from dpimage.errors import ConfigError
 
@@ -43,6 +51,10 @@ def tiny_cfg(tmp_path):
         sweep_repetitions=2,
         output_dir=tmp_path / "out",
     )
+
+
+# opens a quoted field that runs past the csv module's field limit
+OVERSIZED_LINE = '"' + "x" * 200_000 + "\r\n"
 
 
 def tree_bytes(root: Path) -> dict:
@@ -391,24 +403,6 @@ class TestEvaluateAndSweep:
         methods = [line.split(",")[0] for line in table[1:]]
         assert methods == ["blur", "mosaic", "dp_image"]
 
-    def test_baselines_use_configured_ssim_window(self, trained):
-        cfg, out = trained
-        assert run(
-            "perturb", "--config", cfg, "--sensitivity", "5.0", "--input", out / "corpus"
-        ) == 0
-        assert run(
-            "evaluate", "--config", cfg, "--originals", out / "corpus",
-            "--perturbed", out / "perturbed", "--baselines", "--ssim_window", "7",
-        ) == 0
-        notes = json.loads((out / "provenance_evaluate.json").read_text())["extra"]["baseline_notes"]
-        sigma = notes["blur_sigma"]
-        x = np.stack([read_pgm(p) for p in sorted((out / "corpus").glob("*.pgm"))])
-        y = blur_baseline(x, sigma, max(1, math.ceil(3.0 * sigma)))
-        rows = [line.split(",") for line in (out / "table.csv").read_text().splitlines()]
-        blur_ssim = float(next(row for row in rows if row[0] == "blur")[3])
-        assert blur_ssim == float(np.mean(ssim_scores(x, y, 7, 1.5)))
-        assert blur_ssim != float(np.mean(ssim_scores(x, y, 11, 1.5)))
-
     def test_baseline_search_matches_full_metric_search(self, trained):
         cfg, out = trained
         assert run(
@@ -420,7 +414,7 @@ class TestEvaluateAndSweep:
             for p in sorted((out / "corpus").glob("*.pgm"))
         ]
         dp_report = evaluate_pairs(model, pairs, 0.9)
-        rows, notes = _baseline_table(model, pairs, dp_report, 0.9, 11, 1.5)
+        rows, notes = _baseline_table(model, pairs, dp_report, 0.9)
         sigma, block, expected = full_metric_search(model, pairs, dp_report, 0.9)
         assert (notes["blur_sigma"], notes["mosaic_block"]) == (sigma, block)
         assert rows == expected
@@ -433,6 +427,34 @@ class TestEvaluateAndSweep:
         assert len(lines) == 3
         levels = [float(line.split(",")[0]) for line in lines[1:]]
         assert levels == [0.0, 0.5]
+
+    def test_sweep_values_equal_one_task_at_a_time(self, tiny_cfg):
+        out = tiny_cfg.parent / "out"
+        assert run("generate", "--config", tiny_cfg) == 0
+        assert run("train", "--config", tiny_cfg, "--epochs", "20") == 0
+        assert run(
+            "sweep", "--config", tiny_cfg, "--sweep_levels", "0,0.5", "--sweep_repetitions", "3"
+        ) == 0
+        model = load_model(out / "model.dpim")
+        n_id = model.identity_len
+        rows = load_manifest(out / "corpus" / "manifest.csv")
+        x_eval = [read_pgm(out / "corpus" / r.path) for r in rows if r.split == "eval"]
+        tau = json.loads((out / "provenance_sweep.json").read_text())["extra"]["threshold"]
+        expected = []
+        for level_index, level in enumerate((0.0, 0.5)):
+            params = PrivacyParams(1.0, level, full_mask(32))
+            scores = []  # in (repetition, image) order
+            for rep in range(3):
+                for image, x in enumerate(x_eval):
+                    z = encode(model, x)
+                    stream = derive_stream(0, 3, level_index, rep, image)  # sweep's streams
+                    y = decode(model, perturb_latent(z, params, stream)[0])
+                    iss = iss_scores(z[:n_id], encode(model, y)[:n_id])
+                    scores.append((iss, l2_distances(x[None], y[None])[0], ssim_scores(x, y)))
+            iss, l2, ssim = (np.array(column) for column in zip(*scores))
+            means = (level, iss.mean(), np.mean(iss < tau), l2.mean(), ssim.mean())
+            expected.append(",".join(repr(float(v)) for v in means))
+        assert (out / "sweep.csv").read_text().splitlines()[1:] == expected
 
     def test_sweep_measures_clip_mode(self, trained):
         cfg, out = trained
@@ -524,6 +546,9 @@ class TestErrorReporting:
         [
             ("release_id,epsilon,group\r\na.pgm,0.5,corpus\r\nb.pgm,0.5\r\n", "line 3"),
             ("image,epsilon,group\r\na.pgm,0.5,corpus\r\n", "line 1"),
+            pytest.param(
+                "release_id,epsilon,group\r\n" + OVERSIZED_LINE, "line 2", id="oversized_field"
+            ),
         ],
     )
     def test_malformed_ledger_is_one_line_error(self, trained, capsys, text, where):
@@ -562,18 +587,31 @@ class TestErrorReporting:
         assert tree_bytes(out / "perturbed") == released
 
     @pytest.mark.parametrize(
-        "text, where",
+        "command, text, where",
         [
-            ("path,identity_id\na.pgm,0\n", "manifest.csv: manifest lacks column(s) ['split']"),
-            ("path,identity_id,split\na.pgm,0,train\nb.pgm,one,eval\n", "manifest.csv, line 3: "),
+            (
+                "sweep",
+                "path,identity_id\na.pgm,0\n",
+                "manifest.csv: manifest lacks column(s) ['split']",
+            ),
+            (
+                "sweep",
+                "path,identity_id,split\na.pgm,0,train\nb.pgm,one,eval\n",
+                "manifest.csv, line 3: ",
+            ),
+            (
+                "train",
+                "path,identity_id,split\n" + OVERSIZED_LINE,
+                "manifest.csv, line 2: field larger than field limit",
+            ),
         ],
-        ids=["missing_column", "bad_identity_id"],
+        ids=["missing_column", "bad_identity_id", "oversized_field"],
     )
-    def test_malformed_manifest_is_one_line_error(self, trained, capsys, text, where):
+    def test_malformed_manifest_is_one_line_error(self, trained, capsys, command, text, where):
         cfg, out = trained
         (out / "corpus" / "manifest.csv").write_text(text)
         capsys.readouterr()
-        assert run("sweep", "--config", cfg) == 1
+        assert run(command, "--config", cfg) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert err[0].startswith("error:data: ") and where in err[0]

@@ -295,6 +295,35 @@ class TestPerturb:
             single, _ = perturb_latent(z[i], params, RngStream(int(states[i])))
             assert np.array_equal(rows[i], single)
 
+    def test_released_vectors_within_metric_dp_bound(self):
+        # d_X-privacy: releases of z and z' differ in log density by at most
+        # epsilon * ||z - z'||_1 / delta_f, here epsilon. The projection on
+        # sign(z' - z) is post-processing, so it obeys the same bound.
+        epsilon, delta_f, n, chunk, bins = 1.0, 2.0, 10**6, 10**5, 64
+        params = PrivacyParams(epsilon=epsilon, sensitivity=delta_f, mask=full_mask(8))
+        z = np.random.default_rng(0).normal(size=8)
+        # moved on three coordinates, so ||z - z_other||_1 = delta_f
+        z_other = z + delta_f * np.array([0.5, -0.3, 0.2, 0.0, 0.0, 0.0, 0.0, 0.0])
+        direction = np.sign(z_other - z)
+
+        def projections(latent, stream_id):
+            return np.concatenate([
+                perturb_latents(
+                    np.broadcast_to(latent, (chunk, 8)),
+                    params,
+                    derive_states(9, stream_id, np.arange(start, start + chunk)),
+                ) @ direction
+                for start in range(0, n, chunk)
+            ])
+
+        p, q = projections(z, 0), projections(z_other, 1)
+        # equal-mass cells and add-one smoothing, as in verify_dp_empirical
+        pooled = np.sort(np.concatenate([p, q]))
+        edges = pooled[np.arange(bins + 1) * (pooled.size - 1) // bins]
+        p_hat = (np.histogram(p, bins=edges)[0] + 1.0) / (n + bins)
+        q_hat = (np.histogram(q, bins=edges)[0] + 1.0) / (n + bins)
+        assert np.max(np.abs(np.log(p_hat / q_hat))) <= 1.1 * epsilon
+
 
 class TestDpImage:
     def setup_method(self):
