@@ -34,7 +34,7 @@ from .metrics import (
     iss_scores,
     l2_distances,
     mosaic_baseline,
-    ssim_scores,
+    ssim_reference,
     write_aggregate_csv,
     write_per_image_csv,
 )
@@ -220,10 +220,13 @@ def cmd_perturb(config: RunConfig, model_path: Path, inputs: list[Path]) -> None
     # releases are annotated on the release id, since the epsilon guarantee
     # then covers only the masked coordinate subspace
     tag = "#partial-coordinate" if config.mask_mode == "identity_only" else ""
+    for path in files:
+        ledger.record(path.name + tag, config.epsilon, group="corpus")
+    # the request is charged before its first image is written: a write that
+    # fails partway leaves unwritten images charged, never written ones free
+    ledger.save_csv(ledger_path, start=loaded)  # appends this request's rows
     for path, image in zip(files, released):
         write_pgm(image, perturbed_dir / path.name)
-        ledger.record(path.name + tag, config.epsilon, group="corpus")
-    ledger.save_csv(ledger_path, start=loaded)  # appends this request's rows
     total = ledger.total()
     _write_provenance(
         out_dir,
@@ -361,39 +364,43 @@ def cmd_sweep(config: RunConfig, model_path: Path, corpus_dir: Path) -> None:
     z_eval = encode_batch(model, x_eval)
     n_id = model.identity_len
     image = np.arange(len(x_eval))
+    score_ssim = ssim_reference(x_eval)  # filters the originals once per sweep
     results = []
+    releases_scored = 0
     for level_index, level in enumerate(levels):
         # the level is the noise scale b = delta_f / epsilon itself
         params = _privacy_params(config, 1.0, level)
+        # without noise every repetition releases the same images, so a
+        # noise-free level is released once and its scores repeated
+        draws = config.sweep_repetitions if params.scale > 0 else 1
+        copies = config.sweep_repetitions // draws
         iss_vals, l2_vals, ssim_vals = [], [], []
         # one release of the whole split per repetition; scores are joined in
         # (repetition, image) order, which fixes the bits of their means
-        for rep in range(config.sweep_repetitions):
+        for rep in range(draws):
             states = derive_states(config.seed, _STREAM_SWEEP, level_index, rep, image)
             y = decode_batch(model, perturb_latents(z_eval, params, states))
             iss_vals.append(iss_scores(z_eval[:, :n_id], encode_batch(model, y)[:, :n_id]))
             l2_vals.append(l2_distances(x_eval, y))
-            ssim_vals.append(ssim_scores(x_eval, y))
-        iss_vals = np.concatenate(iss_vals)
+            ssim_vals.append(score_ssim(y))
+        releases_scored += draws * len(x_eval)
+        iss_vals = np.concatenate(iss_vals * copies)
         results.append(
             (
                 level,
                 float(iss_vals.mean()),
                 float(np.mean(iss_vals < cal.tau)),
-                float(np.mean(np.concatenate(l2_vals))),
-                float(np.mean(np.concatenate(ssim_vals))),
+                float(np.mean(np.concatenate(l2_vals * copies))),
+                float(np.mean(np.concatenate(ssim_vals * copies))),
             )
         )
     with open(out_dir / "sweep.csv", "w", newline="") as f:
         f.write("level,mean_iss,mean_fppsr,mean_l2,mean_ssim\n")
         for row in results:
             f.write(",".join(repr(v) for v in row) + "\n")
-    _write_provenance(
-        out_dir,
-        "sweep",
-        config,
-        {"threshold": cal.tau, "levels": list(levels), "repetitions": config.sweep_repetitions},
-    )
+    extra = {"threshold": cal.tau, "levels": list(levels), "repetitions": config.sweep_repetitions}
+    extra["releases_scored"] = releases_scored  # eval-split releases decoded and scored
+    _write_provenance(out_dir, "sweep", config, extra)
     for level, mean_iss, mean_fppsr, _, _ in results:
         print(f"level {level}: mean ISS {mean_iss:.4f}, FPPSR {mean_fppsr:.4f}")
 

@@ -60,38 +60,51 @@ def _gaussian_band(n: int, window: int, sigma: float) -> np.ndarray:
     return band
 
 
-def ssim_scores(
-    x: np.ndarray, y: np.ndarray, window: int = SSIM_WINDOW, sigma: float = SSIM_SIGMA
-) -> np.ndarray:
-    """Mean SSIM of each image pair in two stacks of shape (..., h, w).
+def ssim_reference(x: np.ndarray, window: int = SSIM_WINDOW, sigma: float = SSIM_SIGMA):
+    """Filter a reference stack x of shape (..., h, w) once; return its SSIM scorer.
 
+    The scorer maps a stack y shaped like x to the mean SSIM of each pair:
     Gaussian window (default 11x11, sigma 1.5) over all fully interior
-    windows, weighted means and covariances per window, constants for unit
-    dynamic range. The window is separable, so every local statistic of a
-    stack a is rows @ a @ cols.T with banded matrices of 1-D taps
-    (Wang et al. 2004). Pairs are filtered BLOCK_ROWS at a time, which
-    bounds the temporaries.
+    windows, constants for unit dynamic range. The window is separable, so
+    every local statistic of a stack a is rows @ a @ cols.T with banded
+    matrices of 1-D taps (Wang et al. 2004). x and x * x are filtered here;
+    each call filters y, y * y and x * y, BLOCK_ROWS pairs at a time. A
+    stacked matmul runs one product per image, so the grouping moves no bit.
     """
-    x, y = _check_same_shape(x, y)
+    x = np.asarray(x, dtype=np.float64)
     if x.ndim < 2 or x.shape[-2] < window or x.shape[-1] < window:
         raise ValueError(f"image {x.shape} smaller than the {window}x{window} window")
     h, w = x.shape[-2:]
     rows = _gaussian_band(h, window, sigma)
     cols = _gaussian_band(w, window, sigma)
     x_all = x.reshape(-1, h, w)
-    y_all = y.reshape(-1, h, w)
-    out = np.empty(len(x_all))
-    for start in range(0, len(x_all), BLOCK_ROWS):
-        a = x_all[start : start + BLOCK_ROWS]
-        b = y_all[start : start + BLOCK_ROWS]
-        mu_x, mu_y, xx, yy, xy = rows @ np.stack([a, b, a * a, b * b, a * b]) @ cols.T
-        var_x = xx - mu_x * mu_x
-        var_y = yy - mu_y * mu_y
-        cov = xy - mu_x * mu_y
-        num = (2.0 * mu_x * mu_y + SSIM_C1) * (2.0 * cov + SSIM_C2)
-        den = (mu_x * mu_x + mu_y * mu_y + SSIM_C1) * (var_x + var_y + SSIM_C2)
-        out[start : start + len(a)] = np.mean((num / den).reshape(len(a), -1), axis=1)
-    return out.reshape(x.shape[:-2])
+    mu_x_all = rows @ x_all @ cols.T  # two products: half the temporaries of one
+    xx_all = rows @ (x_all * x_all) @ cols.T
+
+    def score(y: np.ndarray) -> np.ndarray:
+        y = _check_same_shape(x, y)[1].reshape(-1, h, w)
+        out = np.empty(len(x_all))
+        for start in range(0, len(x_all), BLOCK_ROWS):
+            block = slice(start, start + BLOCK_ROWS)
+            a, b = x_all[block], y[block]
+            mu_x, xx = mu_x_all[block], xx_all[block]
+            mu_y, yy, xy = rows @ np.stack([b, b * b, a * b]) @ cols.T
+            var_x = xx - mu_x * mu_x
+            var_y = yy - mu_y * mu_y
+            cov = xy - mu_x * mu_y
+            num = (2.0 * mu_x * mu_y + SSIM_C1) * (2.0 * cov + SSIM_C2)
+            den = (mu_x * mu_x + mu_y * mu_y + SSIM_C1) * (var_x + var_y + SSIM_C2)
+            out[block] = np.mean((num / den).reshape(len(a), -1), axis=1)
+        return out.reshape(x.shape[:-2])
+
+    return score
+
+
+def ssim_scores(
+    x: np.ndarray, y: np.ndarray, window: int = SSIM_WINDOW, sigma: float = SSIM_SIGMA
+) -> np.ndarray:
+    """Mean SSIM of each pair of two stacks: the scorer of ssim_reference(x) on y."""
+    return ssim_reference(x, window, sigma)(y)
 
 
 def ssim(

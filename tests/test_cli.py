@@ -24,6 +24,7 @@ from dpimage.privacy import (
     PrivacyParams,
     dp_image,
     full_mask,
+    identity_mask,
     perturb_latent,
 )
 from dpimage.errors import ConfigError
@@ -456,6 +457,49 @@ class TestEvaluateAndSweep:
             expected.append(",".join(repr(float(v)) for v in means))
         assert (out / "sweep.csv").read_text().splitlines()[1:] == expected
 
+    def test_noise_free_levels_equal_one_task_at_a_time(self, trained):
+        # levels at scale 0 are scored once and counted per repetition; clip
+        # mode and the identity mask must not make the repetitions differ
+        cfg, out = trained
+        assert run(
+            "sweep", "--config", cfg, "--sensitivity_mode", "clip", "--clip_radius", "2",
+            "--mask_mode", "identity_only", "--sweep_levels", "0,0,0.5", "--sweep_repetitions", "3",
+        ) == 0
+        model = load_model(out / "model.dpim")
+        n_id = model.identity_len
+        mask = identity_mask(model.latent_dim, n_id)
+        rows = load_manifest(out / "corpus" / "manifest.csv")
+        x_eval = [read_pgm(out / "corpus" / r.path) for r in rows if r.split == "eval"]
+        tau = json.loads((out / "provenance_sweep.json").read_text())["extra"]["threshold"]
+        expected = []
+        for level_index, level in enumerate((0.0, 0.0, 0.5)):
+            params = PrivacyParams(1.0, level, mask, clip_radius=2.0)
+            scores = []  # in (repetition, image) order
+            for rep in range(3):
+                for image, x in enumerate(x_eval):
+                    z = encode(model, x)
+                    stream = derive_stream(0, 3, level_index, rep, image)  # sweep's streams
+                    y = decode(model, perturb_latent(z, params, stream)[0])
+                    iss = iss_scores(z[:n_id], encode(model, y)[:n_id])
+                    scores.append((iss, l2_distances(x[None], y[None])[0], ssim_scores(x, y)))
+            iss, l2, ssim = (np.array(column) for column in zip(*scores))
+            means = (level, iss.mean(), np.mean(iss < tau), l2.mean(), ssim.mean())
+            expected.append(",".join(repr(float(v)) for v in means))
+        assert (out / "sweep.csv").read_text().splitlines()[1:] == expected
+
+    def test_sweep_counts_releases_scored(self, tmp_path):
+        # the quick pipeline's corpus and levels: 32 eval images, one draw at
+        # level 0 and five at each noisy level
+        cfg = write_cfg(
+            tmp_path, n_identities=16, samples_per_identity=6, epochs=1,
+            sweep_repetitions=5, sweep_levels="0,2,4,8", output_dir=tmp_path / "out",
+        )
+        assert run("generate", "--config", cfg) == 0
+        assert run("train", "--config", cfg) == 0
+        assert run("sweep", "--config", cfg) == 0
+        extra = json.loads((tmp_path / "out" / "provenance_sweep.json").read_text())["extra"]
+        assert extra["releases_scored"] == (1 + 3 * 5) * 32 == 512
+
     def test_sweep_measures_clip_mode(self, trained):
         cfg, out = trained
         assert run("sweep", "--config", cfg, "--sweep_levels", "0") == 0
@@ -626,6 +670,17 @@ class TestErrorReporting:
         assert len(err) == 1 and err[0].startswith("error:") and "missing.pgm" in err[0]
         assert not (out / "ledger.csv").exists()
         assert not (out / "perturbed").exists() or not any((out / "perturbed").iterdir())
+
+    def test_failed_write_leaves_the_request_charged(self, trained, capsys):
+        cfg, out = trained
+        corpus = sorted((out / "corpus").glob("*.pgm"))[:3]
+        (out / "perturbed" / corpus[2].name).mkdir(parents=True)
+        capsys.readouterr()
+        assert run("perturb", "--config", cfg, "--sensitivity", "5.0", "--input", *corpus) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        ledger = PrivacyBudgetLedger.load_csv(out / "ledger.csv")
+        assert [e.release_id for e in ledger.entries] == [p.name for p in corpus]
 
     @pytest.mark.parametrize("twice", ["directory", "file"])
     def test_inputs_sharing_a_name_release_nothing(self, trained, tmp_path, capsys, twice):

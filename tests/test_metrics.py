@@ -19,6 +19,7 @@ from dpimage.metrics import (
     mosaic_baseline,
     nearest_rank_percentile,
     ssim,
+    ssim_reference,
     ssim_scores,
     write_aggregate_csv,
     write_per_image_csv,
@@ -176,6 +177,27 @@ def tensordot_ssim(x, y, window=11, sigma=1.5):
     return float(np.mean(num / den))
 
 
+def five_stack_ssim(x, y, window=11, sigma=1.5):
+    """SSIM filtering all five statistics of each 16-pair block together, so
+    nothing is shared between calls: the bits the reference step must keep."""
+    half = (window - 1) / 2.0
+    g = np.exp(-((np.arange(window) - half) ** 2) / (2.0 * sigma * sigma))
+    rows = np.zeros((x.shape[-2] - window + 1, x.shape[-2]))
+    cols = np.zeros((x.shape[-1] - window + 1, x.shape[-1]))
+    for band in (rows, cols):
+        for i in range(len(band)):
+            band[i, i : i + window] = g / g.sum()
+    out = []
+    for start in range(0, len(x), 16):
+        a, b = x[start : start + 16], y[start : start + 16]
+        mu_x, mu_y, xx, yy, xy = rows @ np.stack([a, b, a * a, b * b, a * b]) @ cols.T
+        var_x, var_y, cov = xx - mu_x * mu_x, yy - mu_y * mu_y, xy - mu_x * mu_y
+        num = (2.0 * mu_x * mu_y + 0.01**2) * (2.0 * cov + 0.03**2)
+        den = (mu_x * mu_x + mu_y * mu_y + 0.01**2) * (var_x + var_y + 0.03**2)
+        out.append(np.mean((num / den).reshape(len(a), -1), axis=1))
+    return np.concatenate(out)
+
+
 class TestSsimStack:
     @pytest.mark.parametrize(
         "shape,window,sigma", [((32, 32), 11, 1.5), ((11, 11), 11, 1.5), ((20, 24), 7, 1.0)]
@@ -196,6 +218,34 @@ class TestSsimStack:
             assert scores[i] == ssim(x[i], y[i])
         order = rng.permutation(20)[:7]
         assert np.array_equal(ssim_scores(x[order], y[order]), scores[order])
+
+    @pytest.mark.parametrize("n", [1, 16, 17, 33])
+    def test_reference_scorer_equals_ssim_scores(self, n):
+        rng = np.random.default_rng(n)
+        x, y, z = rng.uniform(size=(3, n, 32, 32))
+        score = ssim_reference(x)
+        scores = ssim_scores(x, y)
+        # one scorer serves many stacks against its reference
+        assert np.array_equal(score(y), scores)
+        assert np.array_equal(score(z), ssim_scores(x, z))
+        assert np.array_equal(score(y), scores)
+        assert np.array_equal(scores, five_stack_ssim(x, y))
+        for i in range(n):
+            assert scores[i] == ssim(x[i], y[i])
+
+    def test_reference_smaller_than_window_rejected(self):
+        x = np.zeros((3, 10, 32))
+        with pytest.raises(ValueError) as direct:
+            ssim_scores(x, x)
+        with pytest.raises(ValueError) as reference:
+            ssim_reference(x)
+        assert str(reference.value) == str(direct.value)
+        assert str(direct.value) == "image (3, 10, 32) smaller than the 11x11 window"
+
+    def test_scorer_rejects_other_shapes(self):
+        score = ssim_reference(np.zeros((2, 16, 16)))
+        with pytest.raises(ValueError, match="image shapes differ"):
+            score(np.zeros((3, 16, 16)))
 
 
 class TestIss:
