@@ -195,6 +195,17 @@ def _input_images(paths: list[Path]) -> list[Path]:
     return files
 
 
+def _ledger_checkpoint(out_dir: Path):
+    """The extra of the last perturb's provenance, or None when unreadable.
+
+    load_csv verifies it against the ledger's bytes before using it.
+    """
+    try:
+        return json.loads((out_dir / "provenance_perturb.json").read_bytes())["extra"]
+    except (OSError, ValueError, LookupError, TypeError):
+        return None
+
+
 def cmd_perturb(config: RunConfig, model_path: Path, inputs: list[Path]) -> None:
     out_dir = Path(config.output_dir)
     model = load_model(model_path)
@@ -202,7 +213,7 @@ def cmd_perturb(config: RunConfig, model_path: Path, inputs: list[Path]) -> None
     params = _privacy_params(config, config.epsilon, delta_f)
     ledger_path = out_dir / "ledger.csv"
     ledger = (
-        PrivacyBudgetLedger.load_csv(ledger_path)
+        PrivacyBudgetLedger.load_csv(ledger_path, _ledger_checkpoint(out_dir))
         if ledger_path.exists()
         else PrivacyBudgetLedger()
     )
@@ -237,8 +248,10 @@ def cmd_perturb(config: RunConfig, model_path: Path, inputs: list[Path]) -> None
             "scale": params.scale,
             "n_images": len(files),
             "first_ledger_row": loaded,
-            "ledger_rows": len(ledger),
             "ledger_total": total,
+            # ledger_rows, ledger_sums and ledger_digest: the next request
+            # parses no row while the ledger still holds these bytes
+            **ledger.checkpoint(),
             # the loss per unit of l1 latent distance, epsilon / delta_f
             "epsilon_per_l1": config.epsilon / delta_f if delta_f > 0 else None,
             "partial_coordinate_dp": config.mask_mode == "identity_only",

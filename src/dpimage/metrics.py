@@ -67,10 +67,15 @@ def ssim_reference(x: np.ndarray, window: int = SSIM_WINDOW, sigma: float = SSIM
     Gaussian window (default 11x11, sigma 1.5) over all fully interior
     windows, constants for unit dynamic range. The window is separable, so
     every local statistic of a stack a is rows @ a @ cols.T with banded
-    matrices of 1-D taps (Wang et al. 2004). x and x * x are filtered here;
-    each call filters y, y * y and x * y, BLOCK_ROWS pairs at a time. A
-    stacked matmul runs one product per image, so the grouping moves no bit.
+    matrices of 1-D taps (Wang et al. 2004). x and x * x are filtered here,
+    for a scorer called more than once; each call filters y, y * y and
+    x * y, BLOCK_ROWS pairs at a time. A stacked matmul runs one product per
+    image, so the grouping moves no bit.
     """
+    return _ssim_scorer(x, window, sigma, hold_reference=True)
+
+
+def _ssim_scorer(x, window: int, sigma: float, hold_reference: bool):
     x = np.asarray(x, dtype=np.float64)
     if x.ndim < 2 or x.shape[-2] < window or x.shape[-1] < window:
         raise ValueError(f"image {x.shape} smaller than the {window}x{window} window")
@@ -78,8 +83,12 @@ def ssim_reference(x: np.ndarray, window: int = SSIM_WINDOW, sigma: float = SSIM
     rows = _gaussian_band(h, window, sigma)
     cols = _gaussian_band(w, window, sigma)
     x_all = x.reshape(-1, h, w)
-    mu_x_all = rows @ x_all @ cols.T  # two products: half the temporaries of one
-    xx_all = rows @ (x_all * x_all) @ cols.T
+
+    def filter_x(block: slice):
+        a = x_all[block]
+        return rows @ a @ cols.T, rows @ (a * a) @ cols.T  # two products: half the temporaries
+
+    held = filter_x(slice(None)) if hold_reference else None
 
     def score(y: np.ndarray) -> np.ndarray:
         y = _check_same_shape(x, y)[1].reshape(-1, h, w)
@@ -87,7 +96,7 @@ def ssim_reference(x: np.ndarray, window: int = SSIM_WINDOW, sigma: float = SSIM
         for start in range(0, len(x_all), BLOCK_ROWS):
             block = slice(start, start + BLOCK_ROWS)
             a, b = x_all[block], y[block]
-            mu_x, xx = mu_x_all[block], xx_all[block]
+            mu_x, xx = (held[0][block], held[1][block]) if held else filter_x(block)
             mu_y, yy, xy = rows @ np.stack([b, b * b, a * b]) @ cols.T
             var_x = xx - mu_x * mu_x
             var_y = yy - mu_y * mu_y
@@ -103,8 +112,9 @@ def ssim_reference(x: np.ndarray, window: int = SSIM_WINDOW, sigma: float = SSIM
 def ssim_scores(
     x: np.ndarray, y: np.ndarray, window: int = SSIM_WINDOW, sigma: float = SSIM_SIGMA
 ) -> np.ndarray:
-    """Mean SSIM of each pair of two stacks: the scorer of ssim_reference(x) on y."""
-    return ssim_reference(x, window, sigma)(y)
+    """Mean SSIM of each pair of two stacks, as the scorer of ssim_reference(x)
+    gives it; x is filtered a block at a time, so memory does not grow with n."""
+    return _ssim_scorer(x, window, sigma, hold_reference=False)(y)
 
 
 def ssim(

@@ -23,9 +23,10 @@ guarantee. The toolkit itself never does this.
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
+import json
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,7 @@ from .errors import FormatError
 from .numerics import RngStream, make_stream, rng_uniform_batch, rng_uniform_rows
 
 LEDGER_HEADER = ("release_id", "epsilon", "group")
+CHECKPOINT_KEYS = ("ledger_rows", "ledger_sums", "ledger_digest")
 SENSITIVITY_BINS = 20  # histogram bins over [0, delta_f]
 
 
@@ -245,91 +247,172 @@ class PrivacyBudgetLedger:
 
     Releases within one disjointness group touch the same data and compose
     sequentially (budgets add); distinct groups touch disjoint data and
-    compose in parallel (overall budget is the max over groups). Appends are
-    serialized; entries are never mutated or removed. Rows are kept as plain
-    tuples next to running per-group sums, added in row order.
+    compose in parallel (overall budget is the max over groups). Entries are
+    never mutated or removed. Rows are kept as plain tuples next to running
+    per-group sums, added in row order. A ledger opened from a checkpoint
+    (see load_csv) keeps no tuples for the rows already in its file: it
+    knows their count and sums, and entries reads them from the file.
     """
 
     def __init__(self):
-        self._rows: list[tuple[str, float, str]] = []
+        self._rows: list[tuple[str, float, str]] = []  # the rows after the first _base
         self._sums: dict[str, float] = {}
-        self._lock = threading.Lock()
+        self._base = 0  # rows known only by count, held in the file at _path
+        self._path = None
+        # sha256 of the bytes of the file this ledger last read or wrote, which
+        # holds its first _saved rows; None after an append to another file
+        self._hash = hashlib.sha256()
+        self._saved = 0
 
     def record(self, release_id: str, epsilon: float, group: str = "default") -> None:
         if not epsilon > 0:
             raise ValueError(f"epsilon must be positive, got {epsilon}")
         epsilon = float(epsilon)
-        with self._lock:
-            self._rows.append((release_id, epsilon, group))
-            self._sums[group] = self._sums.get(group, 0.0) + epsilon
+        self._rows.append((release_id, epsilon, group))
+        self._sums[group] = self._sums.get(group, 0.0) + epsilon
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return self._base + len(self._rows)
+
+    def _all_rows(self) -> list[tuple[str, float, str]]:
+        if not self._base:
+            return self._rows
+        with open(self._path, "rb") as f:
+            head = _parse_rows(self._path, f.read())[0][: self._base]
+        return head + self._rows
 
     @property
     def entries(self) -> tuple[LedgerEntry, ...]:
-        with self._lock:
-            return tuple(LedgerEntry(*row) for row in self._rows)
+        return tuple(LedgerEntry(*row) for row in self._all_rows())
 
     def total(self) -> float:
         """Overall budget: max over groups of the within-group epsilon sum."""
-        with self._lock:
-            return max(self._sums.values(), default=0.0)
+        return max(self._sums.values(), default=0.0)
 
     def save_csv(self, path, start: int = 0) -> None:
         """Write the ledger as CSV; the first ``start`` rows are already in the file.
 
         start 0 writes the header and every row. start > 0 appends only the
         rows after it, so a release request costs its own rows, not the
-        ledger's length.
+        ledger's length. The file's running hash is extended by the bytes
+        written, so checkpoint() hashes no row twice.
         """
-        with self._lock:
-            if not 0 <= start <= len(self._rows):
-                raise ValueError(f"start {start} outside [0, {len(self._rows)}]")
-            rows = self._rows[start:]
-        with open(path, "a" if start else "w", newline="") as f:
-            writer = csv.writer(f)
-            if not start:
-                writer.writerow(LEDGER_HEADER)
-            writer.writerows(rows)  # csv writes a float as its repr
+        if not 0 <= start <= len(self):
+            raise ValueError(f"start {start} outside [0, {len(self)}]")
+        rows = self._rows[start - self._base :] if start >= self._base else self._all_rows()[start:]
+        text = io.StringIO()
+        writer = csv.writer(text)
+        if not start:
+            writer.writerow(LEDGER_HEADER)
+        writer.writerows(rows)  # csv writes a float as its repr
+        blob = text.getvalue().encode()
+        if not start:
+            self._hash = hashlib.sha256()
+        elif start != self._saved:  # not the file this ledger last read or wrote
+            self._hash = None
+        with open(path, "ab" if start else "wb") as f:
+            f.write(blob)
+        if self._hash is not None:
+            self._hash.update(blob)
+        self._saved = len(self)
+
+    def checkpoint(self) -> dict:
+        """Row count, per-group sums and ``ledger_digest`` for load_csv to verify.
+
+        The digest is the sha256 of the file's bytes followed by the
+        canonical JSON of [rows, sums]. It needs every row saved by this
+        ledger, with the last save_csv starting where the file ended.
+        """
+        if self._hash is None or self._saved != len(self):
+            raise ValueError("a checkpoint needs every row saved, appended to the file read")
+        sums = dict(self._sums)
+        return {
+            "ledger_rows": len(self),
+            "ledger_sums": sums,
+            "ledger_digest": _checkpoint_digest(self._hash, len(self), sums),
+        }
 
     @classmethod
-    def load_csv(cls, path) -> "PrivacyBudgetLedger":
+    def load_csv(cls, path, checkpoint=None) -> "PrivacyBudgetLedger":
         """Read a ledger written by save_csv; a malformed file raises FormatError.
 
         The error names the file and the line. A last line without its line
         end is malformed too: it is what an interrupted append leaves.
+
+        checkpoint is a mapping that holds what checkpoint() returned, as
+        read back from wherever the caller stored it. When its digest matches
+        the file's bytes and its own count and sums, the ledger takes those
+        and parses no row. Any other checkpoint (stale, damaged, of other
+        bytes, of the wrong types) is ignored, and every row is parsed.
         """
-        with open(path, newline="") as f:
-            text = f.read()
-        rows = csv.reader(io.StringIO(text))
-
-        def malformed(what: str) -> FormatError:
-            return FormatError(f"{path}, line {rows.line_num}: {what}")
-
+        with open(path, "rb") as f:
+            blob = f.read()
         ledger = cls()
-        entries, sums = ledger._rows, ledger._sums
-        try:  # the reader raises csv.Error on what it cannot split, such as a huge field
-            header = next(rows, None)
-            if header is not None and header != list(LEDGER_HEADER):
-                raise malformed(f"header {header}, expected {list(LEDGER_HEADER)}")
-            for row in rows:
-                try:
-                    release_id, epsilon, group = row
-                    epsilon = float(epsilon)
-                except ValueError:
-                    if len(row) != 3:
-                        raise malformed(f"{len(row)} fields, expected 3") from None
-                    raise malformed(f"epsilon {row[1]!r} is not a number") from None
-                if not epsilon > 0:
-                    raise malformed(f"epsilon must be positive, got {epsilon}")
-                entries.append((release_id, epsilon, group))
-                sums[group] = sums.get(group, 0.0) + epsilon
-        except csv.Error as exc:
-            raise malformed(str(exc)) from None
-        if text and not text.endswith("\n"):
-            raise malformed("last row has no line end")
+        ledger._hash = hashlib.sha256(blob)
+        summary = _verified_summary(checkpoint, ledger._hash)
+        if summary is None:
+            ledger._rows, ledger._sums = _parse_rows(path, blob)
+        else:
+            ledger._base, ledger._sums = summary
+            ledger._path = path
+        ledger._saved = len(ledger)
         return ledger
+
+
+def _checkpoint_digest(file_hash, rows: int, sums: dict) -> str:
+    digest = file_hash.copy()
+    digest.update(json.dumps([rows, sums], sort_keys=True, separators=(",", ":")).encode())
+    return digest.hexdigest()
+
+
+def _verified_summary(checkpoint, file_hash) -> tuple[int, dict[str, float]] | None:
+    """(rows, sums) of a checkpoint whose digest matches file_hash, else None."""
+    try:
+        rows, sums, digest = (checkpoint[key] for key in CHECKPOINT_KEYS)
+    except (LookupError, TypeError):
+        return None
+    if not (
+        type(rows) is int
+        and rows >= 0
+        and isinstance(sums, dict)
+        and all(type(g) is str and type(v) is float for g, v in sums.items())
+        and digest == _checkpoint_digest(file_hash, rows, sums)
+    ):
+        return None
+    return rows, dict(sums)
+
+
+def _parse_rows(path, blob: bytes) -> tuple[list[tuple[str, float, str]], dict[str, float]]:
+    """The rows and per-group sums of a ledger file's bytes, every row validated."""
+    text = blob.decode()
+    rows = csv.reader(io.StringIO(text))
+
+    def malformed(what: str) -> FormatError:
+        return FormatError(f"{path}, line {rows.line_num}: {what}")
+
+    entries: list[tuple[str, float, str]] = []
+    sums: dict[str, float] = {}
+    try:  # the reader raises csv.Error on what it cannot split, such as a huge field
+        header = next(rows, None)
+        if header is not None and header != list(LEDGER_HEADER):
+            raise malformed(f"header {header}, expected {list(LEDGER_HEADER)}")
+        for row in rows:
+            try:
+                release_id, epsilon, group = row
+                epsilon = float(epsilon)
+            except ValueError:
+                if len(row) != 3:
+                    raise malformed(f"{len(row)} fields, expected 3") from None
+                raise malformed(f"epsilon {row[1]!r} is not a number") from None
+            if not epsilon > 0:
+                raise malformed(f"epsilon must be positive, got {epsilon}")
+            entries.append((release_id, epsilon, group))
+            sums[group] = sums.get(group, 0.0) + epsilon
+    except csv.Error as exc:
+        raise malformed(str(exc)) from None
+    if text and not text.endswith("\n"):
+        raise malformed("last row has no line end")
+    return entries, sums
 
 
 def verify_dp_empirical(

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dpimage import cli
+from dpimage import cli, privacy
 from dpimage.cli import _baseline_table, main
 from dpimage.config import RunConfig, build_config, load_config_file, parse_levels
 from dpimage.codec import decode, encode, encode_batch, load_model
@@ -350,6 +350,84 @@ class TestPerturb:
         assert extra["first_ledger_row"] == 10 and extra["ledger_rows"] == 20
         assert extra["epsilon_per_l1"] == 0.5 / 5.0
 
+    def test_checkpointed_requests_equal_full_parses(self, trained, tmp_path, monkeypatch):
+        cfg, out = trained
+        corpus = sorted((out / "corpus").glob("*.pgm"))
+        requests = [
+            (corpus[:3], ("--epsilon", "0.1")),
+            (corpus[3:10], ("--epsilon", "0.25", "--mask_mode", "identity_only")),
+            (corpus[10:12], ("--epsilon", "0.3")),
+            (corpus[:5], ("--epsilon", "0.1")),
+        ]
+        calls = []
+        parse = privacy._parse_rows
+        monkeypatch.setattr(privacy, "_parse_rows", lambda *a: calls.append(a) or parse(*a))
+        results = {}
+        for dst in ("checkpoint", "parsed"):
+            calls.clear()
+            records = []
+            for request, flags in requests:
+                if dst == "parsed":
+                    (tmp_path / dst / "provenance_perturb.json").unlink(missing_ok=True)
+                assert run(
+                    "perturb", "--config", cfg, "--model", out / "model.dpim", "--sensitivity",
+                    "5.0", "--output_dir", tmp_path / dst, *flags, "--input", *request,
+                ) == 0
+                prov = json.loads((tmp_path / dst / "provenance_perturb.json").read_text())
+                records.append(prov["extra"])
+            ledger = (tmp_path / dst / "ledger.csv").read_bytes()
+            results[dst] = records, ledger, tree_bytes(tmp_path / dst / "perturbed"), len(calls)
+        assert results["checkpoint"][:3] == results["parsed"][:3]
+        assert [r["first_ledger_row"] for r in results["parsed"][0]] == [0, 3, 10, 12]
+        # with a matching checkpoint no request parses a row; without one, each does
+        assert results["checkpoint"][3] == 0 and results["parsed"][3] == len(requests) - 1
+
+    @pytest.mark.parametrize(
+        "damage", ["truncated", "no_keys", "wrong_types", "older_sums", "older_record"]
+    )
+    def test_unverified_provenance_falls_back_to_full_parse(self, trained, tmp_path, damage):
+        cfg, out = trained
+        corpus = sorted((out / "corpus").glob("*.pgm"))
+        requests = [(corpus[:3], "0.5"), (corpus[3:10], "0.25"), (corpus[10:12], "2.0")]
+        results = {}
+        for dst in ("damaged", "parsed"):
+            prov = tmp_path / dst / "provenance_perturb.json"
+            for k, (request, epsilon) in enumerate(requests):
+                if k == 1:
+                    older = json.loads(prov.read_text())["extra"]
+                if k == 2 and dst == "parsed":
+                    prov.unlink()
+                elif k == 2:
+                    record = json.loads(prov.read_text())
+                    extra = record["extra"]
+                    if damage == "no_keys":
+                        for key in ("ledger_rows", "ledger_sums", "ledger_digest"):
+                            del extra[key]
+                    elif damage == "wrong_types":
+                        extra["ledger_rows"] = str(extra["ledger_rows"])
+                        extra["ledger_sums"] = list(extra["ledger_sums"].values())
+                    elif damage == "older_sums":  # the current digest, an older request's sums
+                        extra["ledger_sums"] = older["ledger_sums"]
+                    elif damage == "older_record":
+                        record["extra"] = older
+                    blob = json.dumps(record, indent=2, sort_keys=True).encode()
+                    if damage == "truncated":
+                        blob = prov.read_bytes()[: len(blob) // 2]
+                    prov.write_bytes(blob)
+                assert run(
+                    "perturb", "--config", cfg, "--model", out / "model.dpim", "--sensitivity",
+                    "5.0", "--epsilon", epsilon, "--output_dir", tmp_path / dst,
+                    "--input", *request,
+                ) == 0
+            ledger = (tmp_path / dst / "ledger.csv").read_bytes()
+            results[dst] = json.loads(prov.read_text())["extra"], ledger, tree_bytes(
+                tmp_path / dst / "perturbed"
+            )
+        assert results["damaged"] == results["parsed"]
+        extra = results["parsed"][0]
+        assert extra["first_ledger_row"] == 10 and extra["ledger_rows"] == 12
+        assert extra["ledger_total"] == 3 * 0.5 + 7 * 0.25 + 2 * 2.0
+
     def test_identity_only_mask(self, trained):
         cfg, out = trained
         assert run("sensitivity", "--config", cfg) == 0
@@ -608,6 +686,30 @@ class TestErrorReporting:
         assert ledger.read_bytes() == text.encode()
         assert not (out / "perturbed").exists() or not any((out / "perturbed").iterdir())
 
+    def test_damaged_checkpointed_ledger_is_one_line_error(self, trained, capsys):
+        cfg, out = trained
+        corpus = sorted((out / "corpus").glob("*.pgm"))
+        for request in (corpus[:10], corpus[10:]):
+            assert run(
+                "perturb", "--config", cfg, "--sensitivity", "5.0", "--epsilon", "0.5",
+                "--input", *request,
+            ) == 0
+        ledger = out / "ledger.csv"
+        lines = ledger.read_bytes().split(b"\r\n")
+        assert len(lines) == 22 and lines[10].endswith(b",0.5,corpus")
+        lines[10] = lines[10].replace(b",0.5,", b",0.x,")  # line 11, same length
+        damaged = b"\r\n".join(lines)
+        ledger.write_bytes(damaged)
+        released = tree_bytes(out / "perturbed")
+        capsys.readouterr()
+        code = run("perturb", "--config", cfg, "--sensitivity", "5.0", "--input", *corpus[:2])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error:format: ") and "ledger.csv, line 11: epsilon '0.x'" in err[0]
+        assert ledger.read_bytes() == damaged
+        assert tree_bytes(out / "perturbed") == released
+
     @pytest.mark.parametrize(
         "flags",
         [
@@ -674,13 +776,19 @@ class TestErrorReporting:
     def test_failed_write_leaves_the_request_charged(self, trained, capsys):
         cfg, out = trained
         corpus = sorted((out / "corpus").glob("*.pgm"))[:3]
-        (out / "perturbed" / corpus[2].name).mkdir(parents=True)
+        assert run("perturb", "--config", cfg, "--sensitivity", "5.0", "--input", corpus[0]) == 0
+        (out / "perturbed" / corpus[2].name).mkdir()
         capsys.readouterr()
-        assert run("perturb", "--config", cfg, "--sensitivity", "5.0", "--input", *corpus) == 1
+        assert run("perturb", "--config", cfg, "--sensitivity", "5.0", "--input", *corpus[1:]) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
         ledger = PrivacyBudgetLedger.load_csv(out / "ledger.csv")
         assert [e.release_id for e in ledger.entries] == [p.name for p in corpus]
+        # the provenance record still describes the one-row ledger: it must not be trusted
+        (out / "perturbed" / corpus[2].name).rmdir()
+        assert run("perturb", "--config", cfg, "--sensitivity", "5.0", "--input", corpus[2]) == 0
+        extra = json.loads((out / "provenance_perturb.json").read_text())["extra"]
+        assert extra["first_ledger_row"] == 3 and extra["ledger_rows"] == 4
 
     @pytest.mark.parametrize("twice", ["directory", "file"])
     def test_inputs_sharing_a_name_release_nothing(self, trained, tmp_path, capsys, twice):

@@ -1,3 +1,4 @@
+import json
 import math
 import tempfile
 from pathlib import Path
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dpimage import privacy
 from dpimage.codec import decode, encode, init_model
 from dpimage.errors import FormatError
 from dpimage.numerics import RngStream, derive_states, derive_stream, make_stream, rng_uniform_batch
@@ -478,6 +480,109 @@ class TestLedger:
         path.write_bytes(text.encode())
         with pytest.raises(FormatError, match=f"ledger.csv, {message}"):
             PrivacyBudgetLedger.load_csv(path)
+
+
+class TestLedgerCheckpoint:
+    @staticmethod
+    def saved(path, records):
+        ledger = PrivacyBudgetLedger()
+        for record in records:
+            ledger.record(*record)
+        ledger.save_csv(path)
+        return ledger
+
+    @staticmethod
+    def through_json(checkpoint):
+        # as the CLI stores it: a provenance record's extra, indented and sorted
+        return json.loads(json.dumps({"extra": checkpoint}, indent=2, sort_keys=True))["extra"]
+
+    def test_two_group_sums_come_back_exactly(self, tmp_path):
+        path = tmp_path / "ledger.csv"
+        records = [("a", 0.1, "g1"), ("b", 1 / 3, "g2"), ("c", 0.2, "g1"), ("d", 1e-7, "g2")]
+        records += [(f"r{k}", 0.1 * (k + 1), "g1") for k in range(5)]
+        ledger = self.saved(path, records)
+        checkpoint = ledger.checkpoint()
+        back = PrivacyBudgetLedger.load_csv(path, self.through_json(checkpoint))
+        parsed = PrivacyBudgetLedger.load_csv(path)
+        assert parsed.checkpoint() == checkpoint
+        assert back.checkpoint() == checkpoint
+        assert set(checkpoint["ledger_sums"]) == {"g1", "g2"}
+        assert back.total() == parsed.total() == ledger.total()
+        assert len(back) == len(records)
+        assert back.entries == parsed.entries == ledger.entries
+
+    def test_matching_checkpoint_parses_no_row(self, tmp_path, monkeypatch):
+        path = tmp_path / "ledger.csv"
+        checkpoint = self.saved(path, [("a", 0.5, "g"), ("b", 0.25, "h")]).checkpoint()
+        calls = []
+        parse = privacy._parse_rows
+        monkeypatch.setattr(
+            privacy, "_parse_rows", lambda *args: calls.append(args) or parse(*args)
+        )
+        back = PrivacyBudgetLedger.load_csv(path, checkpoint)
+        assert calls == [] and len(back) == 2 and back.total() == 0.5
+        PrivacyBudgetLedger.load_csv(path, {**checkpoint, "ledger_rows": 3})
+        assert len(calls) == 1
+
+    def test_checkpointed_ledger_appends_and_lists_every_row(self, tmp_path):
+        path = tmp_path / "ledger.csv"
+        records = [("a,with comma", 0.5, "g"), ("b", 0.25, "h"), ("c", 2.0, "g")]
+        checkpoint = self.saved(path, records[:2]).checkpoint()
+        back = PrivacyBudgetLedger.load_csv(path, checkpoint)
+        back.record(*records[2])
+        assert back.entries == tuple(LedgerEntry(*r) for r in records)
+        back.save_csv(path, start=2)
+        back.save_csv(tmp_path / "whole.csv")  # the first two rows come from the file
+        self.saved(tmp_path / "expected.csv", records)
+        assert path.read_bytes() == (tmp_path / "expected.csv").read_bytes()
+        assert (tmp_path / "whole.csv").read_bytes() == path.read_bytes()
+        again = PrivacyBudgetLedger.load_csv(path, back.checkpoint())
+        assert again.entries == back.entries and again.total() == 2.5
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda c: None,
+            lambda c: [],
+            lambda c: {k: v for k, v in c.items() if k != "ledger_digest"},
+            lambda c: {**c, "ledger_rows": str(c["ledger_rows"])},
+            lambda c: {**c, "ledger_rows": float(c["ledger_rows"])},
+            lambda c: {**c, "ledger_sums": list(c["ledger_sums"].values())},
+            lambda c: {**c, "ledger_sums": {"g": 1}},
+            lambda c: {**c, "ledger_digest": None},
+            lambda c: {**c, "ledger_rows": c["ledger_rows"] - 1},
+            lambda c: {**c, "ledger_sums": {"g": 0.5}},
+        ],
+        ids=[
+            "none", "list", "no_digest", "rows_str", "rows_float", "sums_list", "sums_int",
+            "digest_none", "rows_off_by_one", "older_sums",
+        ],
+    )
+    def test_unverified_checkpoint_parses_every_row(self, tmp_path, damage):
+        path = tmp_path / "ledger.csv"
+        records = [("a", 0.5, "g"), ("b", 0.75, "g")]
+        checkpoint = self.saved(path, records).checkpoint()
+        back = PrivacyBudgetLedger.load_csv(path, damage(checkpoint))
+        assert back.entries == tuple(LedgerEntry(*r) for r in records)
+        assert back.checkpoint() == checkpoint
+
+    def test_checkpoint_of_other_bytes_rejected(self, tmp_path):
+        path = tmp_path / "ledger.csv"
+        checkpoint = self.saved(path, [("a", 0.5, "g"), ("b", 0.5, "g")]).checkpoint()
+        damaged = path.read_bytes().replace(b"b,0.5", b"b,x.5")
+        path.write_bytes(damaged)
+        with pytest.raises(FormatError, match="ledger.csv, line 3: epsilon 'x.5'"):
+            PrivacyBudgetLedger.load_csv(path, checkpoint)
+
+    def test_checkpoint_needs_every_row_saved(self, tmp_path):
+        ledger = self.saved(tmp_path / "ledger.csv", [("a", 0.5, "g")])
+        ledger.record("b", 0.5, "g")
+        with pytest.raises(ValueError, match="saved"):
+            ledger.checkpoint()
+        ledger.record("c", 0.5, "g")
+        ledger.save_csv(tmp_path / "other.csv", start=2)  # not where the file ended
+        with pytest.raises(ValueError, match="saved"):
+            ledger.checkpoint()
 
 
 class TestVerifyDp:
