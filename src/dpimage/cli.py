@@ -28,13 +28,12 @@ from .config import RunConfig, build_config, config_dict, parse_levels
 from .data import generate_corpus, load_manifest, read_pgm, save_manifest, write_file, write_pgm
 from .errors import ConfigError, DataError, DpImageError
 from .metrics import (
+    Originals,
     blur_baseline,
-    calibrate_threshold,
-    evaluate_pairs,
     iss_scores,
     l2_distances,
     mosaic_baseline,
-    ssim_reference,
+    nearest_rank_percentile,
     write_aggregate_csv,
     write_per_image_csv,
 )
@@ -71,9 +70,9 @@ def _write_provenance(
 
 
 def _load_corpus(corpus_dir: Path, split: str | None = None):
-    """Manifest rows of one split (every row for None) and their images by path."""
+    """Manifest rows of one split (every row for None) and their images, in row order."""
     rows = [r for r in load_manifest(corpus_dir / "manifest.csv") if split in (None, r.split)]
-    return rows, {r.path: read_pgm(corpus_dir / r.path) for r in rows}
+    return rows, [read_pgm(corpus_dir / r.path) for r in rows]
 
 
 def _privacy_params(config: RunConfig, epsilon: float, sensitivity: float) -> PrivacyParams:
@@ -100,17 +99,23 @@ def _resolve_delta_f(config: RunConfig, out_dir: Path) -> float:
     )
 
 
-def _calibrate_from_corpus(model, eval_rows, images):
-    if len(eval_rows) < 4:
+def _eval_split(corpus_dir: Path):
+    """Identity ids and image stack of the eval split, which calibrates tau."""
+    rows, images = _load_corpus(corpus_dir, "eval")
+    if len(rows) < 4:
         raise DataError("need at least 4 eval images to calibrate a threshold")
-    genuine, impostor = [], []
-    for i, a in enumerate(eval_rows):
-        for b in eval_rows[i + 1 :]:
-            pair = (images[a.path], images[b.path])
-            (genuine if a.identity_id == b.identity_id else impostor).append(pair)
-    if not genuine or not impostor:
+    return np.array([r.identity_id for r in rows]), np.stack(images)
+
+
+def _calibrated_tau(identity_ids: np.ndarray, embeddings: np.ndarray) -> float:
+    """tau at the nearest-rank 95th percentile of the ISS over every impostor
+    pair i < j of eval images, as calibrate_threshold sets it."""
+    i, j = np.triu_indices(len(identity_ids), k=1)
+    impostor = identity_ids[i] != identity_ids[j]
+    if impostor.all() or not impostor.any():
         raise DataError("eval split lacks genuine or impostor pairs")
-    return calibrate_threshold(model, genuine, impostor)
+    i, j = i[impostor], j[impostor]
+    return nearest_rank_percentile(iss_scores(embeddings[i], embeddings[j]), 95.0)
 
 
 def cmd_generate(config: RunConfig) -> None:
@@ -130,10 +135,9 @@ def cmd_generate(config: RunConfig) -> None:
 def cmd_train(config: RunConfig, corpus_dir: Path) -> None:
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    train_rows, images = _load_corpus(corpus_dir, "train")
+    train_rows, corpus = _load_corpus(corpus_dir, "train")
     if not train_rows:
         raise DataError("manifest has no train split")
-    corpus = [images[r.path] for r in train_rows]
     labels = [r.identity_id for r in train_rows]
     model, trace = train(corpus, config)
     model = align_identity_basis(model, corpus, labels)
@@ -151,7 +155,7 @@ def cmd_sensitivity(config: RunConfig, model_path: Path, corpus_dir: Path) -> No
     out_dir.mkdir(parents=True, exist_ok=True)
     model = load_model(model_path)
     manifest, images = _load_corpus(corpus_dir)
-    latents = encode_batch(model, [images[r.path] for r in manifest])
+    latents = encode_batch(model, images)
     report = estimate_sensitivity(latents)
     latents_to_csv(latents, out_dir / "latents.csv")
     with open(out_dir / "sensitivity_histogram.csv", "w", newline="") as f:
@@ -266,8 +270,8 @@ def cmd_perturb(config: RunConfig, model_path: Path, inputs: list[Path]) -> None
 def cmd_evaluate(
     config: RunConfig,
     model_path: Path,
-    originals: Path,
-    perturbed: Path,
+    originals_dir: Path,
+    perturbed_dir: Path,
     corpus_dir: Path,
     threshold: float | None,
     baselines: bool,
@@ -275,26 +279,24 @@ def cmd_evaluate(
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     model = load_model(model_path)
-    orig_files = {p.name: p for p in sorted(originals.glob("*.pgm"))}
-    pert_files = {p.name: p for p in sorted(perturbed.glob("*.pgm"))}
+    orig_files = {p.name: p for p in sorted(originals_dir.glob("*.pgm"))}
+    pert_files = {p.name: p for p in sorted(perturbed_dir.glob("*.pgm"))}
     if not orig_files:
-        raise DataError(f"no PGM images under {originals}")
+        raise DataError(f"no PGM images under {originals_dir}")
     missing = sorted(set(orig_files) ^ set(pert_files))
     if missing:
         raise DataError(f"originals and perturbed are misaligned on: {missing[:5]}")
     if threshold is None:
-        eval_rows, images = _load_corpus(corpus_dir, "eval")
-        threshold = _calibrate_from_corpus(model, eval_rows, images).tau
-    pairs = [
-        (name, read_pgm(orig_files[name]), read_pgm(pert_files[name]))
-        for name in sorted(orig_files)
-    ]
-    report = evaluate_pairs(model, pairs, threshold)
+        ids, x_eval = _eval_split(corpus_dir)
+        threshold = _calibrated_tau(ids, encode_batch(model, x_eval)[:, : model.identity_len])
+    names = sorted(orig_files)
+    originals = Originals(model, [read_pgm(orig_files[name]) for name in names])
+    report = originals.report([read_pgm(pert_files[name]) for name in names], threshold, names)
     write_per_image_csv(report, out_dir / "per_image.csv")
     write_aggregate_csv(report, out_dir / "aggregate.csv")
     extra = {"threshold": threshold, "mean_iss": report.mean_iss}
     if baselines:
-        table, notes = _baseline_table(model, pairs, report, threshold)
+        table, notes = _baseline_table(originals, report)
         with open(out_dir / "table.csv", "w", newline="") as f:
             f.write("method,l2,ald_inf,ssim,iss,fed,fppsr\n")
             for row in table:
@@ -302,26 +304,17 @@ def cmd_evaluate(
         extra["baseline_notes"] = notes
         print(notes["fed_ranking"])
     _write_provenance(out_dir, "evaluate", config, extra)
-    print(f"evaluated {len(pairs)} pairs; mean ISS {report.mean_iss:.4f}")
+    print(f"evaluated {len(names)} pairs; mean ISS {report.mean_iss:.4f}")
 
 
-def _baseline_table(model, pairs, dp_report, threshold):
+def _baseline_table(originals: Originals, dp_report):
     """Blur and mosaic rows tuned to match the dp-image mean ISS.
 
     The search scores each candidate stack by mean ISS alone; the full
     metrics are computed for the chosen blur and mosaic only.
     """
     target = dp_report.mean_iss
-    x = np.stack([orig for _, orig, _ in pairs])
-    n_id = model.identity_len
-    emb_x = encode_batch(model, x)[:, :n_id]
-
-    def mean_iss(y):
-        return float(np.mean(iss_scores(emb_x, encode_batch(model, y)[:, :n_id])))
-
-    def report(y):
-        method_pairs = [(name, x[i], y[i]) for i, (name, _, _) in enumerate(pairs)]
-        return evaluate_pairs(model, method_pairs, threshold)
+    x = originals.x
 
     def blur(sigma):
         return blur_baseline(x, sigma, max(1, int(math.ceil(3.0 * sigma))))
@@ -330,7 +323,7 @@ def _baseline_table(model, pairs, dp_report, threshold):
     best_blur = None
     for _ in range(24):  # bisect on sigma; ISS decreases as blur grows
         mid = 0.5 * (lo + hi)
-        value = mean_iss(blur(mid))
+        value = float(np.mean(originals.iss(blur(mid))))
         if best_blur is None or abs(value - target) < abs(best_blur[1] - target):
             best_blur = (mid, value)
         if value > target:
@@ -339,21 +332,21 @@ def _baseline_table(model, pairs, dp_report, threshold):
             hi = mid
     best_mosaic = None
     for block in range(1, x.shape[-2] + 1):
-        value = mean_iss(mosaic_baseline(x, block))
+        value = float(np.mean(originals.iss(mosaic_baseline(x, block))))
         if best_mosaic is None or abs(value - target) < abs(best_mosaic[1] - target):
             best_mosaic = (block, value)
 
-    rows = []
-    for name, rep in (
-        ("blur", report(blur(best_blur[0]))),
-        ("mosaic", report(mosaic_baseline(x, best_mosaic[0]))),
-        ("dp_image", dp_report),
-    ):
-        rows.append(
-            (name, rep.mean_l2, rep.mean_ald_inf, rep.mean_ssim, rep.mean_iss, rep.fed, rep.fppsr)
-        )
-    feds = {name: row[5] for name, row in zip(("blur", "mosaic", "dp_image"), rows)}
-    ranking = sorted(feds, key=feds.get)
+    threshold, image_ids = dp_report.threshold, dp_report.image_ids
+    reports = {
+        "blur": originals.report(blur(best_blur[0]), threshold, image_ids),
+        "mosaic": originals.report(mosaic_baseline(x, best_mosaic[0]), threshold, image_ids),
+        "dp_image": dp_report,
+    }
+    rows = [
+        (name, rep.mean_l2, rep.mean_ald_inf, rep.mean_ssim, rep.mean_iss, rep.fed, rep.fppsr)
+        for name, rep in reports.items()
+    ]
+    ranking = sorted(reports, key=lambda name: reports[name].fed)
     notes = {
         "blur_sigma": best_blur[0],
         "mosaic_block": best_mosaic[0],
@@ -370,14 +363,11 @@ def cmd_sweep(config: RunConfig, model_path: Path, corpus_dir: Path) -> None:
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     model = load_model(model_path)
-    eval_rows, images = _load_corpus(corpus_dir, "eval")
-    cal = _calibrate_from_corpus(model, eval_rows, images)
+    identity_ids, x_eval = _eval_split(corpus_dir)
+    originals = Originals(model, x_eval)
+    tau = _calibrated_tau(identity_ids, originals.embeddings)
     levels = parse_levels(config.sweep_levels)
-    x_eval = np.stack([images[r.path] for r in eval_rows])
-    z_eval = encode_batch(model, x_eval)
-    n_id = model.identity_len
     image = np.arange(len(x_eval))
-    score_ssim = ssim_reference(x_eval)  # filters the originals once per sweep
     results = []
     releases_scored = 0
     for level_index, level in enumerate(levels):
@@ -392,17 +382,17 @@ def cmd_sweep(config: RunConfig, model_path: Path, corpus_dir: Path) -> None:
         # (repetition, image) order, which fixes the bits of their means
         for rep in range(draws):
             states = derive_states(config.seed, _STREAM_SWEEP, level_index, rep, image)
-            y = decode_batch(model, perturb_latents(z_eval, params, states))
-            iss_vals.append(iss_scores(z_eval[:, :n_id], encode_batch(model, y)[:, :n_id]))
+            y = decode_batch(model, perturb_latents(originals.latents, params, states))
+            iss_vals.append(originals.iss(y))
             l2_vals.append(l2_distances(x_eval, y))
-            ssim_vals.append(score_ssim(y))
+            ssim_vals.append(originals.ssim(y))
         releases_scored += draws * len(x_eval)
         iss_vals = np.concatenate(iss_vals * copies)
         results.append(
             (
                 level,
                 float(iss_vals.mean()),
-                float(np.mean(iss_vals < cal.tau)),
+                float(np.mean(iss_vals < tau)),
                 float(np.mean(np.concatenate(l2_vals * copies))),
                 float(np.mean(np.concatenate(ssim_vals * copies))),
             )
@@ -411,7 +401,7 @@ def cmd_sweep(config: RunConfig, model_path: Path, corpus_dir: Path) -> None:
         f.write("level,mean_iss,mean_fppsr,mean_l2,mean_ssim\n")
         for row in results:
             f.write(",".join(repr(v) for v in row) + "\n")
-    extra = {"threshold": cal.tau, "levels": list(levels), "repetitions": config.sweep_repetitions}
+    extra = {"threshold": tau, "levels": list(levels), "repetitions": config.sweep_repetitions}
     extra["releases_scored"] = releases_scored  # eval-split releases decoded and scored
     _write_provenance(out_dir, "sweep", config, extra)
     for level, mean_iss, mean_fppsr, _, _ in results:

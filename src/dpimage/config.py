@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, decode_utf8
 
 
 @dataclass
@@ -108,7 +108,8 @@ def _convert(key: str, raw: str):
 def load_config_file(path) -> dict:
     """Parse a key=value file into a typed dict; unknown keys are errors."""
     values: dict = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    text = decode_utf8(path, Path(path).read_bytes(), ConfigError)
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

@@ -10,6 +10,7 @@ gives ground-truth identity labels for privacy evaluation.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import os
 from dataclasses import dataclass, replace
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BadMagicError, BadMaxvalError, DataError, TruncatedError
+from .errors import BadMagicError, BadMaxvalError, DataError, TruncatedError, decode_utf8
 from .numerics import RngStream, derive_stream, gaussian_batch, rng_uniform_batch
 
 # Identity parameters are fractions of the image side; nuisance in the units
@@ -212,7 +213,7 @@ def generate_corpus(
 
 
 def save_manifest(manifest: list[ManifestRow], path) -> None:
-    with open(path, "w", newline="") as f:
+    with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(MANIFEST_COLUMNS)
         for row in manifest:
@@ -222,7 +223,7 @@ def save_manifest(manifest: list[ManifestRow], path) -> None:
 def load_manifest(path) -> list[ManifestRow]:
     """Read a manifest written by save_manifest; a bad one raises DataError naming the file."""
     rows = []
-    with open(path, newline="") as f:
+    with io.StringIO(decode_utf8(path, Path(path).read_bytes(), DataError), newline="") as f:
         reader = csv.DictReader(f)
         try:  # the reader raises csv.Error on what it cannot split, such as a huge field
             missing = [c for c in MANIFEST_COLUMNS if c not in (reader.fieldnames or ())]

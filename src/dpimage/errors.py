@@ -43,3 +43,12 @@ class TrainingError(DpImageError):
 
 class DataError(DpImageError):
     category = "data"
+
+
+def decode_utf8(path, blob: bytes, error: type[DpImageError]) -> str:
+    """blob as UTF-8 text; bytes that are not UTF-8 raise error naming the file and line."""
+    try:
+        return blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = blob.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}, line {line}: byte 0x{blob[exc.start]:02x} is not UTF-8") from None

@@ -2,10 +2,12 @@
 
 Privacy side: identity similarity score (ISS) from the cosine of the
 identity-block embeddings, and the de-identification success rate (FPPSR)
-against a threshold calibrated from impostor statistics. Utility side:
-l2 distance, relative l_inf distortion, windowed SSIM, and a Frechet distance
-between Gaussian fits of embedding sets (FED). All metrics are pure
-functions; batch evaluation aggregates in image_id order.
+against a threshold at a percentile of the impostor ISS. Utility side: l2
+distance, relative l_inf distortion, windowed SSIM, and a Frechet distance
+between Gaussian fits of embedding sets (FED). Originals prepares a stack of
+original images once (its latents and its SSIM statistics) and scores any
+number of released stacks against it; evaluate_pairs is its one-shot form,
+which aggregates in image_id order.
 """
 
 from __future__ import annotations
@@ -67,15 +69,11 @@ def ssim_reference(x: np.ndarray, window: int = SSIM_WINDOW, sigma: float = SSIM
     Gaussian window (default 11x11, sigma 1.5) over all fully interior
     windows, constants for unit dynamic range. The window is separable, so
     every local statistic of a stack a is rows @ a @ cols.T with banded
-    matrices of 1-D taps (Wang et al. 2004). x and x * x are filtered here,
-    for a scorer called more than once; each call filters y, y * y and
-    x * y, BLOCK_ROWS pairs at a time. A stacked matmul runs one product per
-    image, so the grouping moves no bit.
+    matrices of 1-D taps (Wang et al. 2004). x and x * x are filtered here
+    and held; each call filters y, y * y and x * y. Both run BLOCK_ROWS
+    images at a time, and a stacked matmul runs one product per image, so
+    the grouping moves no bit.
     """
-    return _ssim_scorer(x, window, sigma, hold_reference=True)
-
-
-def _ssim_scorer(x, window: int, sigma: float, hold_reference: bool):
     x = np.asarray(x, dtype=np.float64)
     if x.ndim < 2 or x.shape[-2] < window or x.shape[-1] < window:
         raise ValueError(f"image {x.shape} smaller than the {window}x{window} window")
@@ -83,20 +81,15 @@ def _ssim_scorer(x, window: int, sigma: float, hold_reference: bool):
     rows = _gaussian_band(h, window, sigma)
     cols = _gaussian_band(w, window, sigma)
     x_all = x.reshape(-1, h, w)
-
-    def filter_x(block: slice):
-        a = x_all[block]
-        return rows @ a @ cols.T, rows @ (a * a) @ cols.T  # two products: half the temporaries
-
-    held = filter_x(slice(None)) if hold_reference else None
+    blocks = [slice(start, start + BLOCK_ROWS) for start in range(0, len(x_all), BLOCK_ROWS)]
+    # each block's local means of x and of x * x
+    held = [rows @ np.stack([x_all[block], x_all[block] ** 2]) @ cols.T for block in blocks]
 
     def score(y: np.ndarray) -> np.ndarray:
         y = _check_same_shape(x, y)[1].reshape(-1, h, w)
         out = np.empty(len(x_all))
-        for start in range(0, len(x_all), BLOCK_ROWS):
-            block = slice(start, start + BLOCK_ROWS)
+        for block, (mu_x, xx) in zip(blocks, held):
             a, b = x_all[block], y[block]
-            mu_x, xx = (held[0][block], held[1][block]) if held else filter_x(block)
             mu_y, yy, xy = rows @ np.stack([b, b * b, a * b]) @ cols.T
             var_x = xx - mu_x * mu_x
             var_y = yy - mu_y * mu_y
@@ -112,9 +105,8 @@ def _ssim_scorer(x, window: int, sigma: float, hold_reference: bool):
 def ssim_scores(
     x: np.ndarray, y: np.ndarray, window: int = SSIM_WINDOW, sigma: float = SSIM_SIGMA
 ) -> np.ndarray:
-    """Mean SSIM of each pair of two stacks, as the scorer of ssim_reference(x)
-    gives it; x is filtered a block at a time, so memory does not grow with n."""
-    return _ssim_scorer(x, window, sigma, hold_reference=False)(y)
+    """Mean SSIM of each pair of two stacks: ssim_reference(x)(y)."""
+    return ssim_reference(x, window, sigma)(y)
 
 
 def ssim(
@@ -149,26 +141,6 @@ def identity_embedding(model: AutoencoderModel, image: np.ndarray) -> np.ndarray
     return encode(model, image)[: model.identity_len]
 
 
-def _pair_iss(model: AutoencoderModel, pairs) -> np.ndarray:
-    """ISS of each (x, y) pair, encoding each distinct image object once.
-
-    A row's encoding does not depend on its batch mates, so sharing rows
-    between pairs that hold the same array saves work and changes no score.
-    """
-    slot: dict[int, int] = {}
-    unique = []
-    index = []
-    for pair in pairs:
-        for image in pair:
-            if id(image) not in slot:
-                slot[id(image)] = len(unique)
-                unique.append(image)
-            index.append(slot[id(image)])
-    emb = encode_batch(model, unique)[:, : model.identity_len]
-    index = np.array(index, dtype=np.intp).reshape(-1, 2)
-    return iss_scores(emb[index[:, 0]], emb[index[:, 1]])
-
-
 @dataclass(frozen=True)
 class ThresholdReport:
     """Calibrated decision threshold plus the score evidence behind it."""
@@ -198,9 +170,10 @@ def calibrate_threshold(
     """
     if len(genuine_pairs) == 0 or len(impostor_pairs) == 0:
         raise ValueError("genuine and impostor pair lists must be nonempty")
-    scores = _pair_iss(model, list(genuine_pairs) + list(impostor_pairs))
-    genuine = scores[: len(genuine_pairs)]
-    impostor = scores[len(genuine_pairs) :]
+    genuine, impostor = (
+        iss_scores(*(encode_batch(model, side)[:, : model.identity_len] for side in zip(*pairs)))
+        for pairs in (genuine_pairs, impostor_pairs)
+    )
     return ThresholdReport(nearest_rank_percentile(impostor, percentile), genuine, impostor)
 
 
@@ -299,6 +272,52 @@ class MetricsReport:
     threshold: float
 
 
+class Originals:
+    """A stack of original images prepared once for scoring released stacks.
+
+    Holds the images x, their latents (the rows a sweep perturbs) and
+    identity embeddings, and the SSIM scorer with x's statistics filtered.
+    Every score of a released stack y pairs y's row i with x's row i.
+    """
+
+    def __init__(self, model: AutoencoderModel, x, window=SSIM_WINDOW, sigma=SSIM_SIGMA):
+        self.model = model
+        self.x = np.asarray(x, dtype=np.float64)
+        self.latents = encode_batch(model, self.x)
+        self.embeddings = self.latents[:, : model.identity_len]
+        self.ssim = ssim_reference(self.x, window, sigma)
+
+    def iss(self, y) -> np.ndarray:
+        """ISS of each released image against its original."""
+        emb_y = encode_batch(self.model, y)[:, : self.model.identity_len]
+        return iss_scores(self.embeddings, emb_y)
+
+    def report(self, y, threshold: float, image_ids) -> MetricsReport:
+        """Every metric of the released stack y; image_ids name its rows."""
+        if not 0.0 <= threshold <= 1.0:
+            raise ValueError(f"threshold must be in [0, 1], got {threshold}")
+        x, y = _check_same_shape(self.x, y)
+        emb_y = encode_batch(self.model, y)[:, : self.model.identity_len]
+        l2_vals = l2_distances(x, y)
+        ald_vals = ald_inf(x, y)
+        ssim_vals = self.ssim(y)
+        iss_vals = iss_scores(self.embeddings, emb_y)
+        return MetricsReport(
+            image_ids=tuple(image_ids),
+            l2=l2_vals,
+            ald_inf=ald_vals,
+            ssim=ssim_vals,
+            iss=iss_vals,
+            mean_l2=float(np.mean(l2_vals)),
+            mean_ald_inf=float(np.mean(ald_vals)),
+            mean_ssim=float(np.mean(ssim_vals)),
+            mean_iss=float(np.mean(iss_vals)),
+            fed=fed(self.embeddings, emb_y) if len(x) >= 2 else float("nan"),
+            fppsr=float(np.mean(iss_vals < threshold)),
+            threshold=threshold,
+        )
+
+
 def evaluate_pairs(
     model: AutoencoderModel,
     pairs,
@@ -313,30 +332,8 @@ def evaluate_pairs(
     """
     if len(pairs) == 0:
         raise ValueError("need at least one pair")
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError(f"threshold must be in [0, 1], got {threshold}")
-    ordered = sorted(pairs, key=lambda rec: rec[0])
-    x, y = _check_same_shape([rec[1] for rec in ordered], [rec[2] for rec in ordered])
-    emb_x = encode_batch(model, x)[:, : model.identity_len]
-    emb_y = encode_batch(model, y)[:, : model.identity_len]
-    l2_vals = l2_distances(x, y)
-    ald_vals = ald_inf(x, y)
-    ssim_vals = ssim_scores(x, y, ssim_window, ssim_sigma)
-    iss_vals = iss_scores(emb_x, emb_y)
-    return MetricsReport(
-        image_ids=tuple(str(rec[0]) for rec in ordered),
-        l2=l2_vals,
-        ald_inf=ald_vals,
-        ssim=ssim_vals,
-        iss=iss_vals,
-        mean_l2=float(np.mean(l2_vals)),
-        mean_ald_inf=float(np.mean(ald_vals)),
-        mean_ssim=float(np.mean(ssim_vals)),
-        mean_iss=float(np.mean(iss_vals)),
-        fed=fed(emb_x, emb_y) if len(x) >= 2 else float("nan"),
-        fppsr=float(np.mean(iss_vals < threshold)),
-        threshold=threshold,
-    )
+    ids, x, y = zip(*sorted(pairs, key=lambda rec: rec[0]))
+    return Originals(model, x, ssim_window, ssim_sigma).report(y, threshold, [str(i) for i in ids])
 
 
 def write_per_image_csv(report: MetricsReport, path) -> None:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import AutoencoderModel, decode, decode_batch, encode, encode_batch
-from .errors import FormatError
+from .errors import FormatError, decode_utf8
 from .numerics import RngStream, make_stream, rng_uniform_batch, rng_uniform_rows
 
 LEDGER_HEADER = ("release_id", "epsilon", "group")
@@ -384,7 +384,7 @@ def _verified_summary(checkpoint, file_hash) -> tuple[int, dict[str, float]] | N
 
 def _parse_rows(path, blob: bytes) -> tuple[list[tuple[str, float, str]], dict[str, float]]:
     """The rows and per-group sums of a ledger file's bytes, every row validated."""
-    text = blob.decode()
+    text = decode_utf8(path, blob, FormatError)
     rows = csv.reader(io.StringIO(text))
 
     def malformed(what: str) -> FormatError:

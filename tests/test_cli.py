@@ -1,17 +1,20 @@
 import json
 import math
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dpimage import cli, privacy
+from dpimage import cli, codec, privacy
 from dpimage.cli import _baseline_table, main
 from dpimage.config import RunConfig, build_config, load_config_file, parse_levels
 from dpimage.codec import decode, encode, encode_batch, load_model
 from dpimage.data import load_manifest, read_pgm, write_pgm
 from dpimage.metrics import (
+    Originals,
     blur_baseline,
+    calibrate_threshold,
     evaluate_pairs,
     iss_scores,
     l2_distances,
@@ -72,6 +75,16 @@ class TestConfig:
         path.write_text("epohcs=5\n")
         with pytest.raises(ConfigError, match="epohcs"):
             load_config_file(path)
+
+    def test_config_not_utf8_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"# test config\nepochs=5\nseed=\xff\n")
+        with pytest.raises(ConfigError, match="bad.cfg, line 3: byte 0xff is not UTF-8"):
+            load_config_file(path)
+        capsys.readouterr()
+        assert run("generate", "--config", path) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:config: ") and "line 3" in err[0]
 
     def test_override_wins(self, tmp_path):
         path = write_cfg(tmp_path, epochs=7)
@@ -493,7 +506,7 @@ class TestEvaluateAndSweep:
             for p in sorted((out / "corpus").glob("*.pgm"))
         ]
         dp_report = evaluate_pairs(model, pairs, 0.9)
-        rows, notes = _baseline_table(model, pairs, dp_report, 0.9)
+        rows, notes = _baseline_table(Originals(model, [x for _, x, _ in pairs]), dp_report)
         sigma, block, expected = full_metric_search(model, pairs, dp_report, 0.9)
         assert (notes["blur_sigma"], notes["mosaic_block"]) == (sigma, block)
         assert rows == expected
@@ -620,6 +633,53 @@ class TestEvaluateAndSweep:
         assert float(agg["threshold"]) == 0.5
 
 
+    def test_originals_encoded_once(self, trained, monkeypatch):
+        cfg, out = trained
+        assert run(
+            "perturb", "--config", cfg, "--sensitivity", "5.0", "--input", out / "corpus"
+        ) == 0
+        corpus = np.stack([read_pgm(p) for p in sorted((out / "corpus").glob("*.pgm"))])
+        rows = load_manifest(out / "corpus" / "manifest.csv")
+        x_eval = np.stack([read_pgm(out / "corpus" / r.path) for r in rows if r.split == "eval"])
+        passes = Counter()  # encoder passes by the bytes of the stack they encode
+        forward = codec._forward
+
+        def counted(model, x, first, last):
+            if first == 0:
+                passes[x.tobytes()] += 1
+            return forward(model, x, first, last)
+
+        monkeypatch.setattr(codec, "_forward", counted)
+        assert run(
+            "evaluate", "--config", cfg,
+            "--originals", out / "corpus", "--perturbed", out / "perturbed", "--baselines",
+        ) == 0
+        # mosaic block 1 leaves every image as it is, so that candidate of the
+        # table search is a second pass over the same bytes
+        assert passes[corpus.tobytes()] == 2
+        passes.clear()
+        assert run("sweep", "--config", cfg, "--sweep_levels", "0,0.5") == 0
+        assert passes[x_eval.tobytes()] == 1
+
+    def test_cli_tau_equals_calibrate_threshold(self, trained):
+        cfg, out = trained
+        corpus_dir = out / "corpus"
+        eval_rows = [r for r in load_manifest(corpus_dir / "manifest.csv") if r.split == "eval"]
+        genuine, impostor = [], []
+        for i, a in enumerate(eval_rows):
+            for b in eval_rows[i + 1 :]:
+                pair = (read_pgm(corpus_dir / a.path), read_pgm(corpus_dir / b.path))
+                (genuine if a.identity_id == b.identity_id else impostor).append(pair)
+        tau = calibrate_threshold(load_model(out / "model.dpim"), genuine, impostor, 95.0).tau
+        assert run("sweep", "--config", cfg, "--sweep_levels", "0", "--sweep_repetitions", "1") == 0
+        assert run(
+            "evaluate", "--config", cfg, "--originals", corpus_dir, "--perturbed", corpus_dir
+        ) == 0
+        for command in ("sweep", "evaluate"):
+            extra = json.loads((out / f"provenance_{command}.json").read_text())["extra"]
+            assert extra["threshold"] == tau
+
+
 def full_metric_search(model, pairs, dp_report, threshold):
     """The table search that ran evaluate_pairs on every candidate, one image at a time."""
 
@@ -671,19 +731,24 @@ class TestErrorReporting:
             pytest.param(
                 "release_id,epsilon,group\r\n" + OVERSIZED_LINE, "line 2", id="oversized_field"
             ),
+            pytest.param(
+                "release_id,epsilon,group\r\na.pgm,0.5,corpus\r\nb\udcff.pgm,0.5,corpus\r\n",
+                "line 3",
+                id="not_utf8",
+            ),
         ],
     )
     def test_malformed_ledger_is_one_line_error(self, trained, capsys, text, where):
         cfg, out = trained
         ledger = out / "ledger.csv"
-        ledger.write_bytes(text.encode())
+        ledger.write_bytes(text.encode("utf-8", "surrogateescape"))
         capsys.readouterr()
         code = run("perturb", "--config", cfg, "--sensitivity", "5.0", "--input", out / "corpus")
         assert code == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert err[0].startswith("error:format: ") and f"ledger.csv, {where}:" in err[0]
-        assert ledger.read_bytes() == text.encode()
+        assert ledger.read_bytes() == text.encode("utf-8", "surrogateescape")
         assert not (out / "perturbed").exists() or not any((out / "perturbed").iterdir())
 
     def test_damaged_checkpointed_ledger_is_one_line_error(self, trained, capsys):
@@ -750,17 +815,50 @@ class TestErrorReporting:
                 "path,identity_id,split\n" + OVERSIZED_LINE,
                 "manifest.csv, line 2: field larger than field limit",
             ),
+            (
+                "sweep",
+                "path,identity_id,split\na.pgm,0,train\nb\udcff.pgm,0,eval\n",
+                "manifest.csv, line 3: byte 0xff is not UTF-8",
+            ),
         ],
-        ids=["missing_column", "bad_identity_id", "oversized_field"],
+        ids=["missing_column", "bad_identity_id", "oversized_field", "not_utf8"],
     )
     def test_malformed_manifest_is_one_line_error(self, trained, capsys, command, text, where):
         cfg, out = trained
-        (out / "corpus" / "manifest.csv").write_text(text)
+        (out / "corpus" / "manifest.csv").write_bytes(text.encode("utf-8", "surrogateescape"))
         capsys.readouterr()
         assert run(command, "--config", cfg) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert err[0].startswith("error:data: ") and where in err[0]
+
+    @pytest.mark.parametrize("command", ["evaluate", "sweep"])
+    @pytest.mark.parametrize(
+        "eval_ids, message",
+        [
+            ([0, 0, 1], "need at least 4 eval images to calibrate a threshold"),
+            ([0, 1, 2, 3], "eval split lacks genuine or impostor pairs"),
+            ([2, 2, 2, 2], "eval split lacks genuine or impostor pairs"),
+        ],
+        ids=["three_images", "no_genuine_pair", "no_impostor_pair"],
+    )
+    def test_eval_split_that_cannot_calibrate_is_one_line_error(
+        self, trained, capsys, command, eval_ids, message
+    ):
+        cfg, out = trained
+        manifest = out / "corpus" / "manifest.csv"
+        rows = load_manifest(manifest)
+        lines = ["path,identity_id,split"] + [f"{r.path},{r.identity_id},train" for r in rows]
+        lines += [f"{r.path},{i},eval" for r, i in zip(rows, eval_ids)]
+        manifest.write_text("\n".join(lines) + "\n")
+        flags = {
+            "evaluate": ("--originals", out / "corpus", "--perturbed", out / "corpus"),
+            "sweep": ("--sweep_levels", "0"),
+        }[command]
+        capsys.readouterr()
+        assert run(command, "--config", cfg, *flags) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error:data: {message}"]
 
     def test_unreadable_input_releases_nothing(self, trained, capsys):
         cfg, out = trained
