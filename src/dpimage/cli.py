@@ -25,7 +25,15 @@ import numpy as np
 from . import __version__
 from .codec import align_identity_basis, decode_batch, encode_batch, load_model, save_model, train
 from .config import RunConfig, build_config, config_dict, parse_levels
-from .data import generate_corpus, load_manifest, read_pgm, save_manifest, write_file, write_pgm
+from .data import (
+    generate_corpus,
+    load_manifest,
+    read_pgm,
+    save_manifest,
+    write_csv,
+    write_file,
+    write_pgm,
+)
 from .errors import ConfigError, DataError, DpImageError
 from .metrics import (
     Originals,
@@ -34,8 +42,6 @@ from .metrics import (
     l2_distances,
     mosaic_baseline,
     nearest_rank_percentile,
-    write_aggregate_csv,
-    write_per_image_csv,
 )
 from .numerics import derive_states
 from .privacy import (
@@ -45,7 +51,6 @@ from .privacy import (
     estimate_sensitivity,
     full_mask,
     identity_mask,
-    latents_to_csv,
     perturb_latents,
 )
 
@@ -142,10 +147,7 @@ def cmd_train(config: RunConfig, corpus_dir: Path) -> None:
     model, trace = train(corpus, config)
     model = align_identity_basis(model, corpus, labels)
     save_model(model, out_dir / "model.dpim")
-    with open(out_dir / "loss_trace.csv", "w", newline="") as f:
-        f.write("epoch,loss\n")
-        for epoch, loss in enumerate(trace):
-            f.write(f"{epoch},{loss!r}\n")
+    write_csv(out_dir / "loss_trace.csv", ("epoch", "loss"), enumerate(trace))
     _write_provenance(out_dir, "train", config, {"final_loss": trace[-1]})
     print(f"trained {config.epochs} epochs, final loss {trace[-1]:.6f}")
 
@@ -157,23 +159,22 @@ def cmd_sensitivity(config: RunConfig, model_path: Path, corpus_dir: Path) -> No
     manifest, images = _load_corpus(corpus_dir)
     latents = encode_batch(model, images)
     report = estimate_sensitivity(latents)
-    latents_to_csv(latents, out_dir / "latents.csv")
-    with open(out_dir / "sensitivity_histogram.csv", "w", newline="") as f:
-        f.write("bin_low,bin_high,count\n")
-        edges = report.bin_edges
-        for i, count in enumerate(report.counts):
-            f.write(f"{float(edges[i])!r},{float(edges[i + 1])!r},{int(count)}\n")
+    # one row at a time, so the file's bytes are the one copy held besides the array
+    rows = (z.tolist() for z in latents)
+    write_csv(out_dir / "latents.csv", [f"z{i}" for i in range(latents.shape[1])], rows)
+    edges = report.bin_edges.tolist()
+    write_csv(
+        out_dir / "sensitivity_histogram.csv",
+        ("bin_low", "bin_high", "count"),
+        zip(edges, edges[1:], report.counts.tolist()),
+    )
     # the first 20 eval latents, sliced from the full matrix: each entry sums
     # the same values in the same order as their own pairwise matrix would
     eval_index = [i for i, r in enumerate(manifest) if r.split == "eval"][:20]
-    with open(out_dir / "sensitivity_heatmap.csv", "w", newline="") as f:
-        f.write("i,j,distance\n")
-        if len(eval_index) >= 2:
-            heat = report.distances[np.ix_(eval_index, eval_index)]
-            for i in range(heat.shape[0]):
-                for j in range(heat.shape[1]):
-                    f.write(f"{i},{j},{float(heat[i, j])!r}\n")
-    (out_dir / "delta_f.txt").write_text(f"{report.delta_f!r}\n")
+    heat = report.distances[np.ix_(eval_index, eval_index)].tolist() if len(eval_index) > 1 else []
+    cells = [(i, j, d) for i, row in enumerate(heat) for j, d in enumerate(row)]
+    write_csv(out_dir / "sensitivity_heatmap.csv", ("i", "j", "distance"), cells)
+    write_file(out_dir / "delta_f.txt", f"{report.delta_f!r}\n".encode())
     _write_provenance(
         out_dir,
         "sensitivity",
@@ -292,15 +293,17 @@ def cmd_evaluate(
     names = sorted(orig_files)
     originals = Originals(model, [read_pgm(orig_files[name]) for name in names])
     report = originals.report([read_pgm(pert_files[name]) for name in names], threshold, names)
-    write_per_image_csv(report, out_dir / "per_image.csv")
-    write_aggregate_csv(report, out_dir / "aggregate.csv")
+    header = ("image_id", "l2", "ald_inf", "ssim", "iss")
+    columns = [getattr(report, name).tolist() for name in header[1:]]
+    write_csv(out_dir / "per_image.csv", header, zip(report.image_ids, *columns))
+    aggregates = ("mean_l2", "mean_ald_inf", "mean_ssim", "mean_iss", "fed", "fppsr", "threshold")
+    rows = [(name, getattr(report, name)) for name in aggregates]
+    write_csv(out_dir / "aggregate.csv", ("metric", "value"), rows)
     extra = {"threshold": threshold, "mean_iss": report.mean_iss}
     if baselines:
         table, notes = _baseline_table(originals, report)
-        with open(out_dir / "table.csv", "w", newline="") as f:
-            f.write("method,l2,ald_inf,ssim,iss,fed,fppsr\n")
-            for row in table:
-                f.write(",".join([row[0]] + [repr(v) for v in row[1:]]) + "\n")
+        header = ("method", "l2", "ald_inf", "ssim", "iss", "fed", "fppsr")
+        write_csv(out_dir / "table.csv", header, table)
         extra["baseline_notes"] = notes
         print(notes["fed_ranking"])
     _write_provenance(out_dir, "evaluate", config, extra)
@@ -346,15 +349,19 @@ def _baseline_table(originals: Originals, dp_report):
         (name, rep.mean_l2, rep.mean_ald_inf, rep.mean_ssim, rep.mean_iss, rep.fed, rep.fppsr)
         for name, rep in reports.items()
     ]
-    ranking = sorted(reports, key=lambda name: reports[name].fed)
+    if len(image_ids) < 2:  # FED fits a covariance per side, so every row's is nan
+        fed_ranking = "FED undefined with fewer than 2 pairs; no ranking"
+    else:
+        ranking = sorted(reports, key=lambda name: reports[name].fed)
+        fed_ranking = (
+            f"FED ranking (lower is better): {ranking}; "
+            f"dp_image lowest: {ranking[0] == 'dp_image'}"
+        )
     notes = {
         "blur_sigma": best_blur[0],
         "mosaic_block": best_mosaic[0],
         "iss_match_error": max(abs(r[4] - target) for r in rows),
-        "fed_ranking": (
-            f"FED ranking (lower is better): {ranking}; "
-            f"dp_image lowest: {ranking[0] == 'dp_image'}"
-        ),
+        "fed_ranking": fed_ranking,
     }
     return rows, notes
 
@@ -397,10 +404,8 @@ def cmd_sweep(config: RunConfig, model_path: Path, corpus_dir: Path) -> None:
                 float(np.mean(np.concatenate(ssim_vals * copies))),
             )
         )
-    with open(out_dir / "sweep.csv", "w", newline="") as f:
-        f.write("level,mean_iss,mean_fppsr,mean_l2,mean_ssim\n")
-        for row in results:
-            f.write(",".join(repr(v) for v in row) + "\n")
+    header = ("level", "mean_iss", "mean_fppsr", "mean_l2", "mean_ssim")
+    write_csv(out_dir / "sweep.csv", header, results)
     extra = {"threshold": tau, "levels": list(levels), "repetitions": config.sweep_repetitions}
     extra["releases_scored"] = releases_scored  # eval-split releases decoded and scored
     _write_provenance(out_dir, "sweep", config, extra)

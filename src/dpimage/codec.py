@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import RunConfig
+from .data import write_file
 from .errors import BadMagicError, TrainingError, TruncatedError, VersionError
 from .numerics import make_stream, rng_uniform_batch
 
@@ -327,14 +328,13 @@ def align_identity_basis(model: AutoencoderModel, corpus, identity_labels) -> Au
 
 def save_model(model: AutoencoderModel, path) -> None:
     """Little-endian binary: magic, version, encoder dims, identity_len, params."""
-    with open(path, "wb") as f:
-        f.write(MODEL_MAGIC)
-        f.write(struct.pack("<II", MODEL_VERSION, len(model.encoder_dims)))
-        f.write(struct.pack(f"<{len(model.encoder_dims)}I", *model.encoder_dims))
-        f.write(struct.pack("<I", model.identity_len))
-        for w, b in zip(model.weights, model.biases):
-            f.write(w.astype("<f8").tobytes(order="C"))
-            f.write(b.astype("<f8").tobytes(order="C"))
+    dims = model.encoder_dims
+    blob = bytearray(MODEL_MAGIC)
+    blob += struct.pack(f"<{len(dims) + 3}I", MODEL_VERSION, len(dims), *dims, model.identity_len)
+    for w, b in zip(model.weights, model.biases):
+        blob += np.ascontiguousarray(w, "<f8").data  # row-major, copied only if it is not
+        blob += np.ascontiguousarray(b, "<f8").data
+    write_file(path, blob)
 
 
 def load_model(path) -> AutoencoderModel:

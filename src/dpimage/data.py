@@ -1,4 +1,5 @@
-"""Corpus management: synthetic toy faces, dataset manifests, PGM I/O.
+"""Corpus management: synthetic toy faces, dataset manifests, PGM I/O, and
+the one writer of output files (write_file, and write_csv for reports).
 
 The toy-face generator replaces any downloaded face dataset. Each identity
 is a point in a six-parameter shape space (head ellipse, eye placement,
@@ -15,6 +16,7 @@ import math
 import os
 from dataclasses import dataclass, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -213,11 +215,7 @@ def generate_corpus(
 
 
 def save_manifest(manifest: list[ManifestRow], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(MANIFEST_COLUMNS)
-        for row in manifest:
-            writer.writerow([row.path, row.identity_id, row.split])
+    write_csv(path, MANIFEST_COLUMNS, [(r.path, r.identity_id, r.split) for r in manifest])
 
 
 def load_manifest(path) -> list[ManifestRow]:
@@ -268,6 +266,23 @@ def write_file(path, blob: bytes) -> None:
     with os.fdopen(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
         f.write(blob)
         f.truncate()
+
+
+def write_csv(path, header, rows) -> None:
+    """UTF-8 CSV through write_file: LF line ends, minimal quoting, each float
+    (np.float64 too) as its repr. Rows of Python values format fastest."""
+    blob = bytearray()
+
+    def append(line: str) -> None:
+        # the writer's default CRLF terminator makes it quote a field holding
+        # \r, which an LF terminator would not; the CRLF is cut to LF here
+        blob.extend(line.encode("utf-8"))
+        blob[-2:] = b"\n"
+
+    writer = csv.writer(SimpleNamespace(write=append))
+    writer.writerow(header)
+    writer.writerows(rows)
+    write_file(path, blob)
 
 
 def _pgm_tokens(blob: bytes):

@@ -12,7 +12,6 @@ which aggregates in image_id order.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -335,19 +334,3 @@ def evaluate_pairs(
     ids, x, y = zip(*sorted(pairs, key=lambda rec: rec[0]))
     return Originals(model, x, ssim_window, ssim_sigma).report(y, threshold, [str(i) for i in ids])
 
-
-def write_per_image_csv(report: MetricsReport, path) -> None:
-    columns = (report.l2, report.ald_inf, report.ssim, report.iss)
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["image_id", "l2", "ald_inf", "ssim", "iss"])
-        for image_id, *values in zip(report.image_ids, *columns):
-            writer.writerow([image_id] + [repr(float(v)) for v in values])
-
-
-def write_aggregate_csv(report: MetricsReport, path) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["metric", "value"])
-        for name in ("mean_l2", "mean_ald_inf", "mean_ssim", "mean_iss", "fed", "fppsr", "threshold"):
-            writer.writerow([name, repr(getattr(report, name))])

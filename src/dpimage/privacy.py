@@ -15,6 +15,10 @@ which caps every pair at epsilon. A mask confines the guarantee to the
 masked coordinates. The inverse-CDF Laplace draw on doubles is open to
 Mironov's floating-point attack (CCS 2012).
 
+The guarantee assumes secret noise, but a release's N is a function of
+(seed, ledger row), which provenance records next to the images: anyone
+holding the model can recompute N and undo the mechanism (ROADMAP item 1).
+
 Never select or discard mechanism outputs by comparing them to the original
 image: output selection conditioned on the input voids the privacy
 guarantee. The toolkit itself never does this.
@@ -462,11 +466,3 @@ def verify_dp_empirical(
     epsilon = delta_f / scale
     return max_log_ratio, max_log_ratio <= epsilon * 1.1
 
-
-def latents_to_csv(latents: np.ndarray, path) -> None:
-    z = np.asarray(latents, dtype=np.float64)
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow([f"z{i}" for i in range(z.shape[1])])
-        for row in z:
-            writer.writerow([repr(float(v)) for v in row])

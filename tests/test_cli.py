@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -678,6 +679,68 @@ class TestEvaluateAndSweep:
         for command in ("sweep", "evaluate"):
             extra = json.loads((out / f"provenance_{command}.json").read_text())["extra"]
             assert extra["threshold"] == tau
+
+    def test_report_csv_rows(self, trained):
+        cfg, out = trained
+        assert run(
+            "perturb", "--config", cfg, "--sensitivity", "5.0", "--input", out / "corpus"
+        ) == 0
+        assert run(
+            "evaluate", "--config", cfg,
+            "--originals", out / "corpus", "--perturbed", out / "perturbed",
+        ) == 0
+        names = sorted(p.name for p in (out / "corpus").glob("*.pgm"))
+        per_image = (out / "per_image.csv").read_text().splitlines()
+        assert per_image[0] == "image_id,l2,ald_inf,ssim,iss"
+        assert [line.split(",")[0] for line in per_image[1:]] == names  # one row each, sorted
+        aggregate = [line.split(",") for line in (out / "aggregate.csv").read_text().splitlines()]
+        assert aggregate[0] == ["metric", "value"]
+        assert [name for name, _ in aggregate[1:]] == [
+            "mean_l2", "mean_ald_inf", "mean_ssim", "mean_iss", "fed", "fppsr", "threshold"
+        ]
+
+    def test_fed_ranking_needs_two_pairs(self, trained, tmp_path, capsys):
+        cfg, out = trained
+        one = tmp_path / "one"
+        one.mkdir()
+        image = sorted((out / "corpus").glob("*.pgm"))[0]
+        (one / image.name).write_bytes(image.read_bytes())
+        assert run(
+            "perturb", "--config", cfg, "--sensitivity", "5.0", "--input", one / image.name
+        ) == 0
+        capsys.readouterr()
+        assert run(
+            "evaluate", "--config", cfg, "--threshold", "0.5",
+            "--originals", one, "--perturbed", out / "perturbed", "--baselines",
+        ) == 0
+        table = (out / "table.csv").read_text().splitlines()[1:]
+        assert all(math.isnan(float(line.split(",")[5])) for line in table)
+        notes = json.loads((out / "provenance_evaluate.json").read_text())["extra"]
+        ranking = notes["baseline_notes"]["fed_ranking"]
+        assert ranking == "FED undefined with fewer than 2 pairs; no ranking"
+        assert ranking in capsys.readouterr().out
+
+
+class TestOutputFiles:
+    def test_csv_outputs_end_lines_in_lf_and_match_the_readme(self, trained):
+        cfg, out = trained
+        assert run("sensitivity", "--config", cfg) == 0
+        assert run("perturb", "--config", cfg, "--input", out / "corpus") == 0
+        assert run(
+            "evaluate", "--config", cfg,
+            "--originals", out / "corpus", "--perturbed", out / "perturbed", "--baselines",
+        ) == 0
+        assert run("sweep", "--config", cfg, "--sweep_levels", "0,0.5") == 0
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        # the File formats section names each report as `name.csv` (`header`)
+        documented = dict(re.findall(r"`(\w+\.csv)`\s+\(`([^`]+)`", readme))
+        m = RunConfig().latent_dim
+        written = {p.name: p.read_bytes() for p in out.rglob("*.csv") if p.name != "ledger.csv"}
+        assert sorted(written) == sorted(set(documented) - {"ledger.csv"})
+        for name, blob in written.items():
+            assert b"\r" not in blob, name
+            header = documented[name].replace("z0,...,z{m-1}", ",".join(f"z{i}" for i in range(m)))
+            assert blob.decode().split("\n")[0] == header, name
 
 
 def full_metric_search(model, pairs, dp_report, threshold):

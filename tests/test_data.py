@@ -1,3 +1,4 @@
+import csv
 import stat
 
 import numpy as np
@@ -12,6 +13,7 @@ from dpimage.data import (
     render_face,
     sample_identity_params,
     save_manifest,
+    write_csv,
     write_file,
     write_pgm,
 )
@@ -213,3 +215,30 @@ class TestWriteFile:
         write_file(tmp_path / "written.bin", b"x")
         modes = [stat.S_IMODE((tmp_path / n).stat().st_mode) for n in ("opened.bin", "written.bin")]
         assert modes[0] == modes[1]
+
+
+class TestWriteCsv:
+    def test_lines_end_in_lf(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(path, ("a", "b"), [(1, 2.5), (3, -0.125)])
+        assert path.read_bytes() == b"a,b\n1,2.5\n3,-0.125\n"
+
+    def test_numpy_scalars_written_as_python_values(self, tmp_path):
+        values = [np.float64(0.1), np.float64(1 / 3), np.float64(1e-300), np.int64(-7)]
+        write_csv(tmp_path / "numpy.csv", ("v",), [(v,) for v in values])
+        write_csv(tmp_path / "python.csv", ("v",), [(v.item(),) for v in values])
+        blob = (tmp_path / "numpy.csv").read_bytes()
+        assert blob == (tmp_path / "python.csv").read_bytes()
+        assert blob == b"v\n0.1\n0.3333333333333333\n1e-300\n-7\n"
+
+    def test_commas_and_newlines_read_back(self, tmp_path):
+        path = tmp_path / "q.csv"
+        rows = [("a,b", "line one\nline two"), ('say "hi"', "cr\rinside"), ("\r\n", "")]
+        write_csv(path, ("x", "y"), rows)
+        with open(path, newline="") as f:
+            assert list(csv.reader(f)) == [["x", "y"], *map(list, rows)]
+
+    def test_header_alone_is_one_line(self, tmp_path):
+        path = tmp_path / "h.csv"
+        write_csv(path, ("i", "j", "distance"), [])
+        assert path.read_bytes() == b"i,j,distance\n"

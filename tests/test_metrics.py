@@ -21,8 +21,6 @@ from dpimage.metrics import (
     ssim,
     ssim_reference,
     ssim_scores,
-    write_aggregate_csv,
-    write_per_image_csv,
 )
 
 RNG = np.random.default_rng(0)
@@ -543,7 +541,9 @@ class TestEvaluatePairs:
         with pytest.raises(ValueError):
             evaluate_pairs(model, pairs, threshold=0.5)
 
-    def test_csv_row_count(self, tmp_path):
+    def test_report_rows_in_id_order(self):
+        # the CSV files cmd_evaluate writes from a report are checked in
+        # test_cli.py::TestEvaluateAndSweep::test_report_csv_rows
         rng = np.random.default_rng(9)
         model16 = AutoencoderModel(
             encoder_dims=(256, 2),
@@ -553,16 +553,9 @@ class TestEvaluatePairs:
         )
         pairs = [
             (f"{i:03d}", rng.uniform(0, 1, (16, 16)), rng.uniform(0, 1, (16, 16)))
-            for i in range(5)
+            for i in (3, 0, 4, 1, 2)
         ]
         report = evaluate_pairs(model16, pairs, threshold=0.4)
-        per_image = tmp_path / "per_image.csv"
-        aggregate = tmp_path / "aggregate.csv"
-        write_per_image_csv(report, per_image)
-        write_aggregate_csv(report, aggregate)
-        assert len(per_image.read_text().strip().splitlines()) == 6  # header + 5
-        agg_lines = aggregate.read_text().strip().splitlines()
-        assert agg_lines[0] == "metric,value"
-        assert len(agg_lines) == 8
-        ids = [line.split(",")[0] for line in per_image.read_text().splitlines()[1:]]
-        assert ids == sorted(ids)
+        assert report.image_ids == ("000", "001", "002", "003", "004")
+        for values in (report.l2, report.ald_inf, report.ssim, report.iss):
+            assert values.shape == (5,)

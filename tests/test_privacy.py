@@ -25,7 +25,6 @@ from dpimage.privacy import (
     laplace_batch,
     laplace_from_uniform,
     laplace_rows,
-    latents_to_csv,
     perturb_latent,
     perturb_latents,
     verify_dp_empirical,
@@ -604,12 +603,3 @@ class TestVerifyDp:
             verify_dp_empirical(0.0, 1.0)
         with pytest.raises(ValueError):
             verify_dp_empirical(1.0, 1.0, n_samples=10)
-
-
-class TestLatentIO:
-    def test_csv_export(self, tmp_path):
-        path = tmp_path / "z.csv"
-        latents_to_csv(np.array([[1.0, 2.5], [3.0, -0.125]]), path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "z0,z1"
-        assert len(lines) == 3
