@@ -3,8 +3,12 @@
 A fully-connected autoencoder (tanh hidden layers, identity latent layer,
 sigmoid output layer) trained with minibatch gradient descent plus momentum.
 Training is single-threaded and a pure function of (corpus, config), so
-reruns produce bit-identical models. encode/decode are pure and safe to
-share across threads.
+reruns produce bit-identical models. Training keeps every parameter in one
+flat buffer (the model's weights and biases are views of it) beside one
+velocity and one gradient buffer of the same layout, and updates them a
+chunk at a time. Each step writes its activations, deltas and gradients
+into a workspace allocated once per batch height. encode/decode are pure
+and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -37,6 +41,10 @@ BLOCK_ROWS = 16
 # ridge on the within-identity scatter in the basis alignment, as a fraction
 # of its mean eigenvalue
 WITHIN_REG = 0.01
+
+# Values per pass of train's momentum update: the chunk of the velocity,
+# gradient and parameter buffers stays in cache across the update's four ops.
+UPDATE_CHUNK = 32768
 
 
 @dataclass(eq=False)
@@ -71,9 +79,14 @@ class AutoencoderModel:
 
 def _sigmoid_in_place(z: np.ndarray) -> np.ndarray:
     # exp(-|z|) never overflows, even for wildly perturbed latents:
-    # 1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below
-    ez = np.exp(-np.abs(z))
-    return np.divide(np.where(z >= 0, 1.0, ez), 1.0 + ez, out=z)
+    # 1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below. Since e^-|z| <= 1,
+    # max(z >= 0, e^-|z|) is that numerator without a select; NaN propagates.
+    ez = np.abs(z)
+    np.negative(ez, out=ez)
+    np.exp(ez, out=ez)
+    numerator = np.maximum((z >= 0).astype(np.float64), ez)
+    ez += 1.0
+    return np.divide(numerator, ez, out=z)
 
 
 def _activate_in_place(model: AutoencoderModel, layer: int, z: np.ndarray) -> np.ndarray:
@@ -84,15 +97,6 @@ def _activate_in_place(model: AutoencoderModel, layer: int, z: np.ndarray) -> np
     if layer == n_layers - 1:
         return _sigmoid_in_place(z)  # pixel range
     return np.tanh(z, out=z)
-
-
-def _activation_grad(model: AutoencoderModel, layer: int, a: np.ndarray) -> np.ndarray:
-    n_layers = 2 * model.n_encoder_layers
-    if layer == model.n_encoder_layers - 1:
-        return np.ones_like(a)
-    if layer == n_layers - 1:
-        return a * (1.0 - a)
-    return 1.0 - a * a
 
 
 def _forward(model: AutoencoderModel, x: np.ndarray, first: int, last: int) -> np.ndarray:
@@ -146,38 +150,69 @@ def decode(model: AutoencoderModel, latent: np.ndarray) -> np.ndarray:
     return decode_batch(model, [latent])[0]
 
 
-def loss_and_gradients(model: AutoencoderModel, batch):
+class _Workspace:
+    """The buffers of one training step at one batch height.
+
+    Per layer: its activations and the loss gradient at its pre-activation
+    (delta); one output-sized scratch. The gradients are fresh arrays unless
+    views of train's flat gradient buffer are passed.
+    """
+
+    def __init__(self, model: AutoencoderModel, height: int, grads=None):
+        widths = model.full_dims[1:]
+        self.acts = [np.empty((height, w)) for w in widths]
+        self.deltas = [np.empty((height, w)) for w in widths]
+        self.scratch = np.empty((height, widths[-1]))
+        if grads is None:
+            grads = (
+                [np.empty_like(w) for w in model.weights],
+                [np.empty_like(b) for b in model.biases],
+            )
+        self.weight_grads, self.bias_grads = grads
+
+
+def loss_and_gradients(model: AutoencoderModel, batch, *, workspace: _Workspace | None = None):
     """Reconstruction MSE and its gradients by backpropagation.
 
     Loss is the mean over batch entries and pixels of the squared
     reconstruction error. Returns (loss, weight_grads, bias_grads) with
-    gradients shaped like the model parameters.
+    gradients shaped like the model parameters. Without a workspace every
+    call returns fresh arrays; with one (train's, of the batch's height)
+    they are the workspace's, overwritten by its next step.
     """
     if len(batch) == 0:
         raise ValueError("batch must be nonempty")
     x = _stack_rows(batch, model.input_dim, "image")
-    n_layers = 2 * model.n_encoder_layers
-    activations = [x]
+    ws = _Workspace(model, len(x)) if workspace is None else workspace
     a = x
-    for layer in range(n_layers):
-        z = a @ model.weights[layer].T + model.biases[layer]
-        a = _activate_in_place(model, layer, z)
-        activations.append(a)
-    recon = activations[-1]
-    diff = recon - x
-    loss = float(np.mean(diff * diff))
+    for layer, out in enumerate(ws.acts):
+        np.matmul(a, model.weights[layer].T, out=out)
+        out += model.biases[layer]
+        a = _activate_in_place(model, layer, out)
+    diff, gate = ws.deltas[-1], ws.scratch
+    np.subtract(a, x, out=diff)
+    loss = float(np.mean(np.multiply(diff, diff, out=gate)))
 
-    weight_grads = [None] * n_layers
-    bias_grads = [None] * n_layers
-    delta = (2.0 / diff.size) * diff * _activation_grad(model, n_layers - 1, recon)
-    for layer in range(n_layers - 1, -1, -1):
-        weight_grads[layer] = delta.T @ activations[layer]
-        bias_grads[layer] = delta.sum(axis=0)
+    # delta = ((2 / size) * diff) * (recon * (1 - recon)): the model's bits
+    # depend on this rounding order
+    np.subtract(1.0, a, out=gate)
+    gate *= a
+    diff *= 2.0 / diff.size
+    diff *= gate
+    latent = model.n_encoder_layers - 1
+    for layer in range(len(ws.acts) - 1, -1, -1):
+        delta = ws.deltas[layer]
+        a = ws.acts[layer - 1] if layer > 0 else x
+        np.matmul(delta.T, a, out=ws.weight_grads[layer])
+        np.sum(delta, axis=0, out=ws.bias_grads[layer])
         if layer > 0:
-            delta = (delta @ model.weights[layer]) * _activation_grad(
-                model, layer - 1, activations[layer]
-            )
-    return loss, weight_grads, bias_grads
+            below = np.matmul(delta, model.weights[layer], out=ws.deltas[layer - 1])
+            if layer - 1 != latent:  # the identity latent layer's derivative is 1
+                # tanh' = 1 - a * a, in a's buffer: nothing below reads a again
+                np.multiply(a, a, out=a)
+                np.subtract(1.0, a, out=a)
+                below *= a
+    return loss, ws.weight_grads, ws.bias_grads
 
 
 def init_model(
@@ -236,31 +271,55 @@ def train(
     x_all = np.stack([np.asarray(img, dtype=np.float64).reshape(-1) for img in corpus])
     n = x_all.shape[0]
 
+    # parameters, velocity and gradients each in one buffer, laid out as
+    # w0, b0, w1, b1, ...; the model's and the workspaces' arrays are views
+    params = np.concatenate([p.reshape(-1) for wb in zip(model.weights, model.biases) for p in wb])
+    velocity = np.zeros_like(params)
+    grads = np.empty_like(params)
+    model.weights, model.biases = _param_views(params, model.full_dims)
+    grad_views = _param_views(grads, model.full_dims)
+    batch = config.batch_size
+    workspaces = {h: _Workspace(model, h, grad_views) for h in {min(batch, n), n % batch or batch}}
+    chunks = [
+        tuple(buf[lo : lo + UPDATE_CHUNK] for buf in (velocity, grads, params))
+        for lo in range(0, params.size, UPDATE_CHUNK)
+    ]
+
     shuffle_stream = make_stream(config.seed, stream_id=1)
-    vel_w = [np.zeros_like(w) for w in model.weights]
-    vel_b = [np.zeros_like(b) for b in model.biases]
     trace = []
     for epoch in range(config.epochs):
         u, shuffle_stream = rng_uniform_batch(shuffle_stream, n)
         order = np.argsort(u, kind="stable")
         epoch_loss = 0.0
-        for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            loss, gw, gb = loss_and_gradients(model, x_all[idx])
+        for start in range(0, n, batch):
+            idx = order[start : start + batch]
+            loss, _, _ = loss_and_gradients(model, x_all[idx], workspace=workspaces[len(idx)])
             if not np.isfinite(loss):
                 raise TrainingError(
                     f"non-finite loss {loss} at epoch {epoch}, batch offset {start}; "
                     "reduce learning_rate"
                 )
             epoch_loss += loss * len(idx)
-            # v = mu * v - lr * g; p = p + v, in place: each value rounds the same
-            for v, g, p in zip(vel_w + vel_b, gw + gb, model.weights + model.biases):
+            # v = mu * v - lr * g; p = p + v, in place: each value rounds the
+            # same; a chunk of all three buffers stays in cache for the four ops
+            for v, g, p in chunks:
                 v *= config.momentum
                 g *= config.learning_rate
                 v -= g
                 p += v
         trace.append(epoch_loss / n)
     return model, trace
+
+
+def _param_views(flat: np.ndarray, full_dims) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Weights and biases of a chain of dims as views of one flat buffer."""
+    weights, biases, offset = [], [], 0
+    for fan_in, fan_out in zip(full_dims[:-1], full_dims[1:]):
+        weights.append(flat[offset : offset + fan_out * fan_in].reshape(fan_out, fan_in))
+        offset += fan_out * fan_in
+        biases.append(flat[offset : offset + fan_out])
+        offset += fan_out
+    return weights, biases
 
 
 def align_identity_basis(model: AutoencoderModel, corpus, identity_labels) -> AutoencoderModel:
@@ -345,8 +404,8 @@ def load_model(path) -> AutoencoderModel:
     unaligned operands differently.
     """
     with open(path, "rb") as f:
-        blob = bytearray(os.fstat(f.fileno()).st_size)
-        del blob[f.readinto(blob) :]
+        blob = memoryview(np.empty(os.fstat(f.fileno()).st_size, np.uint8))
+        blob = blob[: f.readinto(blob)]
     if blob[:4] != MODEL_MAGIC:
         raise BadMagicError(f"bad magic {bytes(blob[:4])!r}, expected {MODEL_MAGIC!r}")
     offset = 4

@@ -14,6 +14,7 @@ import csv
 import io
 import math
 import os
+import re
 from dataclasses import dataclass, replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -263,9 +264,15 @@ def write_file(path, blob: bytes) -> None:
     a new file. Truncating to zero on open makes ext4 flush the old blocks on
     close; truncating after the write does not. Neither way is atomic.
     """
-    with os.fdopen(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
-        f.write(blob)
-        f.truncate()
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        view = memoryview(blob).cast("B")
+        size = len(view)
+        while view:
+            view = view[os.write(fd, view) :]
+        os.ftruncate(fd, size)
+    finally:
+        os.close(fd)
 
 
 def write_csv(path, header, rows) -> None:
@@ -285,29 +292,25 @@ def write_csv(path, header, rows) -> None:
     write_file(path, blob)
 
 
+# one header token after any whitespace and # comments: a token starts at a
+# byte that is neither whitespace nor #, and may hold # further on; a comment
+# runs to the end of its line. Comments end only at \n or the end, so the
+# pattern never backtracks into one.
+_PGM_TOKEN = re.compile(rb"(?:[ \t\r\n]|#[^\n]*(?:\n|\Z))*([^ \t\r\n#][^ \t\r\n]*)")
+
+
 def _pgm_tokens(blob: bytes):
-    """Yield header tokens, skipping whitespace and # comments."""
-    i = 0
-    n = len(blob)
-    while i < n:
-        c = blob[i : i + 1]
-        if c in b" \t\r\n":
-            i += 1
-            continue
-        if c == b"#":
-            j = blob.find(b"\n", i)
-            i = n if j < 0 else j + 1
-            continue
-        j = i
-        while j < n and blob[j : j + 1] not in b" \t\r\n":
-            j += 1
-        yield blob[i:j], j
-        i = j
+    """Yield (token, end offset) of header tokens, skipping whitespace and # comments."""
+    end = 0
+    while match := _PGM_TOKEN.match(blob, end):
+        end = match.end()
+        yield match[1], end
 
 
 def read_pgm(path) -> np.ndarray:
     """Read a binary PGM (P5, maxval 255) into a [0,1] float image."""
-    blob = Path(path).read_bytes()
+    with open(path, "rb", buffering=0) as f:
+        blob = f.readall()
     tokens = _pgm_tokens(blob)
     try:
         magic, _ = next(tokens)

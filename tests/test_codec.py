@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dpimage.codec import (
+    _sigmoid_in_place,
     align_identity_basis,
     decode,
     decode_batch,
@@ -165,8 +166,43 @@ class TestGradients:
             loss_and_gradients(model, [])
 
 
-def allocating_train(corpus, cfg, hidden_dims):
-    """train() with the momentum update written out of place, as a reference."""
+def where_sigmoid(z):
+    """The output sigmoid with an explicit select, as a reference."""
+    ez = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, ez) / (1.0 + ez)
+
+
+def reference_step(model, x):
+    """Loss and gradients of one batch by textbook backpropagation: every
+    intermediate freshly allocated, the select sigmoid, gradients in fresh arrays."""
+    n_layers = len(model.weights)
+    latent = model.n_encoder_layers - 1
+    acts = [x]
+    for layer in range(n_layers):
+        z = acts[-1] @ model.weights[layer].T + model.biases[layer]
+        if layer == latent:
+            acts.append(z)
+        elif layer == n_layers - 1:
+            acts.append(where_sigmoid(z))
+        else:
+            acts.append(np.tanh(z))
+    recon = acts[-1]
+    diff = recon - x
+    loss = float(np.mean(diff * diff))
+    gw, gb = [None] * n_layers, [None] * n_layers
+    delta = (2.0 / diff.size) * diff * (recon * (1.0 - recon))
+    for layer in range(n_layers - 1, -1, -1):
+        gw[layer] = delta.T @ acts[layer]
+        gb[layer] = delta.sum(axis=0)
+        if layer > 0:
+            delta = delta @ model.weights[layer]
+            if layer - 1 != latent:
+                delta = delta * (1.0 - acts[layer] * acts[layer])
+    return loss, gw, gb
+
+
+def reference_train(corpus, cfg, hidden_dims):
+    """train() written out of place from the textbook step, as a reference."""
     x_all = np.stack([img.reshape(-1) for img in corpus])
     n = len(x_all)
     dims = (x_all.shape[1], *hidden_dims, cfg.latent_dim)
@@ -181,7 +217,7 @@ def allocating_train(corpus, cfg, hidden_dims):
         epoch_loss = 0.0
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            loss, gw, gb = loss_and_gradients(model, x_all[idx])
+            loss, gw, gb = reference_step(model, x_all[idx])
             epoch_loss += loss * len(idx)
             for layer in range(len(model.weights)):
                 vel_w[layer] = cfg.momentum * vel_w[layer] - cfg.learning_rate * gw[layer]
@@ -192,6 +228,33 @@ def allocating_train(corpus, cfg, hidden_dims):
     return model, trace
 
 
+class TestStep:
+    SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 745.0, -745.0, 800.0, -800.0,
+               1e-300, -1e-300]
+
+    def test_sigmoid_bits_equal_select_form(self):
+        rng = np.random.default_rng(0)
+        for z in [np.array(self.SPECIAL)] + [s * rng.normal(size=(32, 1024)) for s in (1, 10, 100)]:
+            got = _sigmoid_in_place(z.copy())
+            assert np.array_equal(got.view(np.uint64), where_sigmoid(z).view(np.uint64))
+
+    @pytest.mark.parametrize("dims", [(64, 8), (64, 16, 8), (64, 32, 16, 8)])
+    def test_step_bits_equal_textbook(self, dims):
+        model = init_model(dims, 4, seed=2, weight_init_scale=2.0)
+        x = np.random.default_rng(2).uniform(0.0, 1.0, size=(5, 64))
+        loss, gw, gb = loss_and_gradients(model, x)
+        ref_loss, ref_gw, ref_gb = reference_step(model, x)
+        assert loss == ref_loss
+        assert all(np.array_equal(a, b) for a, b in zip(gw + gb, ref_gw + ref_gb))
+
+    def test_calls_without_workspace_share_no_memory(self):
+        model = init_model((64, 16, 8), 4, seed=1)
+        x = small_corpus(3)
+        _, gw1, gb1 = loss_and_gradients(model, x)
+        _, gw2, gb2 = loss_and_gradients(model, x)
+        assert not any(np.shares_memory(a, b) for a in gw1 + gb1 for b in gw2 + gb2)
+
+
 class TestTrain:
     def test_in_place_update_matches_allocating_reference(self):
         corpus = small_corpus(10)
@@ -200,7 +263,20 @@ class TestTrain:
             weight_init_scale=2.0, latent_dim=8, identity_len=4,
         )
         model, trace = train(corpus, cfg, hidden_dims=(16,))
-        expected, expected_trace = allocating_train(corpus, cfg, (16,))
+        expected, expected_trace = reference_train(corpus, cfg, (16,))
+        assert models_equal(model, expected)
+        assert trace == expected_trace
+
+    def test_two_hidden_layers_match_textbook_reference(self):
+        # 11 images in batches of 3 end in a partial batch of 2; 3 x 64
+        # pixels make the loss scale 2 / 192, which is not a power of two
+        corpus = small_corpus(11)
+        cfg = RunConfig(
+            epochs=8, batch_size=3, learning_rate=0.7, momentum=0.9, seed=6,
+            weight_init_scale=2.0, latent_dim=8, identity_len=4,
+        )
+        model, trace = train(corpus, cfg, hidden_dims=(24, 12))
+        expected, expected_trace = reference_train(corpus, cfg, (24, 12))
         assert models_equal(model, expected)
         assert trace == expected_trace
 
@@ -223,15 +299,20 @@ class TestTrain:
 
     def test_non_finite_loss_aborts(self):
         # bounded sigmoid output keeps honest losses finite, so feed a
-        # poisoned image to exercise the abort path
-        corpus = small_corpus(4)
-        corpus[2] = corpus[2].copy()
-        corpus[2][0, 0] = np.nan
+        # poisoned image to exercise the abort path; the error names the
+        # epoch and the offset of the poisoned image's batch
+        corpus = small_corpus(10)
+        corpus[7] = np.full((8, 8), np.nan)
         cfg = RunConfig(
-            epochs=1, batch_size=4, learning_rate=0.1, weight_init_scale=1.0,
+            epochs=1, batch_size=4, learning_rate=0.1, seed=2, weight_init_scale=1.0,
             latent_dim=8, identity_len=4,
         )
-        with pytest.raises(TrainingError, match="non-finite"):
+        u, _ = rng_uniform_batch(make_stream(cfg.seed, stream_id=1), len(corpus))
+        position = list(np.argsort(u, kind="stable")).index(7)
+        offset = position - position % cfg.batch_size
+        assert offset > 0
+        message = f"non-finite loss nan at epoch 0, batch offset {offset};"
+        with pytest.raises(TrainingError, match=message):
             train(corpus, cfg, hidden_dims=(16,))
 
     def test_mixed_shapes_rejected(self):

@@ -3,8 +3,11 @@ import stat
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpimage.data import (
+    _pgm_tokens,
     FaceParams,
     identity_distance,
     generate_corpus,
@@ -202,6 +205,59 @@ class TestPgm:
         assert not (tmp_path / "nan.pgm").exists()
 
 
+    @pytest.mark.parametrize("make", [lambda p: None, lambda p: p.mkdir()])
+    def test_missing_or_directory_input_names_path(self, tmp_path, make):
+        path = tmp_path / "face.pgm"
+        make(path)
+        with pytest.raises(OSError, match="face.pgm"):
+            read_pgm(path)
+
+
+def byte_loop_tokens(blob: bytes):
+    """The header tokenizer as a byte-at-a-time loop, the reference for _pgm_tokens."""
+    i = 0
+    n = len(blob)
+    while i < n:
+        c = blob[i : i + 1]
+        if c in b" \t\r\n":
+            i += 1
+            continue
+        if c == b"#":
+            j = blob.find(b"\n", i)
+            i = n if j < 0 else j + 1
+            continue
+        j = i
+        while j < n and blob[j : j + 1] not in b" \t\r\n":
+            j += 1
+        yield blob[i:j], j
+        i = j
+
+
+HEADER_PIECES = [
+    b" ", b"\t", b"\r", b"\n", b"  \n\t", b"#", b"# a comment\n", b"#no newline",
+    b"P5", b"32", b"255", b"1#2", b"x#", b"\x00", b"\xff", b"\x0b", b"\x0c",
+]
+
+
+class TestPgmTokens:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            st.lists(st.sampled_from(HEADER_PIECES), max_size=24).map(b"".join),
+            st.binary(max_size=48),
+        ),
+        st.integers(min_value=0, max_value=64),
+    )
+    def test_matches_byte_loop(self, header, cut):
+        # whole and truncated headers, with pixel-like bytes after them
+        for blob in (header, header[:cut], header + bytes(range(256))):
+            assert list(_pgm_tokens(blob)) == list(byte_loop_tokens(blob))
+
+    def test_long_whitespace_tail_is_linear(self):
+        blob = b"P5" + b" \t" * 50_000 + b"#" * 5_000
+        assert list(_pgm_tokens(blob)) == [(b"P5", 2)]
+
+
 class TestWriteFile:
     def test_shorter_rewrite_leaves_only_new_bytes(self, tmp_path):
         path = tmp_path / "f.bin"
@@ -215,6 +271,12 @@ class TestWriteFile:
         write_file(tmp_path / "written.bin", b"x")
         modes = [stat.S_IMODE((tmp_path / n).stat().st_mode) for n in ("opened.bin", "written.bin")]
         assert modes[0] == modes[1]
+
+    def test_buffer_objects_written_whole(self, tmp_path):
+        payload = bytes(range(256)) * 300
+        for blob in (bytearray(payload), memoryview(payload), np.frombuffer(payload, np.uint8)):
+            write_file(tmp_path / "b.bin", blob)
+            assert (tmp_path / "b.bin").read_bytes() == payload
 
 
 class TestWriteCsv:
