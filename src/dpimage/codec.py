@@ -8,7 +8,9 @@ flat buffer (the model's weights and biases are views of it) beside one
 velocity and one gradient buffer of the same layout, and updates them a
 chunk at a time. Each step writes its activations, deltas and gradients
 into a workspace allocated once per batch height. encode/decode are pure
-and safe to share across threads.
+and safe to share across threads; they run a stack in zero-padded passes of
+up to PASS_ROWS rows, through each layer in turn, so a row's bits do not
+depend on the stack it came in (see BLOCK_ROWS).
 """
 
 from __future__ import annotations
@@ -30,13 +32,21 @@ MODEL_VERSION = 1
 
 DEFAULT_HIDDEN_DIMS = (256, 64)
 
-# Rows per forward-pass matrix product. OpenBLAS rounds a row's product
-# differently at different matrix heights: a 1-row pass (GEMV), small and
-# large batches differ in the last bits. At one fixed height every row gets
-# the same bits whatever its position or batch mates, so encode and decode
-# always run zero-padded blocks of this height. 16 rows keep the padding of
-# single-image calls and the block temporaries small.
+# OpenBLAS rounds a row of a matrix product differently at different
+# matrix heights: a 1-row product (GEMV), small and large ones differ in the
+# last bits. A product with few outputs (fan_out times height up to about
+# 1200) goes to OpenBLAS's small-matrix kernel, whose bits change with any
+# change of height. A product with more outputs gives each row the same bits
+# at every height that is a multiple of 16 (the Haswell kernel changes bits
+# only at other heights). So the forward pads each pass to a multiple of
+# BLOCK_ROWS rows, runs a layer of at least WIDE_OUT outputs as one product
+# over the whole pass, and a narrower one as BLOCK_ROWS-row products: every
+# row gets the same bits whatever its position or batch mates.
 BLOCK_ROWS = 16
+WIDE_OUT = 128
+# Rows per forward pass: a wide product runs about twice as fast at 64 rows
+# as at 16, and the pass's activations stay small.
+PASS_ROWS = 64
 
 # ridge on the within-identity scatter in the basis alignment, as a fraction
 # of its mean eigenvalue
@@ -84,9 +94,9 @@ def _sigmoid_in_place(z: np.ndarray) -> np.ndarray:
     ez = np.abs(z)
     np.negative(ez, out=ez)
     np.exp(ez, out=ez)
-    numerator = np.maximum((z >= 0).astype(np.float64), ez)
-    ez += 1.0
-    return np.divide(numerator, ez, out=z)
+    den = ez + 1.0
+    np.maximum(z >= 0, ez, out=ez)
+    return np.divide(ez, den, out=z)
 
 
 def _activate_in_place(model: AutoencoderModel, layer: int, z: np.ndarray) -> np.ndarray:
@@ -100,19 +110,25 @@ def _activate_in_place(model: AutoencoderModel, layer: int, z: np.ndarray) -> np
 
 
 def _forward(model: AutoencoderModel, x: np.ndarray, first: int, last: int) -> np.ndarray:
-    """Rows of x through layers first..last-1, BLOCK_ROWS rows per product."""
+    """Rows of x through layers first..last-1, PASS_ROWS rows per pass."""
     n = x.shape[0]
     out = np.empty((n, model.full_dims[last]))
-    block = np.zeros((BLOCK_ROWS, x.shape[1]))
-    for start in range(0, n, BLOCK_ROWS):
-        rows = x[start : start + BLOCK_ROWS]
-        block[: len(rows)] = rows
-        block[len(rows) :] = 0.0
-        a = block
+    padded = np.zeros((min(PASS_ROWS, n + -n % BLOCK_ROWS), x.shape[1]))
+    for start in range(0, n, PASS_ROWS):
+        rows = x[start : start + PASS_ROWS]
+        a = padded[: len(rows) + -len(rows) % BLOCK_ROWS]
+        a[: len(rows)] = rows
+        a[len(rows) :] = 0.0
         for layer in range(first, last):
-            a = a @ model.weights[layer].T
-            a += model.biases[layer]
-            _activate_in_place(model, layer, a)
+            w = model.weights[layer]
+            if w.shape[0] >= WIDE_OUT:
+                z = a @ w.T
+            else:
+                z = np.empty((len(a), w.shape[0]))
+                for lo in range(0, len(a), BLOCK_ROWS):
+                    np.matmul(a[lo : lo + BLOCK_ROWS], w.T, out=z[lo : lo + BLOCK_ROWS])
+            z += model.biases[layer]
+            a = _activate_in_place(model, layer, z)
         out[start : start + len(rows)] = a[: len(rows)]
     return out
 

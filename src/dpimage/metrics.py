@@ -18,12 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .codec import BLOCK_ROWS, AutoencoderModel, encode, encode_batch
+from .codec import AutoencoderModel, encode, encode_batch
 
 SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
 SSIM_C1 = (0.01 * 1.0) ** 2  # dynamic range L = 1 for [0,1] pixels
 SSIM_C2 = (0.03 * 1.0) ** 2
+# images per SSIM filtering step; bounds the scorer's temporaries
+SSIM_BLOCK = 16
 
 
 def _check_same_shape(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -69,7 +71,7 @@ def ssim_reference(x: np.ndarray, window: int = SSIM_WINDOW, sigma: float = SSIM
     windows, constants for unit dynamic range. The window is separable, so
     every local statistic of a stack a is rows @ a @ cols.T with banded
     matrices of 1-D taps (Wang et al. 2004). x and x * x are filtered here
-    and held; each call filters y, y * y and x * y. Both run BLOCK_ROWS
+    and held; each call filters y, y * y and x * y. Both run SSIM_BLOCK
     images at a time, and a stacked matmul runs one product per image, so
     the grouping moves no bit.
     """
@@ -80,7 +82,7 @@ def ssim_reference(x: np.ndarray, window: int = SSIM_WINDOW, sigma: float = SSIM
     rows = _gaussian_band(h, window, sigma)
     cols = _gaussian_band(w, window, sigma)
     x_all = x.reshape(-1, h, w)
-    blocks = [slice(start, start + BLOCK_ROWS) for start in range(0, len(x_all), BLOCK_ROWS)]
+    blocks = [slice(start, start + SSIM_BLOCK) for start in range(0, len(x_all), SSIM_BLOCK)]
     # each block's local means of x and of x * x
     held = [rows @ np.stack([x_all[block], x_all[block] ** 2]) @ cols.T for block in blocks]
 

@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from dpimage.codec import (
+    BLOCK_ROWS,
+    WIDE_OUT,
+    _activate_in_place,
     _sigmoid_in_place,
     align_identity_basis,
     decode,
@@ -42,16 +45,32 @@ def zero_model(encoder_dims=(64, 16, 8), identity_len=4):
     return model
 
 
+def block_forward(model, x, first, last):
+    """Rows of x through layers first..last-1, every layer as BLOCK_ROWS-row
+    products of one zero-padded block at a time, as a reference."""
+    out = np.empty((len(x), model.full_dims[last]))
+    block = np.zeros((BLOCK_ROWS, x.shape[1]))
+    for start in range(0, len(x), BLOCK_ROWS):
+        rows = x[start : start + BLOCK_ROWS]
+        block[: len(rows)] = rows
+        block[len(rows) :] = 0.0
+        a = block
+        for layer in range(first, last):
+            a = _activate_in_place(model, layer, a @ model.weights[layer].T + model.biases[layer])
+        out[start : start + len(rows)] = a[: len(rows)]
+    return out
+
+
 class TestBatchForward:
     """Rows of a batch carry the bits of the single-image calls."""
 
     def setup_method(self):
         self.model = init_model((1024, 256, 64, 32), 12, seed=5, weight_init_scale=2.0)
         rng = np.random.default_rng(5)
-        self.images = rng.uniform(0.0, 1.0, size=(100, 32, 32))
-        self.latents = rng.normal(0.0, 3.0, size=(100, 32))
+        self.images = rng.uniform(0.0, 1.0, size=(500, 32, 32))
+        self.latents = rng.normal(0.0, 3.0, size=(500, 32))
 
-    @pytest.mark.parametrize("height", [1, 2, 15, 16, 17, 20, 100])
+    @pytest.mark.parametrize("height", [0, 1, 2, 15, 16, 17, 20, 63, 64, 65, 100, 128, 129, 500])
     def test_rows_equal_single_calls(self, height):
         enc = encode_batch(self.model, self.images[:height])
         dec = decode_batch(self.model, self.latents[:height])
@@ -59,6 +78,22 @@ class TestBatchForward:
         for i in range(height):
             assert np.array_equal(enc[i], encode(self.model, self.images[i]))
             assert np.array_equal(dec[i], decode(self.model, self.latents[i]))
+
+    # the second model's widths sit on both sides of WIDE_OUT
+    @pytest.mark.parametrize("dims", [(1024, 256, 64, 32), (1024, WIDE_OUT, 100)])
+    def test_bits_equal_block_reference(self, dims):
+        model = init_model(dims, 12, seed=6, weight_init_scale=2.0)
+        rng = np.random.default_rng(6)
+        x = rng.uniform(0.0, 1.0, size=(300, dims[0]))
+        z = rng.normal(0.0, 3.0, size=(300, dims[-1]))
+        n_enc = model.n_encoder_layers
+        for height in (1, 16, 17, 64, 65, 129, 300):
+            enc = encode_batch(model, x[:height])
+            dec = decode_batch(model, z[:height]).reshape(height, -1)
+            ref_enc = block_forward(model, x[:height], 0, n_enc)
+            ref_dec = block_forward(model, z[:height], n_enc, 2 * n_enc)
+            assert np.array_equal(enc.view(np.uint64), ref_enc.view(np.uint64))
+            assert np.array_equal(dec.view(np.uint64), ref_dec.view(np.uint64))
 
     def test_shuffled_batch_mates(self):
         enc = encode_batch(self.model, self.images)
