@@ -43,7 +43,7 @@ from .metrics import (
     mosaic_baseline,
     nearest_rank_percentile,
 )
-from .numerics import derive_states
+from .numerics import derive_states, rng_uniform_rows
 from .privacy import (
     PrivacyBudgetLedger,
     PrivacyParams,
@@ -80,9 +80,16 @@ def _load_corpus(corpus_dir: Path, split: str | None = None):
     return rows, [read_pgm(corpus_dir / r.path) for r in rows]
 
 
-def _privacy_params(config: RunConfig, epsilon: float, sensitivity: float) -> PrivacyParams:
+def _privacy_params(config: RunConfig, model, epsilon: float, sensitivity: float) -> PrivacyParams:
     """The configured mechanism; perturb and sweep both release through it."""
     if config.mask_mode == "identity_only":
+        # ISS and FPPSR read the model's identity block: the mask must be it
+        configured = (config.latent_dim, config.identity_len)
+        if configured != (model.latent_dim, model.identity_len):
+            raise ConfigError(
+                f"mask_mode identity_only: config latent_dim, identity_len {configured} "
+                f"differ from the model's {(model.latent_dim, model.identity_len)}"
+            )
         mask = identity_mask(config.latent_dim, config.identity_len)
     else:
         mask = full_mask(config.latent_dim)
@@ -215,7 +222,7 @@ def cmd_perturb(config: RunConfig, model_path: Path, inputs: list[Path]) -> None
     out_dir = Path(config.output_dir)
     model = load_model(model_path)
     delta_f = _resolve_delta_f(config, out_dir)
-    params = _privacy_params(config, config.epsilon, delta_f)
+    params = _privacy_params(config, model, config.epsilon, delta_f)
     ledger_path = out_dir / "ledger.csv"
     ledger = (
         PrivacyBudgetLedger.load_csv(ledger_path, _ledger_checkpoint(out_dir))
@@ -229,7 +236,7 @@ def cmd_perturb(config: RunConfig, model_path: Path, inputs: list[Path]) -> None
     # each image's stream is addressed by its ledger row, so every release,
     # in this request or any other, gets fresh noise
     states = derive_states(config.seed, _STREAM_PERTURB, loaded + np.arange(len(files)))
-    released = dp_images(model, images, params, states)
+    released = dp_images(model, images, params, rng_uniform_rows(states, params.n_noisy))
     perturbed_dir = out_dir / "perturbed"
     perturbed_dir.mkdir(parents=True, exist_ok=True)
     # group tracks data disjointness only (same corpus: budgets add); masked
@@ -381,7 +388,7 @@ def cmd_sweep(config: RunConfig, model_path: Path, corpus_dir: Path) -> None:
     releases_scored = 0
     for level_index, level in enumerate(levels):
         # the level is the noise scale b = delta_f / epsilon itself
-        params = _privacy_params(config, 1.0, level)
+        params = _privacy_params(config, model, 1.0, level)
         # without noise every repetition releases the same images, so a
         # noise-free level is released once and its scores repeated
         draws = config.sweep_repetitions if params.scale > 0 else 1
@@ -391,7 +398,8 @@ def cmd_sweep(config: RunConfig, model_path: Path, corpus_dir: Path) -> None:
         # (repetition, image) order, which fixes the bits of their means
         for rep in range(draws):
             states = derive_states(config.seed, _STREAM_SWEEP, level_index, rep, image)
-            y = decode_batch(model, perturb_latents(originals.latents, params, states))
+            u = rng_uniform_rows(states, params.n_noisy)
+            y = decode_batch(model, perturb_latents(originals.latents, params, u))
             iss_vals.append(originals.iss(y))
             l2_vals.append(l2_distances(x_eval, y))
             ssim_vals.append(originals.ssim(y))

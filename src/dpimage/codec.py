@@ -24,7 +24,7 @@ import numpy as np
 
 from .config import RunConfig
 from .data import write_file
-from .errors import BadMagicError, TrainingError, TruncatedError, VersionError
+from .errors import BadMagicError, FormatError, TrainingError, TruncatedError, VersionError
 from .numerics import make_stream, rng_uniform_batch
 
 MODEL_MAGIC = b"DPIM"
@@ -448,6 +448,8 @@ def load_model(path) -> AutoencoderModel:
         raise TruncatedError(f"model needs >= 2 encoder dims, found {n_dims}")
     encoder_dims = struct.unpack_from(f"<{n_dims}I", blob, take(4 * n_dims))
     (identity_len,) = struct.unpack_from("<I", blob, take(4))
+    if not 1 <= identity_len <= encoder_dims[-1]:
+        raise FormatError(f"identity_len {identity_len} outside [1, {encoder_dims[-1]}]")
     full = encoder_dims + tuple(reversed(encoder_dims[:-1]))
     weights = []
     biases = []

@@ -6,8 +6,8 @@ against a threshold at a percentile of the impostor ISS. Utility side: l2
 distance, relative l_inf distortion, windowed SSIM, and a Frechet distance
 between Gaussian fits of embedding sets (FED). Originals prepares a stack of
 original images once (its latents and its SSIM statistics) and scores any
-number of released stacks against it; evaluate_pairs is its one-shot form,
-which aggregates in image_id order.
+number of released stacks against it, row by row; its report aggregates in
+the order of the rows it is given.
 """
 
 from __future__ import annotations
@@ -103,18 +103,11 @@ def ssim_reference(x: np.ndarray, window: int = SSIM_WINDOW, sigma: float = SSIM
     return score
 
 
-def ssim_scores(
-    x: np.ndarray, y: np.ndarray, window: int = SSIM_WINDOW, sigma: float = SSIM_SIGMA
-) -> np.ndarray:
-    """Mean SSIM of each pair of two stacks: ssim_reference(x)(y)."""
-    return ssim_reference(x, window, sigma)(y)
-
-
 def ssim(
     x: np.ndarray, y: np.ndarray, window: int = SSIM_WINDOW, sigma: float = SSIM_SIGMA
 ) -> float:
-    """Mean structural similarity of two images (see ssim_scores)."""
-    return float(ssim_scores(x, y, window, sigma))
+    """Mean structural similarity of two images (see ssim_reference)."""
+    return float(ssim_reference(x, window, sigma)(y))
 
 
 def iss_scores(e_x: np.ndarray, e_y: np.ndarray) -> np.ndarray:
@@ -284,6 +277,8 @@ class Originals:
     def __init__(self, model: AutoencoderModel, x, window=SSIM_WINDOW, sigma=SSIM_SIGMA):
         self.model = model
         self.x = np.asarray(x, dtype=np.float64)
+        if not len(self.x):
+            raise ValueError("need at least one original image")
         self.latents = encode_batch(model, self.x)
         self.embeddings = self.latents[:, : model.identity_len]
         self.ssim = ssim_reference(self.x, window, sigma)
@@ -317,22 +312,4 @@ class Originals:
             fppsr=float(np.mean(iss_vals < threshold)),
             threshold=threshold,
         )
-
-
-def evaluate_pairs(
-    model: AutoencoderModel,
-    pairs,
-    threshold: float,
-    ssim_window: int = SSIM_WINDOW,
-    ssim_sigma: float = SSIM_SIGMA,
-) -> MetricsReport:
-    """Per-image and aggregate metrics over (image_id, original, perturbed).
-
-    Images are ordered by image_id ascending so aggregation is deterministic
-    regardless of input or scheduling order.
-    """
-    if len(pairs) == 0:
-        raise ValueError("need at least one pair")
-    ids, x, y = zip(*sorted(pairs, key=lambda rec: rec[0]))
-    return Originals(model, x, ssim_window, ssim_sigma).report(y, threshold, [str(i) for i in ids])
 

@@ -1,9 +1,12 @@
 """Latent-space privacy mechanism.
 
-Laplace sampling calibrated by feature-space sensitivity, masked latent
-perturbation, the encode-perturb-decode image mechanism, budget accounting
-with sequential/parallel composition, and an empirical one-dimensional
-check of the privacy-loss ratio bound.
+One mechanism function, perturb_latents, clips latents and adds Laplace
+noise to their masked coordinates from uniform rows its caller supplies, one
+per latent: perturb_latent and dp_image draw theirs from a stream, perturb
+and sweep from rng_uniform_rows. Around it: feature-space sensitivity, the
+encode-perturb-decode image mechanism, budget accounting with
+sequential/parallel composition, and an empirical check of the privacy-loss
+ratio bound.
 
 The guarantee is d_X-privacy (Chatzikokolakis et al., PETS 2013): noise of
 scale delta_f / epsilon on f(x) bounds the privacy loss between any two
@@ -37,7 +40,7 @@ import numpy as np
 
 from .codec import AutoencoderModel, decode, decode_batch, encode, encode_batch
 from .errors import FormatError, decode_utf8
-from .numerics import RngStream, make_stream, rng_uniform_batch, rng_uniform_rows
+from .numerics import RngStream, make_stream, rng_uniform_batch
 
 LEDGER_HEADER = ("release_id", "epsilon", "group")
 CHECKPOINT_KEYS = ("ledger_rows", "ledger_sums", "ledger_digest")
@@ -117,15 +120,6 @@ def laplace_batch(
     return laplace_from_uniform(u, scale), stream
 
 
-def laplace_rows(states, n: int, scale: float) -> np.ndarray:
-    """n Laplace(0, scale) draws per stream state, one row each.
-
-    Row i equals ``laplace_batch(RngStream(states[i]), n, scale)[0]`` bit for
-    bit, so a block of tasks draws its noise in one array operation.
-    """
-    return laplace_from_uniform(rng_uniform_rows(states, n), scale)
-
-
 @dataclass(frozen=True)
 class SensitivityReport:
     """Empirical feature-space sensitivity over a set of latents.
@@ -178,39 +172,34 @@ def clip_latent(latent: np.ndarray, radius: float) -> np.ndarray:
     return z * (radius / np.maximum(norm, radius))
 
 
-def _add_noise(latents, params: PrivacyParams, noise: np.ndarray) -> np.ndarray:
+def perturb_latents(latents, params: PrivacyParams, uniforms) -> np.ndarray:
+    """The mechanism: clip (when params.clip_radius is set), then add Laplace noise.
+
+    uniforms holds one row of params.n_noisy values in [-0.5, 0.5] per latent,
+    which becomes Laplace(scale) noise on that latent's masked coordinates in
+    coordinate order. Unmasked coordinates of an unclipped latent pass through
+    bit-identical.
+    """
     z = np.array(latents, dtype=np.float64)
+    u = np.asarray(uniforms, dtype=np.float64)
     if z.shape[-1:] != params.mask.shape:
         raise ValueError(
             f"mask length {params.mask.size} does not match latents of shape {z.shape}"
         )
+    if u.shape != z.shape[:-1] + (params.n_noisy,):  # one row per latent, never broadcast
+        raise ValueError(f"uniforms of shape {u.shape}, need {z.shape[:-1] + (params.n_noisy,)}")
     if params.clip_radius is not None:
         z = clip_latent(z, params.clip_radius)
-    z[..., params.mask] += noise
+    z[..., params.mask] += laplace_from_uniform(u, params.scale)
     return z
 
 
 def perturb_latent(
     latent: np.ndarray, params: PrivacyParams, stream: RngStream
 ) -> tuple[np.ndarray, RngStream]:
-    """Clip (when params.clip_radius is set), then add Laplace(scale) noise.
-
-    Noise goes to the masked coordinates only; draws are consumed in
-    coordinate order over the masked positions, so the output is a
-    deterministic function of (latent, params, stream). Unmasked coordinates
-    of an unclipped latent pass through bit-identical.
-    """
-    noise, stream = laplace_batch(stream, params.n_noisy, params.scale)
-    return _add_noise(latent, params, noise), stream
-
-
-def perturb_latents(latents, params: PrivacyParams, states) -> np.ndarray:
-    """perturb_latent over a stack of latents, one stream state per row.
-
-    Row i equals ``perturb_latent(latents[i], params, RngStream(states[i]))``
-    bit for bit; ``states`` comes from :func:`derive_states`.
-    """
-    return _add_noise(latents, params, laplace_rows(states, params.n_noisy, params.scale))
+    """perturb_latents on one latent, its uniforms the next n_noisy of stream."""
+    u, stream = rng_uniform_batch(stream, params.n_noisy)
+    return perturb_latents(latent, params, u), stream
 
 
 def dp_image(
@@ -230,20 +219,13 @@ def dp_image(
     return decode(model, z_noisy), stream
 
 
-def dp_images(model: AutoencoderModel, images, params: PrivacyParams, states) -> np.ndarray:
-    """The mechanism over a stack of images, one stream state per image.
+def dp_images(model: AutoencoderModel, images, params: PrivacyParams, uniforms) -> np.ndarray:
+    """The mechanism over a stack of images, one row of uniforms per image.
 
-    Image i equals ``dp_image(model, images[i], params, RngStream(states[i]))``
-    bit for bit, whatever else is in the stack.
+    Image i equals dp_image on images[i] from a stream whose next n_noisy
+    uniforms are uniforms[i], bit for bit, whatever else is in the stack.
     """
-    return decode_batch(model, perturb_latents(encode_batch(model, images), params, states))
-
-
-@dataclass(frozen=True)
-class LedgerEntry:
-    release_id: str
-    epsilon: float
-    group: str
+    return decode_batch(model, perturb_latents(encode_batch(model, images), params, uniforms))
 
 
 class PrivacyBudgetLedger:
@@ -286,8 +268,9 @@ class PrivacyBudgetLedger:
         return head + self._rows
 
     @property
-    def entries(self) -> tuple[LedgerEntry, ...]:
-        return tuple(LedgerEntry(*row) for row in self._all_rows())
+    def entries(self) -> tuple[tuple[str, float, str], ...]:
+        """Every row as a (release_id, epsilon, group) tuple, in row order."""
+        return tuple(self._all_rows())
 
     def total(self) -> float:
         """Overall budget: max over groups of the within-group epsilon sum."""

@@ -16,11 +16,10 @@ from dpimage.metrics import (
     Originals,
     blur_baseline,
     calibrate_threshold,
-    evaluate_pairs,
     iss_scores,
     l2_distances,
     mosaic_baseline,
-    ssim_scores,
+    ssim_reference,
 )
 from dpimage.numerics import derive_stream
 from dpimage.privacy import (
@@ -453,7 +452,6 @@ class TestPerturb:
         ledger = (out / "ledger.csv").read_text()
         assert "partial-coordinate" in ledger
 
-
 class TestEvaluateAndSweep:
     def test_evaluate_identity_pairs(self, trained):
         cfg, out = trained
@@ -506,8 +504,10 @@ class TestEvaluateAndSweep:
             (p.name, read_pgm(p), read_pgm(out / "perturbed" / p.name))
             for p in sorted((out / "corpus").glob("*.pgm"))
         ]
-        dp_report = evaluate_pairs(model, pairs, 0.9)
-        rows, notes = _baseline_table(Originals(model, [x for _, x, _ in pairs]), dp_report)
+        names, x, y = zip(*pairs)  # sorted by name, as cmd_evaluate orders them
+        originals = Originals(model, x)
+        dp_report = originals.report(y, 0.9, names)
+        rows, notes = _baseline_table(originals, dp_report)
         sigma, block, expected = full_metric_search(model, pairs, dp_report, 0.9)
         assert (notes["blur_sigma"], notes["mosaic_block"]) == (sigma, block)
         assert rows == expected
@@ -543,7 +543,7 @@ class TestEvaluateAndSweep:
                     stream = derive_stream(0, 3, level_index, rep, image)  # sweep's streams
                     y = decode(model, perturb_latent(z, params, stream)[0])
                     iss = iss_scores(z[:n_id], encode(model, y)[:n_id])
-                    scores.append((iss, l2_distances(x[None], y[None])[0], ssim_scores(x, y)))
+                    scores.append((iss, l2_distances(x[None], y[None])[0], ssim_reference(x)(y)))
             iss, l2, ssim = (np.array(column) for column in zip(*scores))
             means = (level, iss.mean(), np.mean(iss < tau), l2.mean(), ssim.mean())
             expected.append(",".join(repr(float(v)) for v in means))
@@ -573,7 +573,7 @@ class TestEvaluateAndSweep:
                     stream = derive_stream(0, 3, level_index, rep, image)  # sweep's streams
                     y = decode(model, perturb_latent(z, params, stream)[0])
                     iss = iss_scores(z[:n_id], encode(model, y)[:n_id])
-                    scores.append((iss, l2_distances(x[None], y[None])[0], ssim_scores(x, y)))
+                    scores.append((iss, l2_distances(x[None], y[None])[0], ssim_reference(x)(y)))
             iss, l2, ssim = (np.array(column) for column in zip(*scores))
             means = (level, iss.mean(), np.mean(iss < tau), l2.mean(), ssim.mean())
             expected.append(",".join(repr(float(v)) for v in means))
@@ -744,10 +744,11 @@ class TestOutputFiles:
 
 
 def full_metric_search(model, pairs, dp_report, threshold):
-    """The table search that ran evaluate_pairs on every candidate, one image at a time."""
+    """The table search that scored every metric of every candidate, one image at a time."""
+    names, x, _ = zip(*pairs)
 
     def report(transform):
-        return evaluate_pairs(model, [(name, x, transform(x)) for name, x, _ in pairs], threshold)
+        return Originals(model, x).report([transform(xi) for xi in x], threshold, names)
 
     def closer(best, rep):
         return best is None or abs(rep.mean_iss - target) < abs(best[1].mean_iss - target)
@@ -778,6 +779,39 @@ def full_metric_search(model, pairs, dp_report, threshold):
 
 
 class TestErrorReporting:
+    @pytest.mark.parametrize("command", ["perturb", "sweep"])
+    @pytest.mark.parametrize("flag, value", [("--identity_len", "4"), ("--latent_dim", "16")])
+    def test_identity_only_mask_of_another_model_is_config_error(
+        self, trained, capsys, command, flag, value
+    ):
+        # the model's identity block is 12 of 32 coordinates: ISS and FPPSR read
+        # that block, so a mask of any other shape would noise the wrong one
+        cfg, out = trained
+        inputs = ("--sensitivity", "5.0", "--input", out / "corpus") if command == "perturb" else ()
+        capsys.readouterr()
+        code = run(command, "--config", cfg, "--mask_mode", "identity_only", flag, value, *inputs)
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 1 and len(err) == 1 and err[0].startswith("error:config: ")
+        configured = (16, 12) if flag == "--latent_dim" else (32, 4)
+        assert str(configured) in err[0] and "(32, 12)" in err[0]
+        assert not any((out / name).exists() for name in ("ledger.csv", "perturbed", "sweep.csv"))
+
+    @pytest.mark.parametrize("identity_len", [0, 99])
+    def test_model_identity_len_outside_latent_is_format_error(self, trained, capsys, identity_len):
+        cfg, out = trained
+        blob = bytearray((out / "model.dpim").read_bytes())
+        n_dims = int.from_bytes(blob[8:12], "little")  # after the magic and the version
+        at = 12 + 4 * n_dims
+        blob[at : at + 4] = identity_len.to_bytes(4, "little")
+        (out / "model.dpim").write_bytes(bytes(blob))
+        capsys.readouterr()
+        code = run(
+            "evaluate", "--config", cfg, "--originals", out / "corpus", "--perturbed", out / "corpus"
+        )
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 1 and len(err) == 1
+        assert err[0] == f"error:format: identity_len {identity_len} outside [1, 32]"
+
     def test_missing_model_is_one_line_error(self, tiny_cfg, tmp_path, capsys):
         assert run("generate", "--config", tiny_cfg) == 0
         code = run("sensitivity", "--config", tiny_cfg)
@@ -944,7 +978,7 @@ class TestErrorReporting:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
         ledger = PrivacyBudgetLedger.load_csv(out / "ledger.csv")
-        assert [e.release_id for e in ledger.entries] == [p.name for p in corpus]
+        assert [e[0] for e in ledger.entries] == [p.name for p in corpus]
         # the provenance record still describes the one-row ledger: it must not be trusted
         (out / "perturbed" / corpus[2].name).rmdir()
         assert run("perturb", "--config", cfg, "--sensitivity", "5.0", "--input", corpus[2]) == 0

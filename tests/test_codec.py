@@ -19,7 +19,14 @@ from dpimage.codec import (
 )
 from dpimage.config import RunConfig
 from dpimage.data import generate_corpus
-from dpimage.errors import BadMagicError, ConfigError, TrainingError, TruncatedError, VersionError
+from dpimage.errors import (
+    BadMagicError,
+    ConfigError,
+    FormatError,
+    TrainingError,
+    TruncatedError,
+    VersionError,
+)
 from dpimage.numerics import make_stream, rng_uniform_batch
 
 
@@ -468,6 +475,20 @@ class TestModelIO:
         path.write_bytes(blob[: len(blob) - 16])
         with pytest.raises(TruncatedError):
             load_model(path)
+
+    @pytest.mark.parametrize("identity_len", [0, 5, 99])
+    def test_identity_len_outside_latent(self, tmp_path, identity_len):
+        # 0 would score every ISS 0.5; more than the latent reads all of it
+        path = tmp_path / "i.dpim"
+        save_model(init_model((16, 4), 2, seed=0), path)
+        blob = bytearray(path.read_bytes())
+        blob[20:24] = identity_len.to_bytes(4, "little")  # magic, version, 2 dims, identity_len
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match=rf"identity_len {identity_len} outside \[1, 4\]$"):
+            load_model(path)
+        blob[20:24] = (4).to_bytes(4, "little")  # the whole latent is a valid block
+        path.write_bytes(bytes(blob))
+        assert load_model(path).identity_len == 4
 
     def test_trailing_bytes(self, tmp_path):
         path = tmp_path / "x.dpim"

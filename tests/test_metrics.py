@@ -8,10 +8,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from dpimage.codec import AutoencoderModel, init_model
 from dpimage.metrics import (
+    Originals,
     ald_inf,
     blur_baseline,
     calibrate_threshold,
-    evaluate_pairs,
     fed,
     iss_from_embeddings,
     iss_scores,
@@ -20,7 +20,6 @@ from dpimage.metrics import (
     nearest_rank_percentile,
     ssim,
     ssim_reference,
-    ssim_scores,
 )
 
 RNG = np.random.default_rng(0)
@@ -52,10 +51,9 @@ def l2(x, y):
 
 
 def pair_report(model, pairs, threshold):
-    """evaluate_pairs over (x, y) pairs; a 1x1 SSIM window fits 2x2 probes."""
-    return evaluate_pairs(
-        model, [(f"{i:03d}", x, y) for i, (x, y) in enumerate(pairs)], threshold, ssim_window=1
-    )
+    """Originals.report over (x, y) pairs; a 1x1 SSIM window fits 2x2 probes."""
+    x, y = [p[0] for p in pairs], [p[1] for p in pairs]
+    return Originals(model, x, window=1).report(y, threshold, [f"{i:03d}" for i in range(len(x))])
 
 
 def pair_iss(model, x, y):
@@ -211,21 +209,21 @@ class TestSsimStack:
     def test_rows_independent_of_batch_mates(self):
         rng = np.random.default_rng(8)
         x, y = rng.uniform(size=(2, 20, 32, 32))
-        scores = ssim_scores(x, y)
+        scores = ssim_reference(x)(y)
         for i in range(20):
             assert scores[i] == ssim(x[i], y[i])
         order = rng.permutation(20)[:7]
-        assert np.array_equal(ssim_scores(x[order], y[order]), scores[order])
+        assert np.array_equal(ssim_reference(x[order])(y[order]), scores[order])
 
     @pytest.mark.parametrize("n", [1, 16, 17, 33])
     def test_reference_scorer_equals_ssim_scores(self, n):
         rng = np.random.default_rng(n)
         x, y, z = rng.uniform(size=(3, n, 32, 32))
         score = ssim_reference(x)
-        scores = ssim_scores(x, y)
+        scores = ssim_reference(x)(y)  # a fresh scorer per stack
         # one scorer serves many stacks against its reference
         assert np.array_equal(score(y), scores)
-        assert np.array_equal(score(z), ssim_scores(x, z))
+        assert np.array_equal(score(z), ssim_reference(x)(z))
         assert np.array_equal(score(y), scores)
         assert np.array_equal(scores, five_stack_ssim(x, y))
         for i in range(n):
@@ -234,11 +232,11 @@ class TestSsimStack:
     def test_reference_smaller_than_window_rejected(self):
         x = np.zeros((3, 10, 32))
         with pytest.raises(ValueError) as direct:
-            ssim_scores(x, x)
+            ssim(x[0], x[0])
         with pytest.raises(ValueError) as reference:
             ssim_reference(x)
-        assert str(reference.value) == str(direct.value)
-        assert str(direct.value) == "image (3, 10, 32) smaller than the 11x11 window"
+        assert str(direct.value) == "image (10, 32) smaller than the 11x11 window"
+        assert str(reference.value) == "image (3, 10, 32) smaller than the 11x11 window"
 
     def test_scorer_rejects_other_shapes(self):
         score = ssim_reference(np.zeros((2, 16, 16)))
@@ -523,7 +521,8 @@ class TestEvaluatePairs:
             weights=[np.eye(2, 256), np.eye(256, 2)],
             biases=[np.zeros(2), np.zeros(256)],
         )
-        report = evaluate_pairs(model16, pairs, threshold=0.5)
+        ids, x, y = zip(*pairs)
+        report = Originals(model16, x).report(y, 0.5, ids)
         assert np.all(report.l2 == 0.0)
         assert np.all(np.abs(report.ssim - 1.0) < 1e-12)
         assert np.all(report.iss == 1.0)
@@ -537,9 +536,10 @@ class TestEvaluatePairs:
             ("a", probe_image(0.2, 0.9), probe_image(0.3, 0.8)),
             ("c", probe_image(0.7, 0.3), probe_image(0.6, 0.4)),
         ]
-        # 2x2 images are below the SSIM window; evaluate_pairs must reject
-        with pytest.raises(ValueError):
-            evaluate_pairs(model, pairs, threshold=0.5)
+        # 2x2 images are below the SSIM window; Originals must reject them
+        ids, x, y = zip(*sorted(pairs, key=lambda rec: rec[0]))
+        with pytest.raises(ValueError, match="smaller than the 11x11 window"):
+            Originals(model, x).report(y, 0.5, ids)
 
     def test_report_rows_in_id_order(self):
         # the CSV files cmd_evaluate writes from a report are checked in
@@ -555,7 +555,11 @@ class TestEvaluatePairs:
             (f"{i:03d}", rng.uniform(0, 1, (16, 16)), rng.uniform(0, 1, (16, 16)))
             for i in (3, 0, 4, 1, 2)
         ]
-        report = evaluate_pairs(model16, pairs, threshold=0.4)
+        ids, x, y = zip(*sorted(pairs, key=lambda rec: rec[0]))
+        report = Originals(model16, x).report(y, 0.4, ids)
         assert report.image_ids == ("000", "001", "002", "003", "004")
         for values in (report.l2, report.ald_inf, report.ssim, report.iss):
             assert values.shape == (5,)
+        # row i scores the i-th pair it was given
+        for i in range(5):
+            assert report.l2[i] == l2(x[i], y[i]) and report.ssim[i] == ssim(x[i], y[i])

@@ -11,9 +11,15 @@ from hypothesis import strategies as st
 from dpimage import privacy
 from dpimage.codec import decode, encode, init_model
 from dpimage.errors import FormatError
-from dpimage.numerics import RngStream, derive_states, derive_stream, make_stream, rng_uniform_batch
+from dpimage.numerics import (
+    RngStream,
+    derive_states,
+    derive_stream,
+    make_stream,
+    rng_uniform_batch,
+    rng_uniform_rows,
+)
 from dpimage.privacy import (
-    LedgerEntry,
     PrivacyBudgetLedger,
     PrivacyParams,
     clip_latent,
@@ -24,7 +30,6 @@ from dpimage.privacy import (
     identity_mask,
     laplace_batch,
     laplace_from_uniform,
-    laplace_rows,
     perturb_latent,
     perturb_latents,
     verify_dp_empirical,
@@ -44,7 +49,7 @@ class TestLaplaceSampler:
     def test_zero_scale(self):
         v, _ = laplace_batch(make_stream(0), 1, 0.0)
         assert v[0] == 0.0
-        rows = laplace_rows(derive_states(0, np.arange(3)), 4, 0.0)
+        rows = laplace_from_uniform(rng_uniform_rows(derive_states(0, np.arange(3)), 4), 0.0)
         # +0.0 everywhere; the inverse-CDF formula would give -0.0 for u < 0
         assert np.array_equal(rows, np.zeros((3, 4))) and not np.signbit(rows).any()
 
@@ -52,7 +57,7 @@ class TestLaplaceSampler:
         with pytest.raises(ValueError):
             laplace_batch(make_stream(0), 1, -1.0)
         with pytest.raises(ValueError):
-            laplace_rows(derive_states(0, np.arange(3)), 4, -1.0)
+            laplace_from_uniform(rng_uniform_rows(derive_states(0, np.arange(3)), 4), -1.0)
 
     def test_draw_mean(self):
         draws, _ = laplace_batch(make_stream(5), 10**4, 1.0)
@@ -89,12 +94,20 @@ class TestLaplaceSampler:
 
     @pytest.mark.parametrize("scale", [0.0, 0.5, 3.0])
     def test_rows_match_task_streams(self, scale):
+        # a block of tasks draws its noise in one array operation: the
+        # mechanism fed rng_uniform_rows equals one stream per task
         rep, item = np.divmod(np.arange(120), 40)
-        rows = laplace_rows(derive_states(9, 3, 1, rep, item), 32, scale)
+        params = PrivacyParams(epsilon=1.0, sensitivity=scale, mask=full_mask(32))
+        z = np.random.default_rng(3).normal(size=(120, 32))
+        u = rng_uniform_rows(derive_states(9, 3, 1, rep, item), 32)
+        rows = perturb_latents(z, params, u)
         assert rows.shape == (120, 32)
         for i in range(120):
-            expected, _ = laplace_batch(derive_stream(9, 3, 1, int(rep[i]), int(item[i])), 32, scale)
+            stream = derive_stream(9, 3, 1, int(rep[i]), int(item[i]))
+            expected, _ = perturb_latent(z[i], params, stream)
             assert np.array_equal(rows[i], expected)
+            noise, _ = laplace_batch(stream, 32, scale)
+            assert np.array_equal(expected, z[i] + noise)
 
     def test_scale_zero_still_consumes_draws(self):
         _, s_a = laplace_batch(make_stream(3), 10, 0.0)
@@ -291,10 +304,32 @@ class TestPerturb:
         )
         z = np.random.default_rng(4).normal(size=(20, 8))
         states = derive_states(2, 2, np.arange(20))
-        rows = perturb_latents(z, params, states)
+        rows = perturb_latents(z, params, rng_uniform_rows(states, params.n_noisy))
         for i in range(20):
             single, _ = perturb_latent(z[i], params, RngStream(int(states[i])))
             assert np.array_equal(rows[i], single)
+
+    @pytest.mark.parametrize(
+        "shape", [(3,), (1, 3), (4, 3), (5, 2), (5, 4), (5, 1, 3)],
+        ids=["one_row", "one_row_2d", "short_stack", "narrow", "wide", "extra_axis"],
+    )
+    def test_uniforms_not_one_row_per_latent_rejected(self, shape):
+        # numpy would broadcast a single row into the same noise for every latent
+        params = PrivacyParams(epsilon=1.0, sensitivity=1.0, mask=identity_mask(8, 3))
+        with pytest.raises(ValueError, match=r"uniforms of shape .*, need \(5, 3\)"):
+            perturb_latents(np.zeros((5, 8)), params, np.zeros(shape))
+
+    def test_one_stream_for_a_stack_rejected(self):
+        params = PrivacyParams(epsilon=1.0, sensitivity=1.0, mask=full_mask(4))
+        with pytest.raises(ValueError, match="uniforms of shape"):
+            perturb_latent(np.zeros((2, 4)), params, make_stream(0))
+
+    def test_uniforms_fed_directly(self):
+        # u = 0.25 inverts to scale * ln 2 and u = -0.25 to its negative, on masked coordinates only
+        params = PrivacyParams(epsilon=0.5, sensitivity=1.0, mask=identity_mask(4, 2))
+        out = perturb_latents(np.ones((2, 4)), params, [[0.25, -0.25], [0.0, 0.25]])
+        step = 2.0 * math.log(2.0)
+        assert np.allclose(out, [[1 + step, 1 - step, 1, 1], [1, 1 + step, 1, 1]], rtol=0, atol=1e-12)
 
     def test_released_vectors_within_metric_dp_bound(self):
         # d_X-privacy: releases of z and z' differ in log density by at most
@@ -312,7 +347,7 @@ class TestPerturb:
                 perturb_latents(
                     np.broadcast_to(latent, (chunk, 8)),
                     params,
-                    derive_states(9, stream_id, np.arange(start, start + chunk)),
+                    rng_uniform_rows(derive_states(9, stream_id, np.arange(start, start + chunk)), 8),
                 ) @ direction
                 for start in range(0, n, chunk)
             ])
@@ -348,11 +383,12 @@ class TestDpImage:
         params = PrivacyParams(epsilon=0.5, sensitivity=1.0, mask=full_mask(8), clip_radius=3.0)
         images = np.random.default_rng(1).uniform(0, 1, size=(19, 8, 8))
         states = derive_states(6, 2, np.arange(19))
-        stack = dp_images(self.model, images, params, states)
+        u = rng_uniform_rows(states, 8)
+        stack = dp_images(self.model, images, params, u)
         for i in range(19):
             single, _ = dp_image(self.model, images[i], params, RngStream(int(states[i])))
             assert np.array_equal(stack[i], single)
-        assert np.array_equal(dp_images(self.model, images[3:5], params, states[3:5]), stack[3:5])
+        assert np.array_equal(dp_images(self.model, images[3:5], params, u[3:5]), stack[3:5])
 
     def test_matches_manual_composition(self):
         params = PrivacyParams(epsilon=0.5, sensitivity=1.0, mask=full_mask(8))
@@ -462,7 +498,7 @@ class TestLedger:
             sums[group] = sums.get(group, 0.0) + epsilon
         assert back.total() == max(sums.values(), default=0.0)
         assert len(back) == len(records)
-        assert back.entries == tuple(LedgerEntry(*r) for r in records)
+        assert back.entries == tuple(map(tuple, records))
 
     @pytest.mark.parametrize(
         "text, message",
@@ -529,7 +565,7 @@ class TestLedgerCheckpoint:
         checkpoint = self.saved(path, records[:2]).checkpoint()
         back = PrivacyBudgetLedger.load_csv(path, checkpoint)
         back.record(*records[2])
-        assert back.entries == tuple(LedgerEntry(*r) for r in records)
+        assert back.entries == tuple(map(tuple, records))
         back.save_csv(path, start=2)
         back.save_csv(tmp_path / "whole.csv")  # the first two rows come from the file
         self.saved(tmp_path / "expected.csv", records)
@@ -562,7 +598,7 @@ class TestLedgerCheckpoint:
         records = [("a", 0.5, "g"), ("b", 0.75, "g")]
         checkpoint = self.saved(path, records).checkpoint()
         back = PrivacyBudgetLedger.load_csv(path, damage(checkpoint))
-        assert back.entries == tuple(LedgerEntry(*r) for r in records)
+        assert back.entries == tuple(map(tuple, records))
         assert back.checkpoint() == checkpoint
 
     def test_checkpoint_of_other_bytes_rejected(self, tmp_path):
