@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .codec import align_identity_basis, decode_batch, encode_batch, load_model, save_model, train
+from .codec import align_identity_basis, encode_batch, load_model, save_model, train
 from .config import RunConfig, build_config, config_dict, parse_levels
 from .data import (
     generate_corpus,
@@ -39,7 +39,6 @@ from .metrics import (
     Originals,
     blur_baseline,
     iss_scores,
-    l2_distances,
     mosaic_baseline,
     nearest_rank_percentile,
 )
@@ -82,17 +81,18 @@ def _load_corpus(corpus_dir: Path, split: str | None = None):
 
 def _privacy_params(config: RunConfig, model, epsilon: float, sensitivity: float) -> PrivacyParams:
     """The configured mechanism; perturb and sweep both release through it."""
-    if config.mask_mode == "identity_only":
-        # ISS and FPPSR read the model's identity block: the mask must be it
-        configured = (config.latent_dim, config.identity_len)
-        if configured != (model.latent_dim, model.identity_len):
-            raise ConfigError(
-                f"mask_mode identity_only: config latent_dim, identity_len {configured} "
-                f"differ from the model's {(model.latent_dim, model.identity_len)}"
-            )
-        mask = identity_mask(config.latent_dim, config.identity_len)
-    else:
-        mask = full_mask(config.latent_dim)
+    # the mask covers the model's latents; identity_only's is the model's
+    # identity block, which ISS and FPPSR read
+    identity_only = config.mask_mode == "identity_only"
+    names = "latent_dim, identity_len" if identity_only else "latent_dim"
+    configured = (config.latent_dim, config.identity_len) if identity_only else config.latent_dim
+    expected = (model.latent_dim, model.identity_len) if identity_only else model.latent_dim
+    if configured != expected:
+        raise ConfigError(
+            f"mask_mode {config.mask_mode}: config {names} {configured} "
+            f"does not match the model's {expected}"
+        )
+    mask = identity_mask(*expected) if identity_only else full_mask(expected)
     clip_radius = config.clip_radius if config.sensitivity_mode == "clip" else None
     return PrivacyParams(epsilon, sensitivity, mask, clip_radius)
 
@@ -392,28 +392,18 @@ def cmd_sweep(config: RunConfig, model_path: Path, corpus_dir: Path) -> None:
         # without noise every repetition releases the same images, so a
         # noise-free level is released once and its scores repeated
         draws = config.sweep_repetitions if params.scale > 0 else 1
+        # every repetition's release of the split as rows of one 2-D stack, in
+        # (repetition, image) order, which fixes the bits of the means (numpy
+        # sums a 3-D stack's clip norms in another order)
+        rep = np.arange(draws)[:, None]
+        states = derive_states(config.seed, _STREAM_SWEEP, level_index, rep, image)
+        u = rng_uniform_rows(states, params.n_noisy)
+        noisy = perturb_latents(np.tile(originals.latents, (draws, 1)), params, u)
+        releases_scored += len(noisy)
         copies = config.sweep_repetitions // draws
-        iss_vals, l2_vals, ssim_vals = [], [], []
-        # one release of the whole split per repetition; scores are joined in
-        # (repetition, image) order, which fixes the bits of their means
-        for rep in range(draws):
-            states = derive_states(config.seed, _STREAM_SWEEP, level_index, rep, image)
-            u = rng_uniform_rows(states, params.n_noisy)
-            y = decode_batch(model, perturb_latents(originals.latents, params, u))
-            iss_vals.append(originals.iss(y))
-            l2_vals.append(l2_distances(x_eval, y))
-            ssim_vals.append(originals.ssim(y))
-        releases_scored += draws * len(x_eval)
-        iss_vals = np.concatenate(iss_vals * copies)
-        results.append(
-            (
-                level,
-                float(iss_vals.mean()),
-                float(np.mean(iss_vals < tau)),
-                float(np.mean(np.concatenate(l2_vals * copies))),
-                float(np.mean(np.concatenate(ssim_vals * copies))),
-            )
-        )
+        iss, l2, ssim = (np.tile(v, copies) for v in originals.score_latents(noisy))
+        means = (iss.mean(), np.mean(iss < tau), l2.mean(), ssim.mean())
+        results.append((level, *map(float, means)))
     header = ("level", "mean_iss", "mean_fppsr", "mean_l2", "mean_ssim")
     write_csv(out_dir / "sweep.csv", header, results)
     extra = {"threshold": tau, "levels": list(levels), "repetitions": config.sweep_repetitions}

@@ -7,10 +7,13 @@ reruns produce bit-identical models. Training keeps every parameter in one
 flat buffer (the model's weights and biases are views of it) beside one
 velocity and one gradient buffer of the same layout, and updates them a
 chunk at a time. Each step writes its activations, deltas and gradients
-into a workspace allocated once per batch height. encode/decode are pure
-and safe to share across threads; they run a stack in zero-padded passes of
-up to PASS_ROWS rows, through each layer in turn, so a row's bits do not
-depend on the stack it came in (see BLOCK_ROWS).
+into a workspace allocated once per batch height. encode/decode run a stack
+in zero-padded passes of up to PASS_ROWS rows, through each layer in turn,
+so a row's bits do not depend on the stack it came in (see BLOCK_ROWS). A
+pass writes every layer's product, bias and activation into a PassWorkspace:
+each call builds its own, so encode and decode are safe to share across
+threads, or a caller passes one in to reuse across calls (the sweep's
+scoring holds one per half), and then must not share it between threads.
 """
 
 from __future__ import annotations
@@ -87,48 +90,80 @@ class AutoencoderModel:
         return len(self.encoder_dims) - 1
 
 
-def _sigmoid_in_place(z: np.ndarray) -> np.ndarray:
+def _sigmoid_in_place(z: np.ndarray, ez: np.ndarray) -> np.ndarray:
     # exp(-|z|) never overflows, even for wildly perturbed latents:
     # 1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below. Since e^-|z| <= 1,
     # max(z >= 0, e^-|z|) is that numerator without a select; NaN propagates.
-    ez = np.abs(z)
-    np.negative(ez, out=ez)
-    np.exp(ez, out=ez)
-    den = ez + 1.0
-    np.maximum(z >= 0, ez, out=ez)
-    return np.divide(ez, den, out=z)
+    # ez is scratch of z's width; z runs len(ez) rows at a time, each block's
+    # signs saved before its denominator overwrites it.
+    for lo in range(0, len(z), len(ez)):
+        block = z[lo : lo + len(ez)]
+        e = ez[: len(block)]
+        nonnegative = block >= 0
+        np.copysign(block, -1.0, out=e)  # -|z|: the bits of negative(abs(z)), NaN too
+        np.exp(e, out=e)
+        np.add(e, 1.0, out=block)
+        np.maximum(nonnegative, e, out=e)
+        np.divide(e, block, out=block)
+    return z
 
 
-def _activate_in_place(model: AutoencoderModel, layer: int, z: np.ndarray) -> np.ndarray:
-    """The layer's activation applied to z in place; returns z."""
+def _activate_in_place(model: AutoencoderModel, layer: int, z: np.ndarray, scratch) -> np.ndarray:
+    """The layer's activation applied to z in place (the sigmoid's through scratch); returns z."""
     n_layers = 2 * model.n_encoder_layers
     if layer == model.n_encoder_layers - 1:
         return z  # latent layer stays unbounded
     if layer == n_layers - 1:
-        return _sigmoid_in_place(z)  # pixel range
+        return _sigmoid_in_place(z, scratch)  # pixel range
     return np.tanh(z, out=z)
 
 
-def _forward(model: AutoencoderModel, x: np.ndarray, first: int, last: int) -> np.ndarray:
-    """Rows of x through layers first..last-1, PASS_ROWS rows per pass."""
-    n = x.shape[0]
-    out = np.empty((n, model.full_dims[last]))
-    padded = np.zeros((min(PASS_ROWS, n + -n % BLOCK_ROWS), x.shape[1]))
-    for start in range(0, n, PASS_ROWS):
-        rows = x[start : start + PASS_ROWS]
-        a = padded[: len(rows) + -len(rows) % BLOCK_ROWS]
+class PassWorkspace:
+    """The buffers of forward passes through the encoder or the decoder.
+
+    The zero-padded input block and each layer's buffer (its product, bias
+    and activation are written into it) take turns in two allocations, all
+    of one pass height: min(PASS_ROWS, rows rounded up to BLOCK_ROWS); and
+    BLOCK_ROWS rows of scratch for the output sigmoid. A stack of any height
+    runs through it a pass at a time.
+    """
+
+    def __init__(self, model: AutoencoderModel, encoder: bool, rows: int = PASS_ROWS):
+        n_enc = model.n_encoder_layers
+        self.layers = range(0, n_enc) if encoder else range(n_enc, 2 * n_enc)
+        height = min(PASS_ROWS, rows + -rows % BLOCK_ROWS or BLOCK_ROWS)
+        dims = model.full_dims
+        widths = [dims[self.layers.start]] + [dims[layer + 1] for layer in self.layers]
+        # layer i reads buffer i % 2 and writes the other, so two serve them all
+        flat = [np.empty(height * max(widths[i::2])) for i in (0, 1)]
+        self.input, *self.acts = (
+            flat[i % 2][: height * width].reshape(height, width) for i, width in enumerate(widths)
+        )
+        self.scratch = np.empty((min(height, BLOCK_ROWS), dims[self.layers.stop]))
+
+
+def _forward(model: AutoencoderModel, x: np.ndarray, encoder: bool, ws) -> np.ndarray:
+    """Rows of x through the encoder or the decoder, one pass at a time
+    through the caller's workspace or one of its own."""
+    ws = PassWorkspace(model, encoder, len(x)) if ws is None else ws
+    if ws.layers.start != (0 if encoder else model.n_encoder_layers):
+        raise ValueError(f"workspace runs layers {ws.layers}, not this half of the model")
+    out = np.empty((len(x), model.full_dims[ws.layers.stop]))
+    for start in range(0, len(x), len(ws.input)):
+        rows = x[start : start + len(ws.input)]
+        height = len(rows) + -len(rows) % BLOCK_ROWS
+        a = ws.input[:height]
         a[: len(rows)] = rows
         a[len(rows) :] = 0.0
-        for layer in range(first, last):
-            w = model.weights[layer]
+        for layer, buf in zip(ws.layers, ws.acts):
+            w, z = model.weights[layer], buf[:height]
             if w.shape[0] >= WIDE_OUT:
-                z = a @ w.T
+                np.matmul(a, w.T, out=z)
             else:
-                z = np.empty((len(a), w.shape[0]))
-                for lo in range(0, len(a), BLOCK_ROWS):
+                for lo in range(0, height, BLOCK_ROWS):
                     np.matmul(a[lo : lo + BLOCK_ROWS], w.T, out=z[lo : lo + BLOCK_ROWS])
             z += model.biases[layer]
-            a = _activate_in_place(model, layer, z)
+            a = _activate_in_place(model, layer, z, ws.scratch)
         out[start : start + len(rows)] = a[: len(rows)]
     return out
 
@@ -142,16 +177,22 @@ def _stack_rows(stack, width: int, what: str) -> np.ndarray:
     return x.reshape(len(x), width)
 
 
-def encode_batch(model: AutoencoderModel, images) -> np.ndarray:
-    """Latent rows of a stack of images; row i does not depend on the others."""
+def encode_batch(model: AutoencoderModel, images, *, workspace=None) -> np.ndarray:
+    """Latent rows of a stack of images; row i does not depend on the others.
+
+    workspace: an encoder PassWorkspace to run in instead of a fresh one.
+    """
     x = _stack_rows(images, model.input_dim, "image")
-    return _forward(model, x, 0, model.n_encoder_layers)
+    return _forward(model, x, True, workspace)
 
 
-def decode_batch(model: AutoencoderModel, latents) -> np.ndarray:
-    """Square images with pixels in (0, 1) from a stack of latent vectors."""
+def decode_batch(model: AutoencoderModel, latents, *, workspace=None) -> np.ndarray:
+    """Square images with pixels in (0, 1) from a stack of latent vectors.
+
+    workspace: a decoder PassWorkspace to run in instead of a fresh one.
+    """
     z = _stack_rows(latents, model.latent_dim, "latent")
-    flat = _forward(model, z, model.n_encoder_layers, 2 * model.n_encoder_layers)
+    flat = _forward(model, z, False, workspace)
     side = int(round(model.input_dim**0.5))
     return flat.reshape(len(z), side, side)
 
@@ -204,7 +245,7 @@ def loss_and_gradients(model: AutoencoderModel, batch, *, workspace: _Workspace 
     for layer, out in enumerate(ws.acts):
         np.matmul(a, model.weights[layer].T, out=out)
         out += model.biases[layer]
-        a = _activate_in_place(model, layer, out)
+        a = _activate_in_place(model, layer, out, ws.scratch)
     diff, gate = ws.deltas[-1], ws.scratch
     np.subtract(a, x, out=diff)
     loss = float(np.mean(np.multiply(diff, diff, out=gate)))

@@ -7,7 +7,10 @@ distance, relative l_inf distortion, windowed SSIM, and a Frechet distance
 between Gaussian fits of embedding sets (FED). Originals prepares a stack of
 original images once (its latents and its SSIM statistics) and scores any
 number of released stacks against it, row by row; its report aggregates in
-the order of the rows it is given.
+the order of the rows it is given. For the sweep it also scores stacks of
+noisy latents pass by pass: PASS_ROWS rows are decoded, encoded and scored
+through buffers held for the call, so its memory does not grow with the
+stack.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .codec import AutoencoderModel, encode, encode_batch
+from .codec import PASS_ROWS, AutoencoderModel, PassWorkspace, decode_batch, encode, encode_batch
 
 SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
@@ -36,11 +39,16 @@ def _check_same_shape(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndar
     return x, y
 
 
+def _row_norms(d: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each image of a stack; squares d in place."""
+    d = d.reshape(len(d), -1)
+    return np.sqrt(np.sum(np.multiply(d, d, out=d), axis=1))
+
+
 def l2_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Euclidean pixel distance of each pair in two equal-shaped image stacks."""
     x, y = _check_same_shape(x, y)
-    d = (y - x).reshape(len(x), -1)
-    return np.sqrt(np.sum(d * d, axis=1))
+    return _row_norms(y - x)
 
 
 def ald_inf(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -70,10 +78,11 @@ def ssim_reference(x: np.ndarray, window: int = SSIM_WINDOW, sigma: float = SSIM
     Gaussian window (default 11x11, sigma 1.5) over all fully interior
     windows, constants for unit dynamic range. The window is separable, so
     every local statistic of a stack a is rows @ a @ cols.T with banded
-    matrices of 1-D taps (Wang et al. 2004). x and x * x are filtered here
-    and held; each call filters y, y * y and x * y. Both run SSIM_BLOCK
-    images at a time, and a stacked matmul runs one product per image, so
-    the grouping moves no bit.
+    matrices of 1-D taps (Wang et al. 2004). x's local mean and variance are
+    held; each call filters y, y * y and x * y. Both run SSIM_BLOCK images at
+    a time, and a stacked matmul runs one product per image, so the grouping
+    moves no bit. score(y, start) pairs y's rows with x's rows from start on,
+    through one set of block buffers per call.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim < 2 or x.shape[-2] < window or x.shape[-1] < window:
@@ -82,23 +91,49 @@ def ssim_reference(x: np.ndarray, window: int = SSIM_WINDOW, sigma: float = SSIM
     rows = _gaussian_band(h, window, sigma)
     cols = _gaussian_band(w, window, sigma)
     x_all = x.reshape(-1, h, w)
-    blocks = [slice(start, start + SSIM_BLOCK) for start in range(0, len(x_all), SSIM_BLOCK)]
-    # each block's local means of x and of x * x
-    held = [rows @ np.stack([x_all[block], x_all[block] ** 2]) @ cols.T for block in blocks]
 
-    def score(y: np.ndarray) -> np.ndarray:
-        y = _check_same_shape(x, y)[1].reshape(-1, h, w)
-        out = np.empty(len(x_all))
-        for block, (mu_x, xx) in zip(blocks, held):
-            a, b = x_all[block], y[block]
-            mu_y, yy, xy = rows @ np.stack([b, b * b, a * b]) @ cols.T
-            var_x = xx - mu_x * mu_x
-            var_y = yy - mu_y * mu_y
-            cov = xy - mu_x * mu_y
-            num = (2.0 * mu_x * mu_y + SSIM_C1) * (2.0 * cov + SSIM_C2)
-            den = (mu_x * mu_x + mu_y * mu_y + SSIM_C1) * (var_x + var_y + SSIM_C2)
-            out[block] = np.mean((num / den).reshape(len(a), -1), axis=1)
-        return out.reshape(x.shape[:-2])
+    def filtered(a, stat, half):
+        np.matmul(np.matmul(rows, a, out=half[: len(a)]), cols.T, out=stat)
+
+    mu_x = np.empty((len(x_all), len(rows), len(cols)))
+    var_x = np.empty_like(mu_x)
+    k = min(SSIM_BLOCK, len(x_all))
+    product, half, sq = np.empty((k, h, w)), np.empty((k, len(rows), w)), np.empty_like(mu_x[:k])
+    for lo in range(0, len(x_all), SSIM_BLOCK):
+        a, mx, vx = (v[lo : lo + SSIM_BLOCK] for v in (x_all, mu_x, var_x))
+        filtered(a, mx, half)
+        filtered(np.multiply(a, a, out=product[: len(a)]), vx, half)
+        vx -= np.multiply(mx, mx, out=sq[: len(a)])
+
+    def score(y: np.ndarray, start: int = 0) -> np.ndarray:
+        y = np.asarray(y, dtype=np.float64)
+        stack = y.reshape(-1, h, w) if y.shape[-2:] == (h, w) else y
+        if stack.ndim != 3 or not 0 <= start <= len(x_all) - len(stack):
+            raise ValueError(f"image shapes differ: {x.shape} vs {y.shape} from row {start}")
+        k = min(SSIM_BLOCK, len(stack))
+        product, half = np.empty((k, h, w)), np.empty((k, len(rows), w))
+        mu_y, var_y, cov, t1, t2 = np.empty((5, k, len(rows), len(cols)))
+        out = np.empty(len(stack))
+        for lo in range(0, len(stack), SSIM_BLOCK):
+            b = stack[lo : lo + SSIM_BLOCK]
+            n, xs = len(b), slice(start + lo, start + lo + len(b))
+            mx, vx = mu_x[xs], var_x[xs]
+            my, vy, cv, m1, m2 = mu_y[:n], var_y[:n], cov[:n], t1[:n], t2[:n]
+            filtered(b, my, half)
+            filtered(np.multiply(b, b, out=product[:n]), vy, half)
+            filtered(np.multiply(x_all[xs], b, out=product[:n]), cv, half)
+            # the formula's operations in its order, each into a block buffer:
+            # num = (2 mu_x mu_y + C1) (2 cov + C2) in m2, and
+            # den = (mu_x^2 + mu_y^2 + C1) (var_x + var_y + C2) in cv
+            vy -= np.multiply(my, my, out=m1)  # var_y; m1 keeps mu_y^2
+            cv -= np.multiply(mx, my, out=m2)  # cov
+            np.add(np.multiply(np.multiply(mx, 2.0, out=m2), my, out=m2), SSIM_C1, out=m2)
+            m2 *= np.add(np.multiply(cv, 2.0, out=cv), SSIM_C2, out=cv)
+            np.add(np.add(np.multiply(mx, mx, out=cv), m1, out=cv), SSIM_C1, out=cv)
+            cv *= np.add(np.add(vx, vy, out=m1), SSIM_C2, out=m1)
+            m2 /= cv
+            out[lo : lo + n] = np.mean(m2.reshape(n, -1), axis=1)
+        return out.reshape(y.shape[:-2])
 
     return score
 
@@ -282,6 +317,31 @@ class Originals:
         self.latents = encode_batch(model, self.x)
         self.embeddings = self.latents[:, : model.identity_len]
         self.ssim = ssim_reference(self.x, window, sigma)
+
+    def score_latents(self, latents) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """ISS, l2 and SSIM of the release of each noisy latent row.
+
+        Row r is decoded and scored against original r mod n, PASS_ROWS rows
+        at a time through one decoder and one encoder workspace; its scores
+        equal those of its own decode_batch, iss, l2_distances and ssim.
+        """
+        z = np.asarray(latents, dtype=np.float64).reshape(-1, self.model.latent_dim)
+        n = len(self.x)
+        dec, enc = PassWorkspace(self.model, False), PassWorkspace(self.model, True)
+        iss, l2, ssim = np.empty((3, len(z)))
+        for start in range(0, len(z), PASS_ROWS):
+            y = decode_batch(self.model, z[start : start + PASS_ROWS], workspace=dec)
+            emb = encode_batch(self.model, y, workspace=enc)[:, : self.model.identity_len]
+            # the pass in pieces that meet consecutive originals: cut where rows wrap
+            cuts = [start, *range(start - start % n + n, start + len(y), n), start + len(y)]
+            for lo, hi in zip(cuts, cuts[1:]):
+                rows, part = slice(lo, hi), slice(lo - start, hi - start)
+                orig = slice(lo % n, hi % n or n)
+                iss[rows] = iss_scores(self.embeddings[orig], emb[part])
+                ssim[rows] = self.ssim(y[part], lo % n)
+                # the scored images' difference overwrites them
+                l2[rows] = _row_norms(np.subtract(y[part], self.x[orig], out=y[part]))
+        return iss, l2, ssim
 
     def iss(self, y) -> np.ndarray:
         """ISS of each released image against its original."""

@@ -645,10 +645,10 @@ class TestEvaluateAndSweep:
         passes = Counter()  # encoder passes by the bytes of the stack they encode
         forward = codec._forward
 
-        def counted(model, x, first, last):
-            if first == 0:
+        def counted(model, x, encoder, workspace):
+            if encoder:
                 passes[x.tobytes()] += 1
-            return forward(model, x, first, last)
+            return forward(model, x, encoder, workspace)
 
         monkeypatch.setattr(codec, "_forward", counted)
         assert run(
@@ -795,6 +795,25 @@ class TestErrorReporting:
         configured = (16, 12) if flag == "--latent_dim" else (32, 4)
         assert str(configured) in err[0] and "(32, 12)" in err[0]
         assert not any((out / name).exists() for name in ("ledger.csv", "perturbed", "sweep.csv"))
+
+    @pytest.mark.parametrize("command", ["perturb", "sweep"])
+    def test_full_mask_of_another_latent_dim_is_config_error(self, trained, capsys, command):
+        # the full mask noises every model coordinate: a config latent_dim
+        # other than the model's fails before anything is released or charged
+        cfg, out = trained
+        inputs = ("--sensitivity", "5.0", "--input", out / "corpus")
+        assert run("perturb", "--config", cfg, *inputs) == 0
+        ledger = (out / "ledger.csv").read_bytes()
+        released = {p.name: p.read_bytes() for p in (out / "perturbed").iterdir()}
+        capsys.readouterr()
+        code = run(command, "--config", cfg, "--latent_dim", "16",
+                   *(inputs if command == "perturb" else ()))
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 1 and len(err) == 1 and err[0].startswith("error:config: ")
+        assert "latent_dim 16 " in err[0] and "model's 32" in err[0]
+        assert (out / "ledger.csv").read_bytes() == ledger
+        assert {p.name: p.read_bytes() for p in (out / "perturbed").iterdir()} == released
+        assert not (out / "sweep.csv").exists()
 
     @pytest.mark.parametrize("identity_len", [0, 99])
     def test_model_identity_len_outside_latent_is_format_error(self, trained, capsys, identity_len):

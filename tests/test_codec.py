@@ -3,7 +3,9 @@ import pytest
 
 from dpimage.codec import (
     BLOCK_ROWS,
+    PASS_ROWS,
     WIDE_OUT,
+    PassWorkspace,
     _activate_in_place,
     _sigmoid_in_place,
     align_identity_basis,
@@ -63,7 +65,8 @@ def block_forward(model, x, first, last):
         block[len(rows) :] = 0.0
         a = block
         for layer in range(first, last):
-            a = _activate_in_place(model, layer, a @ model.weights[layer].T + model.biases[layer])
+            z = a @ model.weights[layer].T + model.biases[layer]
+            a = _activate_in_place(model, layer, z, np.empty_like(z))
         out[start : start + len(rows)] = a[: len(rows)]
     return out
 
@@ -101,6 +104,31 @@ class TestBatchForward:
             ref_dec = block_forward(model, z[:height], n_enc, 2 * n_enc)
             assert np.array_equal(enc.view(np.uint64), ref_enc.view(np.uint64))
             assert np.array_equal(dec.view(np.uint64), ref_dec.view(np.uint64))
+
+    @pytest.mark.parametrize("dims", [(1024, 256, 64, 32), (1024, WIDE_OUT, 100)])
+    def test_reused_workspace_bits_equal_block_reference(self, dims):
+        # one workspace per half, as a sweep holds them, through calls of
+        # every pass shape: a row's bits must not see the previous call's
+        model = init_model(dims, 12, seed=7, weight_init_scale=2.0)
+        rng = np.random.default_rng(7)
+        x = rng.uniform(0.0, 1.0, size=(65, dims[0]))
+        z = rng.normal(0.0, 3.0, size=(65, dims[-1]))
+        n_enc = model.n_encoder_layers
+        enc_ws, dec_ws = PassWorkspace(model, True), PassWorkspace(model, False)
+        for height in (65, 1, 17, 64, 65, 1):
+            enc = encode_batch(model, x[:height], workspace=enc_ws)
+            dec = decode_batch(model, z[:height], workspace=dec_ws).reshape(height, -1)
+            ref_enc = block_forward(model, x[:height], 0, n_enc)
+            ref_dec = block_forward(model, z[:height], n_enc, 2 * n_enc)
+            assert np.array_equal(enc.view(np.uint64), ref_enc.view(np.uint64))
+            assert np.array_equal(dec.view(np.uint64), ref_dec.view(np.uint64))
+        assert len(enc_ws.input) == len(dec_ws.input) == PASS_ROWS
+
+    def test_workspace_of_the_other_half_rejected(self):
+        with pytest.raises(ValueError, match="workspace runs layers"):
+            encode_batch(self.model, self.images[:2], workspace=PassWorkspace(self.model, False))
+        with pytest.raises(ValueError, match="workspace runs layers"):
+            decode_batch(self.model, self.latents[:2], workspace=PassWorkspace(self.model, True))
 
     def test_shuffled_batch_mates(self):
         enc = encode_batch(self.model, self.images)
@@ -275,10 +303,15 @@ class TestStep:
                1e-300, -1e-300]
 
     def test_sigmoid_bits_equal_select_form(self):
+        # the one-scratch form: the denominator overwrites z after its signs
+        # are saved; whatever the scratch held before must not matter, and a
+        # scratch of fewer rows than z runs z a block of rows at a time
         rng = np.random.default_rng(0)
         for z in [np.array(self.SPECIAL)] + [s * rng.normal(size=(32, 1024)) for s in (1, 10, 100)]:
-            got = _sigmoid_in_place(z.copy())
-            assert np.array_equal(got.view(np.uint64), where_sigmoid(z).view(np.uint64))
+            for fill, rows in ((np.nan, len(z)), (-np.inf, 5), (0.0, 16)):
+                got = z.copy()
+                assert _sigmoid_in_place(got, np.full_like(z[:rows], fill)) is got
+                assert np.array_equal(got.view(np.uint64), where_sigmoid(z).view(np.uint64))
 
     @pytest.mark.parametrize("dims", [(64, 8), (64, 16, 8), (64, 32, 16, 8)])
     def test_step_bits_equal_textbook(self, dims):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from dpimage.codec import AutoencoderModel, init_model
+from dpimage.codec import AutoencoderModel, decode_batch, encode_batch, init_model
 from dpimage.metrics import (
     Originals,
     ald_inf,
@@ -21,6 +21,7 @@ from dpimage.metrics import (
     ssim,
     ssim_reference,
 )
+from dpimage.privacy import PrivacyParams, full_mask, identity_mask, perturb_latents
 
 RNG = np.random.default_rng(0)
 
@@ -173,16 +174,22 @@ def tensordot_ssim(x, y, window=11, sigma=1.5):
     return float(np.mean(num / den))
 
 
-def five_stack_ssim(x, y, window=11, sigma=1.5):
-    """SSIM filtering all five statistics of each 16-pair block together, so
-    nothing is shared between calls: the bits the reference step must keep."""
+def gaussian_bands(shape, window, sigma):
+    """Row and column band matrices of normalized 1-D Gaussian taps."""
     half = (window - 1) / 2.0
     g = np.exp(-((np.arange(window) - half) ** 2) / (2.0 * sigma * sigma))
-    rows = np.zeros((x.shape[-2] - window + 1, x.shape[-2]))
-    cols = np.zeros((x.shape[-1] - window + 1, x.shape[-1]))
+    rows = np.zeros((shape[-2] - window + 1, shape[-2]))
+    cols = np.zeros((shape[-1] - window + 1, shape[-1]))
     for band in (rows, cols):
         for i in range(len(band)):
             band[i, i : i + window] = g / g.sum()
+    return rows, cols
+
+
+def five_stack_ssim(x, y, window=11, sigma=1.5):
+    """SSIM filtering all five statistics of each 16-pair block together, so
+    nothing is shared between calls: the bits the reference step must keep."""
+    rows, cols = gaussian_bands(x.shape, window, sigma)
     out = []
     for start in range(0, len(x), 16):
         a, b = x[start : start + 16], y[start : start + 16]
@@ -192,6 +199,33 @@ def five_stack_ssim(x, y, window=11, sigma=1.5):
         den = (mu_x * mu_x + mu_y * mu_y + 0.01**2) * (var_x + var_y + 0.03**2)
         out.append(np.mean((num / den).reshape(len(a), -1), axis=1))
     return np.concatenate(out)
+
+
+def per_block_ssim_reference(x, window=11, sigma=1.5):
+    """The scorer as it was before it wrote into reused buffers: x's mean and
+    mean square held per 16-image block, fresh arrays for every block."""
+    rows, cols = gaussian_bands(x.shape, window, sigma)
+    blocks = [slice(start, start + 16) for start in range(0, len(x), 16)]
+    held = [rows @ np.stack([x[block], x[block] ** 2]) @ cols.T for block in blocks]
+
+    def score(y):
+        out = np.empty(len(x))
+        for block, (mu_x, xx) in zip(blocks, held):
+            a, b = x[block], y[block]
+            mu_y, yy, xy = rows @ np.stack([b, b * b, a * b]) @ cols.T
+            var_x = xx - mu_x * mu_x
+            var_y = yy - mu_y * mu_y
+            cov = xy - mu_x * mu_y
+            num = (2.0 * mu_x * mu_y + 0.01**2) * (2.0 * cov + 0.03**2)
+            den = (mu_x * mu_x + mu_y * mu_y + 0.01**2) * (var_x + var_y + 0.03**2)
+            out[block] = np.mean((num / den).reshape(len(a), -1), axis=1)
+        return out
+
+    return score
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
 
 
 class TestSsimStack:
@@ -229,6 +263,29 @@ class TestSsimStack:
         for i in range(n):
             assert scores[i] == ssim(x[i], y[i])
 
+    @pytest.mark.parametrize("n", [1, 15, 16, 17, 100])
+    @pytest.mark.parametrize("window, sigma", [(11, 1.5), (7, 1.0)])
+    def test_reused_buffers_equal_per_block_scorer(self, n, window, sigma):
+        rng = np.random.default_rng(n + window)
+        x = rng.uniform(size=(n, 32, 32))
+        y, z = np.clip(x + rng.normal(0.0, 0.3, size=(2, n, 32, 32)), 0.0, 1.0)
+        score = ssim_reference(x, window, sigma)
+        expected = per_block_ssim_reference(x, window, sigma)
+        for stack in (y, z, y):  # the same scorer, call after call
+            assert np.array_equal(bits(score(stack)), bits(expected(stack)))
+        # rows scored from an offset pair with the originals from there on
+        for start in {0, n // 3, n - 1}:
+            for k in {1, n - start}:
+                rows = slice(start, start + k)
+                want = per_block_ssim_reference(x[rows], window, sigma)(y[rows])
+                assert np.array_equal(bits(score(y[rows], start)), bits(want))
+
+    def test_offset_past_the_reference_rejected(self):
+        score = ssim_reference(np.zeros((4, 16, 16)))
+        for start, k in ((3, 2), (-1, 1), (5, 0)):
+            with pytest.raises(ValueError, match="image shapes differ"):
+                score(np.zeros((k, 16, 16)), start)
+
     def test_reference_smaller_than_window_rejected(self):
         x = np.zeros((3, 10, 32))
         with pytest.raises(ValueError) as direct:
@@ -242,6 +299,48 @@ class TestSsimStack:
         score = ssim_reference(np.zeros((2, 16, 16)))
         with pytest.raises(ValueError, match="image shapes differ"):
             score(np.zeros((3, 16, 16)))
+
+
+class TestScoreLatents:
+    """Originals.score_latents: one pass of rows at a time through held
+    workspaces, each row scored as its own release would be."""
+
+    N = 30  # not a multiple of SSIM_BLOCK or PASS_ROWS: passes wrap mid-split
+
+    def setup_method(self):
+        self.model = init_model((1024, 256, 64, 32), 12, seed=4, weight_init_scale=2.0)
+        self.x = np.random.default_rng(4).uniform(size=(self.N, 32, 32))
+        self.originals = Originals(self.model, self.x)
+
+    @pytest.mark.parametrize("reps", [1, 3])
+    @pytest.mark.parametrize(
+        "params",
+        [
+            PrivacyParams(1.0, 0.5, full_mask(32)),
+            PrivacyParams(1.0, 0.5, identity_mask(32, 12), clip_radius=2.0),
+        ],
+        ids=["full", "clip_identity_only"],
+    )
+    def test_rows_equal_one_release_per_repetition(self, reps, params):
+        u = np.random.default_rng(reps).uniform(-0.5, 0.5, size=(reps * self.N, params.n_noisy))
+        z = perturb_latents(np.tile(self.originals.latents, (reps, 1)), params, u)
+        iss, l2, ssim_vals = self.originals.score_latents(z)
+        assert iss.shape == l2.shape == ssim_vals.shape == (reps * self.N,)
+        for rep in range(reps):
+            rows = slice(rep * self.N, (rep + 1) * self.N)
+            y = decode_batch(self.model, z[rows])
+            emb = encode_batch(self.model, y)[:, : self.model.identity_len]
+            assert np.array_equal(bits(iss[rows]), bits(iss_scores(self.originals.embeddings, emb)))
+            assert np.array_equal(bits(l2[rows]), bits(l2_distances(self.x, y)))
+            assert np.array_equal(bits(ssim_vals[rows]), bits(ssim_reference(self.x)(y)))
+
+    def test_rows_pair_with_originals_modulo_the_split(self):
+        # 70 rows: the second pass starts at original 4 and wraps at 30
+        z = self.originals.latents[np.arange(70) % self.N]
+        iss, l2, _ = self.originals.score_latents(z)
+        recon = decode_batch(self.model, self.originals.latents)
+        assert np.array_equal(bits(l2), bits(np.tile(l2_distances(self.x, recon), 3)[:70]))
+        assert np.array_equal(bits(iss[30:60]), bits(iss[:30]))
 
 
 class TestIss:
