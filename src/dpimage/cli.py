@@ -28,11 +28,11 @@ from .config import RunConfig, build_config, config_dict, parse_levels
 from .data import (
     generate_corpus,
     load_manifest,
-    read_pgm,
+    read_pgms,
     save_manifest,
     write_csv,
     write_file,
-    write_pgm,
+    write_pgms,
 )
 from .errors import ConfigError, DataError, DpImageError
 from .metrics import (
@@ -74,9 +74,9 @@ def _write_provenance(
 
 
 def _load_corpus(corpus_dir: Path, split: str | None = None):
-    """Manifest rows of one split (every row for None) and their images, in row order."""
+    """Manifest rows of one split (every row for None) and the stack of their images."""
     rows = [r for r in load_manifest(corpus_dir / "manifest.csv") if split in (None, r.split)]
-    return rows, [read_pgm(corpus_dir / r.path) for r in rows]
+    return rows, read_pgms(corpus_dir / r.path for r in rows)
 
 
 def _privacy_params(config: RunConfig, model, epsilon: float, sensitivity: float) -> PrivacyParams:
@@ -116,7 +116,7 @@ def _eval_split(corpus_dir: Path):
     rows, images = _load_corpus(corpus_dir, "eval")
     if len(rows) < 4:
         raise DataError("need at least 4 eval images to calibrate a threshold")
-    return np.array([r.identity_id for r in rows]), np.stack(images)
+    return np.array([r.identity_id for r in rows]), images
 
 
 def _calibrated_tau(identity_ids: np.ndarray, embeddings: np.ndarray) -> float:
@@ -137,8 +137,7 @@ def cmd_generate(config: RunConfig) -> None:
     images, manifest = generate_corpus(
         config.n_identities, config.samples_per_identity, config.image_side, config.seed
     )
-    for img, row in zip(images, manifest):
-        write_pgm(img, corpus_dir / row.path)
+    write_pgms(images, [corpus_dir / row.path for row in manifest])
     save_manifest(manifest, corpus_dir / "manifest.csv")
     _write_provenance(out_dir, "generate", config, {"n_images": len(images)})
     print(f"wrote {len(images)} images to {corpus_dir}")
@@ -232,7 +231,7 @@ def cmd_perturb(config: RunConfig, model_path: Path, inputs: list[Path]) -> None
     loaded = len(ledger)
     files = _input_images(inputs)
     # every input is read before the first release, so a bad one releases nothing
-    images = [read_pgm(path) for path in files]
+    images = read_pgms(files)
     # each image's stream is addressed by its ledger row, so every release,
     # in this request or any other, gets fresh noise
     states = derive_states(config.seed, _STREAM_PERTURB, loaded + np.arange(len(files)))
@@ -248,8 +247,7 @@ def cmd_perturb(config: RunConfig, model_path: Path, inputs: list[Path]) -> None
     # the request is charged before its first image is written: a write that
     # fails partway leaves unwritten images charged, never written ones free
     ledger.save_csv(ledger_path, start=loaded)  # appends this request's rows
-    for path, image in zip(files, released):
-        write_pgm(image, perturbed_dir / path.name)
+    write_pgms(released, [perturbed_dir / path.name for path in files])
     total = ledger.total()
     _write_provenance(
         out_dir,
@@ -298,8 +296,8 @@ def cmd_evaluate(
         ids, x_eval = _eval_split(corpus_dir)
         threshold = _calibrated_tau(ids, encode_batch(model, x_eval)[:, : model.identity_len])
     names = sorted(orig_files)
-    originals = Originals(model, [read_pgm(orig_files[name]) for name in names])
-    report = originals.report([read_pgm(pert_files[name]) for name in names], threshold, names)
+    originals = Originals(model, read_pgms(orig_files[name] for name in names))
+    report = originals.report(read_pgms(pert_files[name] for name in names), threshold, names)
     header = ("image_id", "l2", "ald_inf", "ssim", "iss")
     columns = [getattr(report, name).tolist() for name in header[1:]]
     write_csv(out_dir / "per_image.csv", header, zip(report.image_ids, *columns))

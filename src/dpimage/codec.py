@@ -18,7 +18,6 @@ scoring holds one per half), and then must not share it between threads.
 
 from __future__ import annotations
 
-import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -287,20 +286,14 @@ def init_model(
             f"identity_len {identity_len} outside [1, {encoder_dims[-1]}]"
         )
     full = encoder_dims + tuple(reversed(encoder_dims[:-1]))
+    # weights and biases are views of one flat buffer, laid out as w0, b0, w1, ...
+    weights, biases = _param_views(np.zeros(_param_count(full)), full)
     stream = make_stream(seed)
-    weights = []
-    biases = []
-    for fan_in, fan_out in zip(full[:-1], full[1:]):
-        bound = weight_init_scale / np.sqrt(fan_in)
-        u, stream = rng_uniform_batch(stream, fan_out * fan_in)
-        weights.append((2.0 * bound) * u.reshape(fan_out, fan_in))
-        biases.append(np.zeros(fan_out))
-    return AutoencoderModel(
-        encoder_dims=encoder_dims,
-        identity_len=identity_len,
-        weights=weights,
-        biases=biases,
-    )
+    for w in weights:
+        bound = weight_init_scale / np.sqrt(w.shape[1])
+        u, stream = rng_uniform_batch(stream, w.size)
+        np.multiply(2.0 * bound, u.reshape(w.shape), out=w)
+    return AutoencoderModel(encoder_dims, identity_len, weights, biases)
 
 
 def train(
@@ -315,25 +308,22 @@ def train(
     """
     if len(corpus) == 0:
         raise ValueError("corpus must be nonempty")
-    sides = {np.asarray(img).shape for img in corpus}
-    if len(sides) != 1:
-        raise ValueError(f"corpus images disagree in shape: {sorted(sides)}")
-    d = int(np.prod(next(iter(sides))))
+    d = int(np.prod(np.shape(corpus[0])))
     model = init_model(
         (d, *hidden_dims, config.latent_dim),
         config.identity_len,
         config.seed,
         config.weight_init_scale,
     )
-    x_all = np.stack([np.asarray(img, dtype=np.float64).reshape(-1) for img in corpus])
+    # a float64 stack (read_pgms's) is used as it is, not copied
+    x_all = _stack_rows(corpus, d, "image")
     n = x_all.shape[0]
 
-    # parameters, velocity and gradients each in one buffer, laid out as
-    # w0, b0, w1, b1, ...; the model's and the workspaces' arrays are views
-    params = np.concatenate([p.reshape(-1) for wb in zip(model.weights, model.biases) for p in wb])
+    # parameters (init_model's flat buffer), velocity and gradients each in
+    # one buffer of one layout; the model's and the workspaces' arrays are views
+    params = model.weights[0].base
     velocity = np.zeros_like(params)
     grads = np.empty_like(params)
-    model.weights, model.biases = _param_views(params, model.full_dims)
     grad_views = _param_views(grads, model.full_dims)
     batch = config.batch_size
     workspaces = {h: _Workspace(model, h, grad_views) for h in {min(batch, n), n % batch or batch}}
@@ -366,6 +356,10 @@ def train(
                 p += v
         trace.append(epoch_loss / n)
     return model, trace
+
+
+def _param_count(full_dims) -> int:
+    return sum(fan_out * (fan_in + 1) for fan_in, fan_out in zip(full_dims, full_dims[1:]))
 
 
 def _param_views(flat: np.ndarray, full_dims) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -428,18 +422,13 @@ def align_identity_basis(model: AutoencoderModel, corpus, identity_labels) -> Au
     a_inv = p @ np.diag(wl**0.5) @ v
 
     n_enc = model.n_encoder_layers
-    weights = [w.copy() for w in model.weights]
-    biases = [b.copy() for b in model.biases]
+    # the two rebased layers get new arrays; the others are shared, not copied
+    weights, biases = list(model.weights), list(model.biases)
     weights[n_enc - 1] = a @ weights[n_enc - 1]
     biases[n_enc - 1] = a @ (biases[n_enc - 1] - mu)
     biases[n_enc] = biases[n_enc] + weights[n_enc] @ mu
     weights[n_enc] = weights[n_enc] @ a_inv
-    return AutoencoderModel(
-        encoder_dims=model.encoder_dims,
-        identity_len=model.identity_len,
-        weights=weights,
-        biases=biases,
-    )
+    return AutoencoderModel(model.encoder_dims, model.identity_len, weights, biases)
 
 
 def save_model(model: AutoencoderModel, path) -> None:
@@ -454,9 +443,10 @@ def save_model(model: AutoencoderModel, path) -> None:
 
 
 def load_model(path) -> AutoencoderModel:
-    """Read a model file; its parameters are views into one writable buffer.
+    """Read a model file; its parameters are views of one flat writable buffer,
+    laid out as init_model's.
 
-    A view that does not fall on an 8-byte boundary (the header of an odd
+    A buffer that does not fall on an 8-byte boundary (the header of an odd
     number of encoder dims ends mid-word) is copied, since BLAS rounds
     unaligned operands differently.
     """
@@ -477,11 +467,6 @@ def load_model(path) -> AutoencoderModel:
         offset += n
         return offset - n
 
-    def params(*shape: int) -> np.ndarray:
-        count = math.prod(shape)
-        a = np.frombuffer(blob, dtype="<f8", count=count, offset=take(8 * count))
-        return (a if a.flags.aligned else a.copy()).reshape(shape)
-
     version, n_dims = struct.unpack_from("<II", blob, take(8))
     if version != MODEL_VERSION:
         raise VersionError(f"unsupported model version {version}")
@@ -492,17 +477,10 @@ def load_model(path) -> AutoencoderModel:
     if not 1 <= identity_len <= encoder_dims[-1]:
         raise FormatError(f"identity_len {identity_len} outside [1, {encoder_dims[-1]}]")
     full = encoder_dims + tuple(reversed(encoder_dims[:-1]))
-    weights = []
-    biases = []
-    for fan_in, fan_out in zip(full[:-1], full[1:]):
-        weights.append(params(fan_out, fan_in))
-        biases.append(params(fan_out))
+    count = _param_count(full)
+    flat = np.frombuffer(blob, dtype="<f8", count=count, offset=take(8 * count))
     if offset != len(blob):
         raise TruncatedError(f"{len(blob) - offset} unexpected trailing bytes")
-    return AutoencoderModel(
-        encoder_dims=encoder_dims,
-        identity_len=int(identity_len),
-        weights=weights,
-        biases=biases,
-    )
+    weights, biases = _param_views(flat if flat.flags.aligned else flat.copy(), full)
+    return AutoencoderModel(encoder_dims, int(identity_len), weights, biases)
 

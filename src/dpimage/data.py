@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 import os
 import re
@@ -245,16 +246,26 @@ def load_manifest(path) -> list[ManifestRow]:
     return rows
 
 
+def write_pgms(stack, paths) -> None:
+    """Write [0,1] grayscale images (2-D arrays) as binary PGMs (P5, maxval
+    255), one per path. Every image is checked and quantized before the first
+    file is written, so a bad one writes nothing; its error names its path."""
+    blobs = []
+    for img, path in zip(stack, paths, strict=True):
+        img = np.asarray(img, dtype=np.float64)
+        if img.ndim != 2:
+            raise DataError(f"{path}: expected a 2-D image, got shape {img.shape}")
+        if not np.all((img >= 0.0) & (img <= 1.0)):  # NaN fails both
+            raise DataError(f"{path}: pixel values must lie in [0, 1]")
+        data = np.rint(img * 255.0).astype(np.uint8)
+        blobs.append((path, f"P5\n{img.shape[1]} {img.shape[0]}\n255\n".encode() + data.tobytes()))
+    for path, blob in blobs:
+        write_file(path, blob)
+
+
 def write_pgm(img: np.ndarray, path) -> None:
-    """Write a [0,1] grayscale image as binary PGM (P5, maxval 255)."""
-    img = np.asarray(img, dtype=np.float64)
-    if img.ndim != 2:
-        raise DataError(f"expected a 2-D image, got shape {img.shape}")
-    if not np.all((img >= 0.0) & (img <= 1.0)):  # NaN fails both
-        raise DataError("pixel values must lie in [0, 1]")
-    h, w = img.shape
-    data = np.rint(img * 255.0).astype(np.uint8)
-    write_file(path, f"P5\n{w} {h}\n255\n".encode("ascii") + data.tobytes(order="C"))
+    """Write one [0,1] grayscale image as binary PGM (see write_pgms)."""
+    write_pgms([img], [path])
 
 
 def write_file(path, blob: bytes) -> None:
@@ -307,37 +318,51 @@ def _pgm_tokens(blob: bytes):
         yield match[1], end
 
 
-def read_pgm(path) -> np.ndarray:
-    """Read a binary PGM (P5, maxval 255) into a [0,1] float image."""
-    with open(path, "rb", buffering=0) as f:
-        blob = f.readall()
-    tokens = _pgm_tokens(blob)
+def _pgm_header(path, blob: bytes) -> tuple[int, int, int]:
+    """Height, width and pixel offset of a binary PGM (P5, maxval 255) that
+    holds all its pixels; each error names path."""
+    head = list(itertools.islice(_pgm_tokens(blob), 4))
+    if not head or head[0][0] != b"P5":
+        found = f"bad magic {head[0][0]!r}" if head else "empty file"
+        raise BadMagicError(f"{path}: {found}, expected PGM magic b'P5'")
+    if len(head) < 4:
+        raise TruncatedError(f"{path}: PGM header ended early")
     try:
-        magic, _ = next(tokens)
-    except StopIteration:
-        raise BadMagicError("empty file, expected PGM magic 'P5'") from None
-    if magic != b"P5":
-        raise BadMagicError(f"bad magic {magic!r}, expected b'P5'")
-    header = []
-    end = 0
-    for _ in range(3):
-        try:
-            tok, end = next(tokens)
-        except StopIteration:
-            raise TruncatedError("PGM header ended early") from None
-        try:
-            header.append(int(tok))
-        except ValueError:
-            raise TruncatedError(f"non-numeric PGM header token {tok!r}") from None
-    width, height, maxval = header
+        width, height, maxval = (int(tok) for tok, _ in head[1:])
+    except ValueError:
+        raise TruncatedError(f"{path}: non-numeric PGM header {[t for t, _ in head]}") from None
     if maxval != 255:
-        raise BadMaxvalError(f"unsupported maxval {maxval}, expected 255")
+        raise BadMaxvalError(f"{path}: unsupported maxval {maxval}, expected 255")
     if width < 1 or height < 1:
-        raise TruncatedError(f"bad dimensions {width}x{height}")
-    data = blob[end + 1 : end + 1 + width * height]
-    if len(data) < width * height:
-        raise TruncatedError(
-            f"expected {width * height} pixel bytes, found {len(data)}"
-        )
-    pixels = np.frombuffer(data, dtype=np.uint8).astype(np.float64) / 255.0
-    return pixels.reshape(height, width)
+        raise TruncatedError(f"{path}: bad dimensions {width}x{height}")
+    start = head[-1][1] + 1  # one whitespace byte ends the header
+    if len(blob) - start < width * height:
+        found = max(len(blob) - start, 0)
+        raise TruncatedError(f"{path}: expected {width * height} pixel bytes, found {found}")
+    return height, width, start
+
+
+def read_pgms(paths) -> np.ndarray:
+    """Read binary PGMs (P5, maxval 255) of one size into a [0,1] float stack
+    of shape (n, h, w). A file that fails, or differs in size from the first,
+    raises one error naming it."""
+    paths = list(paths)
+    stack = np.empty((0, 0, 0))
+    for i, path in enumerate(paths):
+        with open(path, "rb", buffering=0) as f:
+            blob = f.readall()
+        height, width, start = _pgm_header(path, blob)
+        if i == 0:
+            stack = np.empty((len(paths), height, width))
+        elif (height, width) != stack.shape[1:]:
+            size = f"{stack.shape[2]}x{stack.shape[1]}"
+            raise DataError(f"{path}: image is {width}x{height}, {paths[0]} is {size}")
+        pixels = np.frombuffer(blob, np.uint8, height * width, start)
+        # each pixel converted and scaled once, straight into the stack
+        np.divide(pixels.reshape(height, width), 255.0, out=stack[i])
+    return stack
+
+
+def read_pgm(path) -> np.ndarray:
+    """Read one binary PGM (P5, maxval 255) into a [0,1] float image (see read_pgms)."""
+    return read_pgms([path])[0]

@@ -1004,6 +1004,31 @@ class TestErrorReporting:
         extra = json.loads((out / "provenance_perturb.json").read_text())["extra"]
         assert extra["first_ledger_row"] == 3 and extra["ledger_rows"] == 4
 
+    @pytest.mark.parametrize("bad", ["magic", "size"])
+    def test_bad_image_among_good_ones_releases_nothing(self, trained, tmp_path, capsys, bad):
+        cfg, out = trained
+        corpus = sorted((out / "corpus").glob("*.pgm"))
+        assert run("perturb", "--config", cfg, "--sensitivity", "5.0", "--input", *corpus[:3]) == 0
+        ledger = (out / "ledger.csv").read_bytes()
+        released = tree_bytes(out / "perturbed")
+        request = tmp_path / "request"
+        request.mkdir()
+        for path in corpus[3:8]:
+            (request / path.name).write_bytes(path.read_bytes())
+        damaged = request / corpus[5].name
+        if bad == "magic":
+            damaged.write_bytes(b"P6" + corpus[5].read_bytes()[2:])
+        else:
+            write_pgm(np.full((16, 16), 0.5), damaged)
+        capsys.readouterr()
+        code = run("perturb", "--config", cfg, "--sensitivity", "5.0", "--input", request)
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 1 and len(err) == 1 and str(damaged) in err[0]
+        category = "error:format.bad_magic: " if bad == "magic" else "error:data: "
+        assert err[0].startswith(category)
+        assert (out / "ledger.csv").read_bytes() == ledger
+        assert tree_bytes(out / "perturbed") == released
+
     @pytest.mark.parametrize("twice", ["directory", "file"])
     def test_inputs_sharing_a_name_release_nothing(self, trained, tmp_path, capsys, twice):
         cfg, out = trained

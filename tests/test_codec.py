@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -389,6 +391,31 @@ class TestTrain:
         message = f"non-finite loss nan at epoch 0, batch offset {offset};"
         with pytest.raises(TrainingError, match=message):
             train(corpus, cfg, hidden_dims=(16,))
+
+    def test_parameters_share_one_buffer(self):
+        model = init_model((64, 16, 8), 4, seed=9)
+        base = model.weights[0].base
+        arrays = model.weights + model.biases
+        assert base is not None and all(a.base is base for a in arrays)
+        assert base.size == sum(a.size for a in arrays)
+
+    def test_peak_memory_holds_corpus_once_and_parameters_three_times(self):
+        # the default dims; training holds the corpus stack, the parameters
+        # and their velocity and gradients, and the step workspaces besides
+        cfg = RunConfig(epochs=1)
+        model = init_model((1024, 256, 64, cfg.latent_dim), cfg.identity_len, cfg.seed)
+        param_bytes = model.weights[0].base.nbytes
+        del model
+        slack = 2 * 2**20  # the two step workspaces and one batch take 1.7 MB of it
+        rng = np.random.default_rng(0)
+        tracemalloc.start()
+        try:
+            corpus = rng.uniform(0.0, 1.0, size=(40, 32, 32))
+            train(corpus, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= corpus.nbytes + 3 * param_bytes + slack
 
     def test_mixed_shapes_rejected(self):
         cfg = RunConfig(epochs=1)

@@ -13,12 +13,14 @@ from dpimage.data import (
     generate_corpus,
     load_manifest,
     read_pgm,
+    read_pgms,
     render_face,
     sample_identity_params,
     save_manifest,
     write_csv,
     write_file,
     write_pgm,
+    write_pgms,
 )
 from dpimage.errors import BadMagicError, BadMaxvalError, DataError, TruncatedError
 from dpimage.numerics import make_stream
@@ -204,6 +206,43 @@ class TestPgm:
             write_pgm(img, tmp_path / "nan.pgm")
         assert not (tmp_path / "nan.pgm").exists()
 
+
+    @pytest.mark.parametrize("bad", [np.nan, 1.5])
+    def test_bad_last_image_writes_no_file(self, tmp_path, bad):
+        stack = np.random.default_rng(4).uniform(0.0, 1.0, size=(3, 6, 5))
+        stack[2, 4, 1] = bad
+        paths = [tmp_path / f"{k}.pgm" for k in range(3)]
+        with pytest.raises(DataError, match="2.pgm: pixel values"):
+            write_pgms(stack, paths)
+        assert not any(p.exists() for p in paths)
+
+    def test_stack_round_trip_equals_one_path_reads(self, tmp_path):
+        stack = np.random.default_rng(5).uniform(0.0, 1.0, size=(4, 6, 5))
+        paths = [tmp_path / f"{k}.pgm" for k in range(4)]
+        write_pgms(stack, paths)
+        for path, img in zip(paths, stack):
+            blob = path.read_bytes()
+            write_pgm(img, path)
+            assert path.read_bytes() == blob
+        back = read_pgms(paths)
+        assert back.shape == (4, 6, 5) and back.dtype == np.float64
+        for path, img in zip(paths, back):
+            assert np.array_equal(img, read_pgm(path))
+        assert np.array_equal(back, np.rint(stack * 255.0) / 255.0)
+        assert read_pgms([]).shape == (0, 0, 0)
+
+    def test_stack_errors_name_the_file(self, tmp_path):
+        paths = [tmp_path / f"{k}.pgm" for k in range(3)]
+        write_pgms(np.zeros((3, 4, 4)), paths)
+        paths[1].write_bytes(b"P6\n4 4\n255\n" + bytes(48))
+        with pytest.raises(BadMagicError, match=r"1\.pgm: bad magic b'P6'"):
+            read_pgms(paths)
+        write_pgm(np.zeros((4, 5)), paths[2])
+        with pytest.raises(DataError, match=r"2\.pgm: image is 5x4, .*0\.pgm is 4x4"):
+            read_pgms([paths[0], paths[2]])
+        paths[1].write_bytes(b"P5\n4 4\n255\n" + bytes(15))
+        with pytest.raises(TruncatedError, match=r"1\.pgm: expected 16 pixel bytes, found 15"):
+            read_pgms(paths)
 
     @pytest.mark.parametrize("make", [lambda p: None, lambda p: p.mkdir()])
     def test_missing_or_directory_input_names_path(self, tmp_path, make):

@@ -536,6 +536,14 @@ class TestBlur:
         want = blur_oracle(x, 1.2, 2)
         assert np.max(np.abs(got - want)) < 1e-12
 
+    def test_matches_direct_convolution_past_the_edges(self):
+        # every window reaches past both edges, so the clamped taps pile up
+        rng = np.random.default_rng(8)
+        x = rng.uniform(0, 1, size=(10, 10))
+        got = blur_baseline(x, 3.0, 12)
+        want = blur_oracle(x, 3.0, 12)
+        assert np.max(np.abs(got - want)) < 1e-12
+
     def test_range_preserved(self):
         x = random_image(16)
         out = blur_baseline(x, 3.0, 5)
