@@ -12,8 +12,11 @@ in zero-padded passes of up to PASS_ROWS rows, through each layer in turn,
 so a row's bits do not depend on the stack it came in (see BLOCK_ROWS). A
 pass writes every layer's product, bias and activation into a PassWorkspace:
 each call builds its own, so encode and decode are safe to share across
-threads, or a caller passes one in to reuse across calls (the sweep's
-scoring holds one per half), and then must not share it between threads.
+threads. Each of the sweep's scoring threads owns a pair for
+_decode_encode_pass, which reuses them pass after pass and encodes the
+images where the decoder left them. Worker threads call private helpers
+only: public functions run on the calling thread, since a tracer that wraps
+them keeps one span stack.
 """
 
 from __future__ import annotations
@@ -124,47 +127,74 @@ class PassWorkspace:
     and activation are written into it) take turns in two allocations, all
     of one pass height: min(PASS_ROWS, rows rounded up to BLOCK_ROWS); and
     BLOCK_ROWS rows of scratch for the output sigmoid. A stack of any height
-    runs through it a pass at a time.
+    runs through it a pass at a time. With input_block=False there is no
+    input block, for _decode_encode_pass's encoder.
     """
 
-    def __init__(self, model: AutoencoderModel, encoder: bool, rows: int = PASS_ROWS):
+    def __init__(
+        self, model: AutoencoderModel, encoder: bool, rows: int = PASS_ROWS, input_block=True
+    ):
         n_enc = model.n_encoder_layers
         self.layers = range(0, n_enc) if encoder else range(n_enc, 2 * n_enc)
         height = min(PASS_ROWS, rows + -rows % BLOCK_ROWS or BLOCK_ROWS)
         dims = model.full_dims
-        widths = [dims[self.layers.start]] + [dims[layer + 1] for layer in self.layers]
+        widths = [dims[layer + 1] for layer in self.layers]
+        if input_block:
+            widths.insert(0, dims[self.layers.start])
         # layer i reads buffer i % 2 and writes the other, so two serve them all
-        flat = [np.empty(height * max(widths[i::2])) for i in (0, 1)]
-        self.input, *self.acts = (
+        flat = [np.empty(height * max(widths[i::2], default=0)) for i in (0, 1)]
+        bufs = [
             flat[i % 2][: height * width].reshape(height, width) for i, width in enumerate(widths)
-        )
+        ]
+        self.input, self.acts = (bufs[0], bufs[1:]) if input_block else (None, bufs)
         self.scratch = np.empty((min(height, BLOCK_ROWS), dims[self.layers.stop]))
 
 
-def _forward(model: AutoencoderModel, x: np.ndarray, encoder: bool, ws) -> np.ndarray:
+def _load_pass(ws: PassWorkspace, rows: np.ndarray) -> np.ndarray:
+    """Rows (at most one pass) zero-padded to a multiple of BLOCK_ROWS in ws's input block."""
+    a = ws.input[: len(rows) + -len(rows) % BLOCK_ROWS]
+    a[: len(rows)] = rows
+    a[len(rows) :] = 0.0
+    return a
+
+
+def _run_layers(model: AutoencoderModel, ws: PassWorkspace, a: np.ndarray) -> np.ndarray:
+    """One pass a, a multiple of BLOCK_ROWS high, through ws's layers;
+    returns the last layer's buffer, which holds the pass's output."""
+    height = len(a)
+    for layer, buf in zip(ws.layers, ws.acts):
+        w, z = model.weights[layer], buf[:height]
+        if w.shape[0] >= WIDE_OUT:
+            np.matmul(a, w.T, out=z)
+        else:
+            for lo in range(0, height, BLOCK_ROWS):
+                np.matmul(a[lo : lo + BLOCK_ROWS], w.T, out=z[lo : lo + BLOCK_ROWS])
+        z += model.biases[layer]
+        a = _activate_in_place(model, layer, z, ws.scratch)
+    return a
+
+
+def _forward(model: AutoencoderModel, x: np.ndarray, encoder: bool) -> np.ndarray:
     """Rows of x through the encoder or the decoder, one pass at a time
-    through the caller's workspace or one of its own."""
-    ws = PassWorkspace(model, encoder, len(x)) if ws is None else ws
-    if ws.layers.start != (0 if encoder else model.n_encoder_layers):
-        raise ValueError(f"workspace runs layers {ws.layers}, not this half of the model")
+    through a workspace of its own."""
+    ws = PassWorkspace(model, encoder, len(x))
     out = np.empty((len(x), model.full_dims[ws.layers.stop]))
     for start in range(0, len(x), len(ws.input)):
         rows = x[start : start + len(ws.input)]
-        height = len(rows) + -len(rows) % BLOCK_ROWS
-        a = ws.input[:height]
-        a[: len(rows)] = rows
-        a[len(rows) :] = 0.0
-        for layer, buf in zip(ws.layers, ws.acts):
-            w, z = model.weights[layer], buf[:height]
-            if w.shape[0] >= WIDE_OUT:
-                np.matmul(a, w.T, out=z)
-            else:
-                for lo in range(0, height, BLOCK_ROWS):
-                    np.matmul(a[lo : lo + BLOCK_ROWS], w.T, out=z[lo : lo + BLOCK_ROWS])
-            z += model.biases[layer]
-            a = _activate_in_place(model, layer, z, ws.scratch)
-        out[start : start + len(rows)] = a[: len(rows)]
+        out[start : start + len(rows)] = _run_layers(model, ws, _load_pass(ws, rows))[: len(rows)]
     return out
+
+
+def _decode_encode_pass(model: AutoencoderModel, z: np.ndarray, dec, enc):
+    """Decode at most one pass of latent rows z through dec, then encode the
+    images where they lie through enc, an encoder workspace with no input
+    block. Returns views into the workspaces, valid until their next pass:
+    the images and their latents, with the bits of decode_batch, then
+    encode_batch."""
+    y = _run_layers(model, dec, _load_pass(dec, z))
+    latents = _run_layers(model, enc, y)[: len(z)]
+    side = int(round(model.input_dim**0.5))
+    return y[: len(z)].reshape(len(z), side, side), latents
 
 
 def _stack_rows(stack, width: int, what: str) -> np.ndarray:
@@ -176,22 +206,16 @@ def _stack_rows(stack, width: int, what: str) -> np.ndarray:
     return x.reshape(len(x), width)
 
 
-def encode_batch(model: AutoencoderModel, images, *, workspace=None) -> np.ndarray:
-    """Latent rows of a stack of images; row i does not depend on the others.
-
-    workspace: an encoder PassWorkspace to run in instead of a fresh one.
-    """
+def encode_batch(model: AutoencoderModel, images) -> np.ndarray:
+    """Latent rows of a stack of images; row i does not depend on the others."""
     x = _stack_rows(images, model.input_dim, "image")
-    return _forward(model, x, True, workspace)
+    return _forward(model, x, True)
 
 
-def decode_batch(model: AutoencoderModel, latents, *, workspace=None) -> np.ndarray:
-    """Square images with pixels in (0, 1) from a stack of latent vectors.
-
-    workspace: a decoder PassWorkspace to run in instead of a fresh one.
-    """
+def decode_batch(model: AutoencoderModel, latents) -> np.ndarray:
+    """Square images with pixels in (0, 1) from a stack of latent vectors."""
     z = _stack_rows(latents, model.latent_dim, "latent")
-    flat = _forward(model, z, False, workspace)
+    flat = _forward(model, z, False)
     side = int(round(model.input_dim**0.5))
     return flat.reshape(len(z), side, side)
 

@@ -8,19 +8,28 @@ between Gaussian fits of embedding sets (FED). Originals prepares a stack of
 original images once (its latents and its SSIM statistics) and scores any
 number of released stacks against it, row by row; its report aggregates in
 the order of the rows it is given. For the sweep it also scores stacks of
-noisy latents pass by pass: PASS_ROWS rows are decoded, encoded and scored
-through buffers held for the call, so its memory does not grow with the
-stack.
+noisy latents a pass of PASS_ROWS rows at a time, on up to SWEEP_THREADS
+threads, each with one pass of buffers; no byte depends on their number.
+Public functions run on the calling thread only.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import PASS_ROWS, AutoencoderModel, PassWorkspace, decode_batch, encode, encode_batch
+from .codec import (
+    PASS_ROWS,
+    AutoencoderModel,
+    PassWorkspace,
+    _decode_encode_pass,
+    encode,
+    encode_batch,
+)
 
 SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
@@ -28,6 +37,8 @@ SSIM_C1 = (0.01 * 1.0) ** 2  # dynamic range L = 1 for [0,1] pixels
 SSIM_C2 = (0.03 * 1.0) ** 2
 # images per SSIM filtering step; bounds the scorer's temporaries
 SSIM_BLOCK = 16
+# most threads that score a sweep level; measured on 2 CPUs only
+SWEEP_THREADS = 2
 
 
 def _check_same_shape(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -162,6 +173,11 @@ def iss_scores(e_x: np.ndarray, e_y: np.ndarray) -> np.ndarray:
     denominator is sqrt(sum(x^2) * sum(y^2)) so that identical embeddings
     score exactly 1.0 and exact negatives exactly 0.0.
     """
+    return _iss_scores(e_x, e_y)
+
+
+def _iss_scores(e_x, e_y) -> np.ndarray:
+    """iss_scores under a name no tracer wraps, for the sweep's threads."""
     e_x = np.asarray(e_x, dtype=np.float64)
     e_y = np.asarray(e_y, dtype=np.float64)
     sx = np.sum(e_x * e_x, axis=-1)
@@ -320,26 +336,61 @@ class Originals:
     def score_latents(self, latents) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """ISS, l2 and SSIM of the release of each noisy latent row.
 
-        Row r is decoded and scored against original r mod n, PASS_ROWS rows
-        at a time through one decoder and one encoder workspace; its scores
-        equal those of its own decode_batch, iss, l2_distances and ssim.
+        Row r is decoded and scored against original r mod n; its scores
+        equal those of its own decode_batch, iss, l2_distances and ssim,
+        whatever the number of workers. Passes are dealt round-robin to
+        min(SWEEP_THREADS, available CPUs, passes) workers: the calling
+        thread and a threading.Thread for each other. Each worker owns the
+        workspaces of _decode_encode_pass, built before any thread starts,
+        and writes its rows' ISS, SSIM and l2 into disjoint slices through
+        private helpers and the SSIM scorer only, since a tracer that wraps
+        public functions keeps one span stack. Once all have joined, the
+        calling thread raises the first worker error, if any.
         """
-        z = np.asarray(latents, dtype=np.float64).reshape(-1, self.model.latent_dim)
-        n = len(self.x)
-        dec, enc = PassWorkspace(self.model, False), PassWorkspace(self.model, True)
+        model = self.model
+        z = np.asarray(latents, dtype=np.float64).reshape(-1, model.latent_dim)
+        n, k = len(self.x), model.identity_len
+        passes = range(0, len(z), PASS_ROWS)
+        affinity = getattr(os, "sched_getaffinity", None)  # absent on macOS and Windows
+        cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+        workers = max(1, min(SWEEP_THREADS, cpus, len(passes)))
+        buffers = [
+            (
+                PassWorkspace(model, False, len(z)),
+                PassWorkspace(model, True, len(z), input_block=False),
+            )
+            for _ in range(workers)
+        ]
         iss, l2, ssim = np.empty((3, len(z)))
-        for start in range(0, len(z), PASS_ROWS):
-            y = decode_batch(self.model, z[start : start + PASS_ROWS], workspace=dec)
-            emb = encode_batch(self.model, y, workspace=enc)[:, : self.model.identity_len]
-            # the pass in pieces that meet consecutive originals: cut where rows wrap
-            cuts = [start, *range(start - start % n + n, start + len(y), n), start + len(y)]
-            for lo, hi in zip(cuts, cuts[1:]):
-                rows, part = slice(lo, hi), slice(lo - start, hi - start)
-                orig = slice(lo % n, hi % n or n)
-                iss[rows] = iss_scores(self.embeddings[orig], emb[part])
-                ssim[rows] = self.ssim(y[part], lo % n)
-                # the scored images' difference overwrites them
-                l2[rows] = _row_norms(np.subtract(y[part], self.x[orig], out=y[part]))
+        errors = []
+
+        def work(worker: int) -> None:
+            dec, enc = buffers[worker]
+            try:
+                for start in passes[worker::workers]:
+                    if errors:
+                        return
+                    y, latent = _decode_encode_pass(model, z[start : start + PASS_ROWS], dec, enc)
+                    # the pass in pieces that meet consecutive originals: cut where rows wrap
+                    cuts = [start, *range(start - start % n + n, start + len(y), n), start + len(y)]
+                    for lo, hi in zip(cuts, cuts[1:]):
+                        rows, part = slice(lo, hi), slice(lo - start, hi - start)
+                        orig = slice(lo % n, hi % n or n)
+                        iss[rows] = _iss_scores(self.embeddings[orig], latent[part, :k])
+                        ssim[rows] = self.ssim(y[part], lo % n)
+                        # the scored images' difference overwrites them
+                        l2[rows] = _row_norms(np.subtract(y[part], self.x[orig], out=y[part]))
+            except BaseException as exc:  # raised on the calling thread once all have joined
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(worker,)) for worker in range(1, workers)]
+        for thread in threads:
+            thread.start()
+        work(0)
+        for thread in threads:
+            thread.join()
+        if errors:
+            raise errors[0]
         return iss, l2, ssim
 
     def iss(self, y) -> np.ndarray:

@@ -1,13 +1,20 @@
+import functools
+import inspect
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+import threading
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dpimage import cli, codec, privacy
+import dpimage
+from dpimage import cli, codec, metrics, privacy
 from dpimage.cli import _baseline_table, main
 from dpimage.config import RunConfig, build_config, load_config_file, parse_levels
 from dpimage.codec import decode, encode, encode_batch, load_model
@@ -645,10 +652,10 @@ class TestEvaluateAndSweep:
         passes = Counter()  # encoder passes by the bytes of the stack they encode
         forward = codec._forward
 
-        def counted(model, x, encoder, workspace):
+        def counted(model, x, encoder):
             if encoder:
                 passes[x.tobytes()] += 1
-            return forward(model, x, encoder, workspace)
+            return forward(model, x, encoder)
 
         monkeypatch.setattr(codec, "_forward", counted)
         assert run(
@@ -719,6 +726,66 @@ class TestEvaluateAndSweep:
         ranking = notes["baseline_notes"]["fed_ranking"]
         assert ranking == "FED undefined with fewer than 2 pairs; no ranking"
         assert ranking in capsys.readouterr().out
+
+
+class TestSweepWorkers:
+    """The sweep scores on up to two threads (two CPUs here); public
+    functions, which a tracer may wrap, run on the calling thread only."""
+
+    REPS = 40  # 8 eval images x 40: 5 passes per noisy level
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+    def test_public_functions_run_on_the_calling_thread(self, trained, monkeypatch, watch_passes):
+        cfg, out = trained
+        callers = Counter()  # calls of public functions by thread id
+
+        def recorded(fn):
+            @functools.wraps(fn)
+            def wrapper(*args, **kwargs):
+                callers[threading.get_ident()] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        # every public function of each layer module, in every dpimage module
+        # that binds it, as perfbench's tracer wraps them
+        modules = [m for name, m in sys.modules.items() if name.startswith("dpimage.")]
+        for layer in ("numerics", "data", "codec", "privacy", "metrics"):
+            module = getattr(dpimage, layer)
+            for attr, fn in list(vars(module).items()):
+                if attr.startswith("_") or not inspect.isfunction(fn) or fn.__module__ != module.__name__:
+                    continue
+                wrapped = recorded(fn)
+                for m in modules:
+                    for bound, value in list(vars(m).items()):
+                        if value is fn:
+                            monkeypatch.setattr(m, bound, wrapped)
+        workers = watch_passes()
+        assert run("sweep", "--config", cfg, "--sweep_repetitions", self.REPS) == 0
+        # the calling thread and a new thread per noisy level scored passes
+        assert threading.current_thread().name in workers and len(set(workers)) > 1
+        assert set(callers) == {threading.get_ident()}
+
+    def test_worker_error_exits_1_with_one_error_line(self, trained, watch_passes, capsys):
+        cfg, out = trained
+        calls = watch_passes(fail_on=2, error=ValueError("second pass failed"))
+        capsys.readouterr()
+        assert run("sweep", "--config", cfg, "--sweep_repetitions", self.REPS) == 1
+        assert capsys.readouterr().err.splitlines() == ["error:validation: second pass failed"]
+        assert len(set(calls)) == 2
+        assert not (out / "sweep.csv").exists()
+
+    def test_cli_import_loads_no_executor_or_logging(self):
+        # threads come from threading, which numpy loads anyway; an executor
+        # would pull logging, queue and traceback into every command
+        src = Path(dpimage.__file__).resolve().parents[1]
+        code = "import sys, dpimage.cli; print([m for m in ('concurrent.futures', 'logging') if m in sys.modules])"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
 
 
 class TestOutputFiles:

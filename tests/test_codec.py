@@ -9,6 +9,7 @@ from dpimage.codec import (
     WIDE_OUT,
     PassWorkspace,
     _activate_in_place,
+    _decode_encode_pass,
     _sigmoid_in_place,
     align_identity_basis,
     decode,
@@ -109,28 +110,25 @@ class TestBatchForward:
 
     @pytest.mark.parametrize("dims", [(1024, 256, 64, 32), (1024, WIDE_OUT, 100)])
     def test_reused_workspace_bits_equal_block_reference(self, dims):
-        # one workspace per half, as a sweep holds them, through calls of
-        # every pass shape: a row's bits must not see the previous call's
+        # one workspace pair through passes of every shape, as a sweep worker
+        # holds it: the encoder reads the decoder's output in place, and a
+        # row's bits must not see the previous pass's
         model = init_model(dims, 12, seed=7, weight_init_scale=2.0)
-        rng = np.random.default_rng(7)
-        x = rng.uniform(0.0, 1.0, size=(65, dims[0]))
-        z = rng.normal(0.0, 3.0, size=(65, dims[-1]))
+        z = np.random.default_rng(7).normal(0.0, 3.0, size=(PASS_ROWS, dims[-1]))
         n_enc = model.n_encoder_layers
-        enc_ws, dec_ws = PassWorkspace(model, True), PassWorkspace(model, False)
-        for height in (65, 1, 17, 64, 65, 1):
-            enc = encode_batch(model, x[:height], workspace=enc_ws)
-            dec = decode_batch(model, z[:height], workspace=dec_ws).reshape(height, -1)
-            ref_enc = block_forward(model, x[:height], 0, n_enc)
-            ref_dec = block_forward(model, z[:height], n_enc, 2 * n_enc)
-            assert np.array_equal(enc.view(np.uint64), ref_enc.view(np.uint64))
-            assert np.array_equal(dec.view(np.uint64), ref_dec.view(np.uint64))
-        assert len(enc_ws.input) == len(dec_ws.input) == PASS_ROWS
-
-    def test_workspace_of_the_other_half_rejected(self):
-        with pytest.raises(ValueError, match="workspace runs layers"):
-            encode_batch(self.model, self.images[:2], workspace=PassWorkspace(self.model, False))
-        with pytest.raises(ValueError, match="workspace runs layers"):
-            decode_batch(self.model, self.latents[:2], workspace=PassWorkspace(self.model, True))
+        dec, enc = PassWorkspace(model, False), PassWorkspace(model, True, input_block=False)
+        for height in (64, 1, 17, 16, 64, 1):
+            images, latents = _decode_encode_pass(model, z[:height], dec, enc)
+            ref_images = decode_batch(model, z[:height])
+            ref_latents = encode_batch(model, ref_images)
+            assert np.array_equal(images.view(np.uint64), ref_images.view(np.uint64))
+            assert np.array_equal(latents.view(np.uint64), ref_latents.view(np.uint64))
+            flat = images.reshape(height, -1)
+            block_images = block_forward(model, z[:height], n_enc, 2 * n_enc)
+            assert np.array_equal(flat.view(np.uint64), block_images.view(np.uint64))
+            block_latents = block_forward(model, flat, 0, n_enc)
+            assert np.array_equal(latents.view(np.uint64), block_latents.view(np.uint64))
+        assert len(dec.input) == PASS_ROWS and enc.input is None
 
     def test_shuffled_batch_mates(self):
         enc = encode_batch(self.model, self.images)

@@ -1,4 +1,7 @@
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -6,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from dpimage.codec import AutoencoderModel, decode_batch, encode_batch, init_model
+from dpimage import metrics
+from dpimage.codec import PASS_ROWS, AutoencoderModel, decode_batch, encode_batch, init_model
 from dpimage.metrics import (
     Originals,
     ald_inf,
@@ -333,6 +337,72 @@ class TestScoreLatents:
             assert np.array_equal(bits(iss[rows]), bits(iss_scores(self.originals.embeddings, emb)))
             assert np.array_equal(bits(l2[rows]), bits(l2_distances(self.x, y)))
             assert np.array_equal(bits(ssim_vals[rows]), bits(ssim_reference(self.x)(y)))
+
+    @pytest.mark.parametrize("n", [30, 100])
+    @pytest.mark.parametrize("reps", [1, 3])
+    @pytest.mark.parametrize(
+        "params",
+        [
+            PrivacyParams(1.0, 0.5, full_mask(32)),
+            PrivacyParams(1.0, 0.5, identity_mask(32, 12), clip_radius=2.0),
+        ],
+        ids=["full", "clip_identity_only"],
+    )
+    def test_bits_do_not_depend_on_the_worker_count(self, monkeypatch, watch_passes, n, reps, params):
+        x = np.random.default_rng(n).uniform(size=(n, 32, 32))
+        originals = Originals(self.model, x)
+        u = np.random.default_rng(reps).uniform(-0.5, 0.5, size=(reps * n, params.n_noisy))
+        z = perturb_latents(np.tile(originals.latents, (reps, 1)), params, u)
+        y = decode_batch(self.model, z)
+        emb = encode_batch(self.model, y)[:, : self.model.identity_len]
+        score = ssim_reference(x)
+        reference = np.concatenate(
+            [
+                [iss_scores(originals.embeddings, emb[rows]), l2_distances(x, y[rows]), score(y[rows])]
+                for rows in (slice(r * n, (r + 1) * n) for r in range(reps))
+            ],
+            axis=1,
+        )
+        calls = watch_passes()
+        monkeypatch.setattr(metrics, "SWEEP_THREADS", 3)  # one more than the default cap
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-6)  # threads trade the interpreter often
+            for cpus in (1, 2, 3):  # 3: more workers than this box may have cores
+                monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+                calls.clear()
+                iss, l2, ssim_vals = originals.score_latents(z)
+                assert np.array_equal(bits(np.stack([iss, l2, ssim_vals])), bits(reference))
+                assert len(set(calls)) == min(cpus, -(-len(z) // PASS_ROWS))
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("cpus, expected", [(1, 1), (8, 2)])
+    def test_workers_capped_at_sweep_threads(self, monkeypatch, watch_passes, cpus, expected):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        calls = watch_passes()
+        self.originals.score_latents(np.tile(self.originals.latents, (10, 1)))  # 5 passes
+        assert len(set(calls)) == expected == min(cpus, metrics.SWEEP_THREADS)
+
+    @pytest.mark.parametrize("cpu_count, expected", [(3, 2), (None, 1)])
+    def test_workers_follow_cpu_count_without_affinity(self, monkeypatch, watch_passes, cpu_count, expected):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)  # as on macOS and Windows
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        calls = watch_passes()
+        self.originals.score_latents(np.tile(self.originals.latents, (10, 1)))  # 5 passes
+        assert len(set(calls)) == expected
+
+    def test_worker_error_raised_once_after_every_thread_joins(self, monkeypatch, watch_passes):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        error = RuntimeError("second pass failed")
+        calls = watch_passes(fail_on=2, error=error)
+        before = threading.active_count()
+        z = np.tile(self.originals.latents, (10, 1))  # 300 rows: 5 passes for 2 workers
+        with pytest.raises(RuntimeError) as err:
+            self.originals.score_latents(z)
+        assert err.value is error  # raised on the second pass only, so once
+        assert len(set(calls)) == 2
+        assert threading.active_count() == before
 
     def test_rows_pair_with_originals_modulo_the_split(self):
         # 70 rows: the second pass starts at original 4 and wraps at 30
