@@ -246,7 +246,7 @@ def cmd_perturb(config: RunConfig, model_path: Path, inputs: list[Path]) -> None
         ledger.record(path.name + tag, config.epsilon, group="corpus")
     # the request is charged before its first image is written: a write that
     # fails partway leaves unwritten images charged, never written ones free
-    ledger.save_csv(ledger_path, start=loaded)  # appends this request's rows
+    ledger.save_csv(ledger_path)  # appends this request's rows
     write_pgms(released, [perturbed_dir / path.name for path in files])
     total = ledger.total()
     _write_provenance(

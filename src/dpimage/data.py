@@ -263,11 +263,6 @@ def write_pgms(stack, paths) -> None:
         write_file(path, blob)
 
 
-def write_pgm(img: np.ndarray, path) -> None:
-    """Write one [0,1] grayscale image as binary PGM (see write_pgms)."""
-    write_pgms([img], [path])
-
-
 def write_file(path, blob: bytes) -> None:
     """Make blob the whole content of path, rewriting an existing file in place.
 

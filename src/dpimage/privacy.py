@@ -35,6 +35,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -234,84 +235,71 @@ class PrivacyBudgetLedger:
     Releases within one disjointness group touch the same data and compose
     sequentially (budgets add); distinct groups touch disjoint data and
     compose in parallel (overall budget is the max over groups). Entries are
-    never mutated or removed. Rows are kept as plain tuples next to running
-    per-group sums, added in row order. A ledger opened from a checkpoint
-    (see load_csv) keeps no tuples for the rows already in its file: it
-    knows their count and sums, and entries reads them from the file.
+    never mutated or removed. A ledger is the file of its saved rows, known
+    by path, row count and a running sha256 of its bytes, plus the rows
+    recorded since it was read or last saved. Per-group sums run over both
+    in row order. A ledger appends only to its own file.
     """
 
     def __init__(self):
-        self._rows: list[tuple[str, float, str]] = []  # the rows after the first _base
+        self._path = None  # the file of the saved rows; None until a load or save
+        self._file_rows = 0
+        self._hash = hashlib.sha256()  # of the file's bytes
+        self._pending: list[tuple[str, float, str]] = []
         self._sums: dict[str, float] = {}
-        self._base = 0  # rows known only by count, held in the file at _path
-        self._path = None
-        # sha256 of the bytes of the file this ledger last read or wrote, which
-        # holds its first _saved rows; None after an append to another file
-        self._hash = hashlib.sha256()
-        self._saved = 0
 
     def record(self, release_id: str, epsilon: float, group: str = "default") -> None:
-        if not epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {epsilon}")
+        if not 0 < epsilon < math.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
         epsilon = float(epsilon)
-        self._rows.append((release_id, epsilon, group))
+        self._pending.append((release_id, epsilon, group))
         self._sums[group] = self._sums.get(group, 0.0) + epsilon
 
     def __len__(self) -> int:
-        return self._base + len(self._rows)
-
-    def _all_rows(self) -> list[tuple[str, float, str]]:
-        if not self._base:
-            return self._rows
-        with open(self._path, "rb") as f:
-            head = _parse_rows(self._path, f.read())[0][: self._base]
-        return head + self._rows
+        return self._file_rows + len(self._pending)
 
     @property
     def entries(self) -> tuple[tuple[str, float, str], ...]:
-        """Every row as a (release_id, epsilon, group) tuple, in row order."""
-        return tuple(self._all_rows())
+        """Every row as a (release_id, epsilon, group) tuple; the file's are parsed."""
+        saved = _parse_rows(self._path, self._path.read_bytes())[0] if self._file_rows else []
+        return tuple(saved[: self._file_rows] + self._pending)
 
     def total(self) -> float:
         """Overall budget: max over groups of the within-group epsilon sum."""
         return max(self._sums.values(), default=0.0)
 
-    def save_csv(self, path, start: int = 0) -> None:
-        """Write the ledger as CSV; the first ``start`` rows are already in the file.
+    def save_csv(self, path) -> None:
+        """Write the rows not yet saved to path, which must be this ledger's file if it has one.
 
-        start 0 writes the header and every row. start > 0 appends only the
-        rows after it, so a release request costs its own rows, not the
-        ledger's length. The file's running hash is extended by the bytes
-        written, so checkpoint() hashes no row twice.
+        A file of no rows is rewritten with the header; otherwise the rows are
+        appended, so a release request costs its own rows, not the ledger's
+        length, and the running hash hashes no byte twice.
         """
-        if not 0 <= start <= len(self):
-            raise ValueError(f"start {start} outside [0, {len(self)}]")
-        rows = self._rows[start - self._base :] if start >= self._base else self._all_rows()[start:]
+        path = Path(path)
+        if self._path is not None and path != self._path:
+            raise ValueError(f"this ledger's rows are in {self._path}, not {path}")
         text = io.StringIO()
         writer = csv.writer(text)
-        if not start:
+        if not self._file_rows:
             writer.writerow(LEDGER_HEADER)
-        writer.writerows(rows)  # csv writes a float as its repr
-        blob = text.getvalue().encode()
-        if not start:
             self._hash = hashlib.sha256()
-        elif start != self._saved:  # not the file this ledger last read or wrote
-            self._hash = None
-        with open(path, "ab" if start else "wb") as f:
+        writer.writerows(self._pending)  # csv writes a float as its repr
+        blob = text.getvalue().encode()
+        with open(path, "ab" if self._file_rows else "wb") as f:
             f.write(blob)
-        if self._hash is not None:
-            self._hash.update(blob)
-        self._saved = len(self)
+        self._hash.update(blob)
+        self._path = path
+        self._file_rows += len(self._pending)
+        self._pending = []
 
     def checkpoint(self) -> dict:
         """Row count, per-group sums and ``ledger_digest`` for load_csv to verify.
 
         The digest is the sha256 of the file's bytes followed by the
-        canonical JSON of [rows, sums]. It needs every row saved by this
-        ledger, with the last save_csv starting where the file ended.
+        canonical JSON of [rows, sums]. Every row must be saved.
         """
-        if self._hash is None or self._saved != len(self):
-            raise ValueError("a checkpoint needs every row saved, appended to the file read")
+        if self._pending:
+            raise ValueError("a checkpoint needs every row saved")
         sums = dict(self._sums)
         return {
             "ledger_rows": len(self),
@@ -335,14 +323,13 @@ class PrivacyBudgetLedger:
         with open(path, "rb") as f:
             blob = f.read()
         ledger = cls()
+        ledger._path = Path(path)
         ledger._hash = hashlib.sha256(blob)
         summary = _verified_summary(checkpoint, ledger._hash)
         if summary is None:
-            ledger._rows, ledger._sums = _parse_rows(path, blob)
-        else:
-            ledger._base, ledger._sums = summary
-            ledger._path = path
-        ledger._saved = len(ledger)
+            rows, sums = _parse_rows(path, blob)
+            summary = len(rows), sums
+        ledger._file_rows, ledger._sums = summary
         return ledger
 
 
@@ -391,8 +378,8 @@ def _parse_rows(path, blob: bytes) -> tuple[list[tuple[str, float, str]], dict[s
                 if len(row) != 3:
                     raise malformed(f"{len(row)} fields, expected 3") from None
                 raise malformed(f"epsilon {row[1]!r} is not a number") from None
-            if not epsilon > 0:
-                raise malformed(f"epsilon must be positive, got {epsilon}")
+            if not 0 < epsilon < math.inf:
+                raise malformed(f"epsilon must be positive and finite, got {epsilon}")
             entries.append((release_id, epsilon, group))
             sums[group] = sums.get(group, 0.0) + epsilon
     except csv.Error as exc:

@@ -18,7 +18,7 @@ from dpimage import cli, codec, metrics, privacy
 from dpimage.cli import _baseline_table, main
 from dpimage.config import RunConfig, build_config, load_config_file, parse_levels
 from dpimage.codec import decode, encode, encode_batch, load_model
-from dpimage.data import load_manifest, read_pgm, write_pgm
+from dpimage.data import load_manifest, read_pgm, write_pgms
 from dpimage.metrics import (
     Originals,
     blur_baseline,
@@ -331,11 +331,11 @@ class TestPerturb:
             (larger / p.name).write_bytes(p.read_bytes())
         for k, p in enumerate(corpus[:5]):  # names sort after the request's
             (larger / f"zz_extra_{k}.pgm").write_bytes(p.read_bytes())
-        earlier = PrivacyBudgetLedger()  # three releases made before this request
-        for k in range(3):
-            earlier.record(f"earlier_{k}.pgm", 1.0, group="corpus")
         for src, dst in ((request, "out_request"), (larger, "out_larger")):
             (tmp_path / dst).mkdir()
+            earlier = PrivacyBudgetLedger()  # three releases made before this request
+            for k in range(3):
+                earlier.record(f"earlier_{k}.pgm", 1.0, group="corpus")
             earlier.save_csv(tmp_path / dst / "ledger.csv")
             assert run(
                 "perturb", "--config", cfg, "--model", out / "model.dpim", "--input", src,
@@ -350,7 +350,7 @@ class TestPerturb:
         params = PrivacyParams(epsilon=1.0, sensitivity=5.0, mask=full_mask(model.latent_dim))
         for k in (0, 17):
             y, _ = dp_image(model, read_pgm(corpus[k]), params, derive_stream(0, 2, 3 + k))
-            write_pgm(y, tmp_path / "expected.pgm")
+            write_pgms([y], [tmp_path / "expected.pgm"])
             assert alone[corpus[k].name] == (tmp_path / "expected.pgm").read_bytes()
 
     def test_split_request_equals_one_request(self, trained, tmp_path):
@@ -919,6 +919,14 @@ class TestErrorReporting:
                 "line 3",
                 id="not_utf8",
             ),
+            pytest.param(
+                "release_id,epsilon,group\r\na.pgm,0.5,corpus\r\nb.pgm,inf,corpus\r\n",
+                "line 3",
+                id="inf_epsilon",
+            ),
+            pytest.param(
+                "release_id,epsilon,group\r\na.pgm,1e999,corpus\r\n", "line 2", id="huge_epsilon"
+            ),
         ],
     )
     def test_malformed_ledger_is_one_line_error(self, trained, capsys, text, where):
@@ -1086,7 +1094,7 @@ class TestErrorReporting:
         if bad == "magic":
             damaged.write_bytes(b"P6" + corpus[5].read_bytes()[2:])
         else:
-            write_pgm(np.full((16, 16), 0.5), damaged)
+            write_pgms([np.full((16, 16), 0.5)], [damaged])
         capsys.readouterr()
         code = run("perturb", "--config", cfg, "--sensitivity", "5.0", "--input", request)
         err = capsys.readouterr().err.strip().splitlines()

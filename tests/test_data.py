@@ -19,7 +19,6 @@ from dpimage.data import (
     save_manifest,
     write_csv,
     write_file,
-    write_pgm,
     write_pgms,
 )
 from dpimage.errors import BadMagicError, BadMaxvalError, DataError, TruncatedError
@@ -159,7 +158,7 @@ class TestPgm:
     def test_header_bytes_exact(self, tmp_path):
         img = np.zeros((32, 32))
         path = tmp_path / "z.pgm"
-        write_pgm(img, path)
+        write_pgms([img], [path])
         blob = path.read_bytes()
         assert blob.startswith(b"P5\n32 32\n255\n")
         assert len(blob) == len(b"P5\n32 32\n255\n") + 1024
@@ -168,7 +167,7 @@ class TestPgm:
         rng = np.random.default_rng(0)
         img = rng.uniform(0.0, 1.0, size=(32, 32))
         path = tmp_path / "r.pgm"
-        write_pgm(img, path)
+        write_pgms([img], [path])
         back = read_pgm(path)
         assert np.max(np.abs(back - img)) <= 1.0 / 510.0 + 1e-15
 
@@ -199,11 +198,11 @@ class TestPgm:
 
     def test_out_of_range_write_rejected(self, tmp_path):
         with pytest.raises(DataError):
-            write_pgm(np.full((4, 4), 1.5), tmp_path / "x.pgm")
+            write_pgms([np.full((4, 4), 1.5)], [tmp_path / "x.pgm"])
         img = np.full((4, 4), 0.5)
         img[1, 2] = np.nan
         with pytest.raises(DataError):
-            write_pgm(img, tmp_path / "nan.pgm")
+            write_pgms([img], [tmp_path / "nan.pgm"])
         assert not (tmp_path / "nan.pgm").exists()
 
 
@@ -222,7 +221,7 @@ class TestPgm:
         write_pgms(stack, paths)
         for path, img in zip(paths, stack):
             blob = path.read_bytes()
-            write_pgm(img, path)
+            write_pgms([img], [path])
             assert path.read_bytes() == blob
         back = read_pgms(paths)
         assert back.shape == (4, 6, 5) and back.dtype == np.float64
@@ -237,7 +236,7 @@ class TestPgm:
         paths[1].write_bytes(b"P6\n4 4\n255\n" + bytes(48))
         with pytest.raises(BadMagicError, match=r"1\.pgm: bad magic b'P6'"):
             read_pgms(paths)
-        write_pgm(np.zeros((4, 5)), paths[2])
+        write_pgms([np.zeros((4, 5))], [paths[2]])
         with pytest.raises(DataError, match=r"2\.pgm: image is 5x4, .*0\.pgm is 4x4"):
             read_pgms([paths[0], paths[2]])
         paths[1].write_bytes(b"P5\n4 4\n255\n" + bytes(15))

@@ -398,6 +398,9 @@ class TestDpImage:
         assert np.array_equal(out, decode(self.model, z_noisy))
 
 
+NOT_FINITE = "epsilon must be positive and finite"
+
+
 class TestLedger:
     def test_sequential_sum(self):
         ledger = PrivacyBudgetLedger()
@@ -424,6 +427,10 @@ class TestLedger:
     def test_nonpositive_epsilon_rejected(self):
         with pytest.raises(ValueError):
             PrivacyBudgetLedger().record("x", 0.0)
+        ledger = PrivacyBudgetLedger()
+        with pytest.raises(ValueError, match=NOT_FINITE):
+            ledger.record("x", math.inf)
+        assert len(ledger) == 0 and ledger.total() == 0.0
 
     def test_post_processing_same_charge(self):
         model = init_model((64, 16, 8), 4, seed=1)
@@ -449,21 +456,42 @@ class TestLedger:
         assert back.entries == ledger.entries
 
     def test_append_equals_full_write(self, tmp_path):
+        records = [("a,with comma", 0.25, "g1"), ("b", 0.125, "g2"), ("c", 0.5, "g1")]
+        records.append(("d", 1.0, "g2"))
+        whole = PrivacyBudgetLedger()
+        for record in records:
+            whole.record(*record)
+        whole.save_csv(tmp_path / "whole.csv")
+        path = tmp_path / "appended.csv"
         ledger = PrivacyBudgetLedger()
-        ledger.record("a,with comma", 0.25, group="g1")
-        ledger.save_csv(tmp_path / "appended.csv")
-        ledger.record("b", 0.125, group="g2")
-        ledger.record("c", 0.5, group="g1")
-        ledger.save_csv(tmp_path / "appended.csv", start=1)
-        ledger.save_csv(tmp_path / "whole.csv")
-        assert (tmp_path / "appended.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
-        assert PrivacyBudgetLedger.load_csv(tmp_path / "appended.csv").entries == ledger.entries
+        ledger.record(*records[0])
+        ledger.save_csv(path)
+        ledger = PrivacyBudgetLedger.load_csv(path)  # load, record, save
+        ledger.record(*records[1])
+        ledger.record(*records[2])
+        ledger.save_csv(path)
+        ledger.record(*records[3])  # record and save again on the same ledger
+        ledger.save_csv(str(path))  # the same file, named by a str
+        assert path.read_bytes() == (tmp_path / "whole.csv").read_bytes()
+        assert PrivacyBudgetLedger.load_csv(path).entries == ledger.entries == tuple(records)
+        assert ledger.checkpoint() == whole.checkpoint()
 
-    def test_start_outside_entries_rejected(self, tmp_path):
+    @pytest.mark.parametrize("loaded", [False, True])
+    def test_save_to_another_file_rejected(self, tmp_path, loaded):
+        path, other = tmp_path / "ledger.csv", tmp_path / "other.csv"
         ledger = PrivacyBudgetLedger()
         ledger.record("a", 0.25)
-        with pytest.raises(ValueError):
-            ledger.save_csv(tmp_path / "ledger.csv", start=2)
+        ledger.save_csv(path)
+        if loaded:
+            ledger = PrivacyBudgetLedger.load_csv(path)
+        ledger.record("b", 0.5)
+        blob = path.read_bytes()
+        with pytest.raises(ValueError, match=f"{path}.*{other}"):
+            ledger.save_csv(other)
+        assert not other.exists() and path.read_bytes() == blob
+        ledger.save_csv(path)  # the rows are still pending, for the ledger's own file
+        back = PrivacyBudgetLedger.load_csv(path)
+        assert back.entries == (("a", 0.25, "default"), ("b", 0.5, "default"))
 
     @given(
         records=st.integers(1, 3).flatmap(
@@ -489,16 +517,18 @@ class TestLedger:
             for record in records[:cut]:
                 ledger.record(*record)
             ledger.save_csv(path)
+            ledger = PrivacyBudgetLedger.load_csv(path)
             for record in records[cut:]:
                 ledger.record(*record)
-            ledger.save_csv(path, start=cut)
+            ledger.save_csv(path)
             back = PrivacyBudgetLedger.load_csv(path)
+            entries = back.entries  # parsed from the file
         sums = {}  # the sequential per-group sum, in row order
         for _, epsilon, group in records:
             sums[group] = sums.get(group, 0.0) + epsilon
         assert back.total() == max(sums.values(), default=0.0)
         assert len(back) == len(records)
-        assert back.entries == tuple(map(tuple, records))
+        assert entries == tuple(map(tuple, records))
 
     @pytest.mark.parametrize(
         "text, message",
@@ -507,6 +537,8 @@ class TestLedger:
             ("release_id,epsilon,group\r\na,0.5,g\r\nb,0.5\r\n", "line 3: 2 fields"),
             ("release_id,epsilon,group\r\na,half,g\r\n", "line 2: epsilon 'half'"),
             ("release_id,epsilon,group\r\na,0.0,g\r\n", "line 2: epsilon must be positive"),
+            ("release_id,epsilon,group\r\na,0.5,g\r\nb,inf,g\r\n", f"line 3: {NOT_FINITE}"),
+            ("release_id,epsilon,group\r\na,1e999,g\r\n", f"line 2: {NOT_FINITE}"),
             ("release_id,epsilon,group\r\na,0.5,g\r\nb,0.5,g", "line 3: last row has no line end"),
         ],
     )
@@ -565,12 +597,10 @@ class TestLedgerCheckpoint:
         checkpoint = self.saved(path, records[:2]).checkpoint()
         back = PrivacyBudgetLedger.load_csv(path, checkpoint)
         back.record(*records[2])
-        assert back.entries == tuple(map(tuple, records))
-        back.save_csv(path, start=2)
-        back.save_csv(tmp_path / "whole.csv")  # the first two rows come from the file
+        assert back.entries == tuple(map(tuple, records))  # the first two come from the file
+        back.save_csv(path)
         self.saved(tmp_path / "expected.csv", records)
         assert path.read_bytes() == (tmp_path / "expected.csv").read_bytes()
-        assert (tmp_path / "whole.csv").read_bytes() == path.read_bytes()
         again = PrivacyBudgetLedger.load_csv(path, back.checkpoint())
         assert again.entries == back.entries and again.total() == 2.5
 
@@ -614,10 +644,27 @@ class TestLedgerCheckpoint:
         ledger.record("b", 0.5, "g")
         with pytest.raises(ValueError, match="saved"):
             ledger.checkpoint()
-        ledger.record("c", 0.5, "g")
-        ledger.save_csv(tmp_path / "other.csv", start=2)  # not where the file ended
-        with pytest.raises(ValueError, match="saved"):
-            ledger.checkpoint()
+        ledger.save_csv(tmp_path / "ledger.csv")
+        whole = self.saved(tmp_path / "whole.csv", ledger.entries)
+        assert ledger.checkpoint() == whole.checkpoint()
+
+    def test_checkpointed_and_parsed_loads_are_one_state(self, tmp_path):
+        records = [("a", 0.1, "g1"), ("b", 1 / 3, "g2"), ("c,d", 0.3, "g1")]
+        checkpoint = self.saved(tmp_path / "verified.csv", records).checkpoint()
+        (tmp_path / "parsed.csv").write_bytes((tmp_path / "verified.csv").read_bytes())
+        verified = PrivacyBudgetLedger.load_csv(tmp_path / "verified.csv", checkpoint)
+        parsed = PrivacyBudgetLedger.load_csv(tmp_path / "parsed.csv")
+        for ledger in (verified, parsed):
+            assert len(ledger) == 3 and ledger.total() == 0.1 + 0.3
+            assert ledger.entries == tuple(records)
+            assert ledger.checkpoint() == checkpoint
+        for ledger, name in ((verified, "verified.csv"), (parsed, "parsed.csv")):
+            ledger.record("e", 0.5, "g2")
+            ledger.record("f", 0.25, "g3")
+            ledger.save_csv(tmp_path / name)
+        assert (tmp_path / "verified.csv").read_bytes() == (tmp_path / "parsed.csv").read_bytes()
+        assert verified.checkpoint() == parsed.checkpoint()
+        assert verified.checkpoint()["ledger_rows"] == 5
 
 
 class TestVerifyDp:
