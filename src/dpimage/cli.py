@@ -5,6 +5,10 @@ and of the ledger's earlier rows for perturb. Each output directory carries
 one provenance_<command>.json per stage, sufficient to reproduce the run.
 Reports are CSV; images are binary PGM.
 
+One parser table binds each command to its handler and declares its flags.
+A handler takes (config, args) and returns its provenance extra and its
+summary lines; main alone writes the record, then prints the lines.
+
 The harness never selects or filters outputs by similarity to the original
 image; doing so would condition the release on the input and void the
 privacy accounting.
@@ -17,14 +21,14 @@ import json
 import math
 import sys
 from collections import Counter
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .codec import align_identity_basis, encode_batch, load_model, save_model, train
-from .config import RunConfig, build_config, config_dict, parse_levels
+from .config import RunConfig, build_config, parse_levels
 from .data import (
     generate_corpus,
     load_manifest,
@@ -58,15 +62,13 @@ _STREAM_PERTURB = 2
 _STREAM_SWEEP = 3
 
 
-def _write_provenance(
-    out_dir: Path, command: str, config: RunConfig, extra: dict | None = None
-) -> None:
+def _write_provenance(out_dir: Path, command: str, config: RunConfig, extra: dict) -> None:
     # one file per command, so a directory shared by several pipeline stages
     # keeps every stage's reproduction record
     record = {
         "command": command,
-        "config": config_dict(config),
-        "extra": extra or {},
+        "config": asdict(config),
+        "extra": extra,
         "toolkit_version": __version__,
     }
     blob = (json.dumps(record, indent=2, sort_keys=True) + "\n").encode()
@@ -130,23 +132,21 @@ def _calibrated_tau(identity_ids: np.ndarray, embeddings: np.ndarray) -> float:
     return nearest_rank_percentile(iss_scores(embeddings[i], embeddings[j]), 95.0)
 
 
-def cmd_generate(config: RunConfig) -> None:
-    out_dir = Path(config.output_dir)
-    corpus_dir = out_dir / "corpus"
+def cmd_generate(config: RunConfig, args) -> tuple[dict, list[str]]:
+    corpus_dir = Path(config.output_dir) / "corpus"
     corpus_dir.mkdir(parents=True, exist_ok=True)
     images, manifest = generate_corpus(
         config.n_identities, config.samples_per_identity, config.image_side, config.seed
     )
     write_pgms(images, [corpus_dir / row.path for row in manifest])
     save_manifest(manifest, corpus_dir / "manifest.csv")
-    _write_provenance(out_dir, "generate", config, {"n_images": len(images)})
-    print(f"wrote {len(images)} images to {corpus_dir}")
+    return {"n_images": len(images)}, [f"wrote {len(images)} images to {corpus_dir}"]
 
 
-def cmd_train(config: RunConfig, corpus_dir: Path) -> None:
+def cmd_train(config: RunConfig, args) -> tuple[dict, list[str]]:
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    train_rows, corpus = _load_corpus(corpus_dir, "train")
+    train_rows, corpus = _load_corpus(args.corpus_dir, "train")
     if not train_rows:
         raise DataError("manifest has no train split")
     labels = [r.identity_id for r in train_rows]
@@ -154,15 +154,15 @@ def cmd_train(config: RunConfig, corpus_dir: Path) -> None:
     model = align_identity_basis(model, corpus, labels)
     save_model(model, out_dir / "model.dpim")
     write_csv(out_dir / "loss_trace.csv", ("epoch", "loss"), enumerate(trace))
-    _write_provenance(out_dir, "train", config, {"final_loss": trace[-1]})
-    print(f"trained {config.epochs} epochs, final loss {trace[-1]:.6f}")
+    summary = f"trained {config.epochs} epochs, final loss {trace[-1]:.6f}"
+    return {"final_loss": trace[-1]}, [summary]
 
 
-def cmd_sensitivity(config: RunConfig, model_path: Path, corpus_dir: Path) -> None:
+def cmd_sensitivity(config: RunConfig, args) -> tuple[dict, list[str]]:
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    model = load_model(model_path)
-    manifest, images = _load_corpus(corpus_dir)
+    model = load_model(args.model)
+    manifest, images = _load_corpus(args.corpus_dir)
     latents = encode_batch(model, images)
     report = estimate_sensitivity(latents)
     # one row at a time, so the file's bytes are the one copy held besides the array
@@ -181,13 +181,8 @@ def cmd_sensitivity(config: RunConfig, model_path: Path, corpus_dir: Path) -> No
     cells = [(i, j, d) for i, row in enumerate(heat) for j, d in enumerate(row)]
     write_csv(out_dir / "sensitivity_heatmap.csv", ("i", "j", "distance"), cells)
     write_file(out_dir / "delta_f.txt", f"{report.delta_f!r}\n".encode())
-    _write_provenance(
-        out_dir,
-        "sensitivity",
-        config,
-        {"delta_f": report.delta_f, "n_latents": int(latents.shape[0])},
-    )
-    print(f"delta_f {report.delta_f!r} over {latents.shape[0]} latents")
+    extra = {"delta_f": report.delta_f, "n_latents": int(latents.shape[0])}
+    return extra, [f"delta_f {report.delta_f!r} over {latents.shape[0]} latents"]
 
 
 def _input_images(paths: list[Path]) -> list[Path]:
@@ -217,9 +212,9 @@ def _ledger_checkpoint(out_dir: Path):
         return None
 
 
-def cmd_perturb(config: RunConfig, model_path: Path, inputs: list[Path]) -> None:
+def cmd_perturb(config: RunConfig, args) -> tuple[dict, list[str]]:
     out_dir = Path(config.output_dir)
-    model = load_model(model_path)
+    model = load_model(args.model)
     delta_f = _resolve_delta_f(config, out_dir)
     params = _privacy_params(config, model, config.epsilon, delta_f)
     ledger_path = out_dir / "ledger.csv"
@@ -229,7 +224,7 @@ def cmd_perturb(config: RunConfig, model_path: Path, inputs: list[Path]) -> None
         else PrivacyBudgetLedger()
     )
     loaded = len(ledger)
-    files = _input_images(inputs)
+    files = _input_images(args.input)
     # every input is read before the first release, so a bad one releases nothing
     images = read_pgms(files)
     # each image's stream is addressed by its ledger row, so every release,
@@ -249,51 +244,37 @@ def cmd_perturb(config: RunConfig, model_path: Path, inputs: list[Path]) -> None
     ledger.save_csv(ledger_path)  # appends this request's rows
     write_pgms(released, [perturbed_dir / path.name for path in files])
     total = ledger.total()
-    _write_provenance(
-        out_dir,
-        "perturb",
-        config,
-        {
-            "delta_f": delta_f,
-            "scale": params.scale,
-            "n_images": len(files),
-            "first_ledger_row": loaded,
-            "ledger_total": total,
-            # ledger_rows, ledger_sums and ledger_digest: the next request
-            # parses no row while the ledger still holds these bytes
-            **ledger.checkpoint(),
-            # the loss per unit of l1 latent distance, epsilon / delta_f
-            "epsilon_per_l1": config.epsilon / delta_f if delta_f > 0 else None,
-            "partial_coordinate_dp": config.mask_mode == "identity_only",
-        },
-    )
-    print(
-        f"perturbed {len(files)} images at scale {params.scale!r}; "
-        f"ledger total {total!r}"
-    )
+    extra = {
+        "delta_f": delta_f,
+        "scale": params.scale,
+        "n_images": len(files),
+        "first_ledger_row": loaded,
+        "ledger_total": total,
+        # ledger_rows, ledger_sums and ledger_digest: the next request
+        # parses no row while the ledger still holds these bytes
+        **ledger.checkpoint(),
+        # the loss per unit of l1 latent distance, epsilon / delta_f
+        "epsilon_per_l1": config.epsilon / delta_f if delta_f > 0 else None,
+        "partial_coordinate_dp": config.mask_mode == "identity_only",
+    }
+    summary = f"perturbed {len(files)} images at scale {params.scale!r}; ledger total {total!r}"
+    return extra, [summary]
 
 
-def cmd_evaluate(
-    config: RunConfig,
-    model_path: Path,
-    originals_dir: Path,
-    perturbed_dir: Path,
-    corpus_dir: Path,
-    threshold: float | None,
-    baselines: bool,
-) -> None:
+def cmd_evaluate(config: RunConfig, args) -> tuple[dict, list[str]]:
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    model = load_model(model_path)
-    orig_files = {p.name: p for p in sorted(originals_dir.glob("*.pgm"))}
-    pert_files = {p.name: p for p in sorted(perturbed_dir.glob("*.pgm"))}
+    model = load_model(args.model)
+    orig_files = {p.name: p for p in sorted(args.originals.glob("*.pgm"))}
+    pert_files = {p.name: p for p in sorted(args.perturbed.glob("*.pgm"))}
     if not orig_files:
-        raise DataError(f"no PGM images under {originals_dir}")
+        raise DataError(f"no PGM images under {args.originals}")
     missing = sorted(set(orig_files) ^ set(pert_files))
     if missing:
         raise DataError(f"originals and perturbed are misaligned on: {missing[:5]}")
+    threshold = args.threshold
     if threshold is None:
-        ids, x_eval = _eval_split(corpus_dir)
+        ids, x_eval = _eval_split(args.corpus_dir)
         threshold = _calibrated_tau(ids, encode_batch(model, x_eval)[:, : model.identity_len])
     names = sorted(orig_files)
     originals = Originals(model, read_pgms(orig_files[name] for name in names))
@@ -305,14 +286,15 @@ def cmd_evaluate(
     rows = [(name, getattr(report, name)) for name in aggregates]
     write_csv(out_dir / "aggregate.csv", ("metric", "value"), rows)
     extra = {"threshold": threshold, "mean_iss": report.mean_iss}
-    if baselines:
+    lines = []
+    if args.baselines:
         table, notes = _baseline_table(originals, report)
         header = ("method", "l2", "ald_inf", "ssim", "iss", "fed", "fppsr")
         write_csv(out_dir / "table.csv", header, table)
         extra["baseline_notes"] = notes
-        print(notes["fed_ranking"])
-    _write_provenance(out_dir, "evaluate", config, extra)
-    print(f"evaluated {len(names)} pairs; mean ISS {report.mean_iss:.4f}")
+        lines.append(notes["fed_ranking"])
+    lines.append(f"evaluated {len(names)} pairs; mean ISS {report.mean_iss:.4f}")
+    return extra, lines
 
 
 def _baseline_table(originals: Originals, dp_report):
@@ -373,11 +355,11 @@ def _baseline_table(originals: Originals, dp_report):
     return rows, notes
 
 
-def cmd_sweep(config: RunConfig, model_path: Path, corpus_dir: Path) -> None:
+def cmd_sweep(config: RunConfig, args) -> tuple[dict, list[str]]:
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    model = load_model(model_path)
-    identity_ids, x_eval = _eval_split(corpus_dir)
+    model = load_model(args.model)
+    identity_ids, x_eval = _eval_split(args.corpus_dir)
     originals = Originals(model, x_eval)
     tau = _calibrated_tau(identity_ids, originals.embeddings)
     levels = parse_levels(config.sweep_levels)
@@ -406,9 +388,10 @@ def cmd_sweep(config: RunConfig, model_path: Path, corpus_dir: Path) -> None:
     write_csv(out_dir / "sweep.csv", header, results)
     extra = {"threshold": tau, "levels": list(levels), "repetitions": config.sweep_repetitions}
     extra["releases_scored"] = releases_scored  # eval-split releases decoded and scored
-    _write_provenance(out_dir, "sweep", config, extra)
-    for level, mean_iss, mean_fppsr, _, _ in results:
-        print(f"level {level}: mean ISS {mean_iss:.4f}, FPPSR {mean_fppsr:.4f}")
+    return extra, [
+        f"level {level}: mean ISS {mean_iss:.4f}, FPPSR {mean_fppsr:.4f}"
+        for level, mean_iss, mean_fppsr, _, _ in results
+    ]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -425,34 +408,28 @@ def build_parser() -> argparse.ArgumentParser:
     for f in fields(RunConfig):
         common.add_argument(f"--{f.name}", type=str, default=None, help=f"override {f.name}")
 
-    def command(name: str, text: str) -> argparse.ArgumentParser:
-        return sub.add_parser(name, parents=[common], help=text)
+    def command(name: str, text: str, run, *paths: str) -> argparse.ArgumentParser:
+        # paths: the command's --model / --corpus-dir, which main defaults
+        # to model.dpim and corpus/ under the output directory
+        p = sub.add_parser(name, parents=[common], help=text)
+        p.set_defaults(run=run)
+        for flag in paths:
+            p.add_argument(f"--{flag}", type=Path, default=None)
+        return p
 
-    command("generate", "write a synthetic labeled corpus")
-
-    p_train = command("train", "train the autoencoder on the train split")
-    p_train.add_argument("--corpus-dir", type=Path, default=None)
-
-    p_sens = command("sensitivity", "estimate feature-space sensitivity")
-    p_sens.add_argument("--model", type=Path, default=None)
-    p_sens.add_argument("--corpus-dir", type=Path, default=None)
-
-    p_pert = command("perturb", "apply the privacy mechanism to images")
-    p_pert.add_argument("--model", type=Path, default=None)
-    p_pert.add_argument("--input", type=Path, nargs="+", required=True)
-
-    p_eval = command("evaluate", "privacy/utility metrics over image pairs")
-    p_eval.add_argument("--model", type=Path, default=None)
-    p_eval.add_argument("--originals", type=Path, required=True)
-    p_eval.add_argument("--perturbed", type=Path, required=True)
-    p_eval.add_argument("--corpus-dir", type=Path, default=None)
-    p_eval.add_argument("--threshold", type=float, default=None)
-    p_eval.add_argument("--baselines", action="store_true")
-
-    p_sweep = command("sweep", "noise sweep reproducing the trend curves")
-    p_sweep.add_argument("--model", type=Path, default=None)
-    p_sweep.add_argument("--corpus-dir", type=Path, default=None)
-
+    command("generate", "write a synthetic labeled corpus", cmd_generate)
+    command("train", "train the autoencoder on the train split", cmd_train, "corpus-dir")
+    command("sensitivity", "estimate feature-space sensitivity", cmd_sensitivity,
+            "model", "corpus-dir")
+    p = command("perturb", "apply the privacy mechanism to images", cmd_perturb, "model")
+    p.add_argument("--input", type=Path, nargs="+", required=True)
+    p = command("evaluate", "privacy/utility metrics over image pairs", cmd_evaluate,
+                "model", "corpus-dir")
+    p.add_argument("--originals", type=Path, required=True)
+    p.add_argument("--perturbed", type=Path, required=True)
+    p.add_argument("--threshold", type=float, default=None)
+    p.add_argument("--baselines", action="store_true")
+    command("sweep", "noise sweep reproducing the trend curves", cmd_sweep, "model", "corpus-dir")
     return parser
 
 
@@ -474,28 +451,15 @@ def main(argv=None) -> int:
     try:
         config = _config_from_args(args)
         out_dir = Path(config.output_dir)
-        model_path = getattr(args, "model", None) or out_dir / "model.dpim"
-        corpus_dir = getattr(args, "corpus_dir", None) or out_dir / "corpus"
-        if args.command == "generate":
-            cmd_generate(config)
-        elif args.command == "train":
-            cmd_train(config, corpus_dir)
-        elif args.command == "sensitivity":
-            cmd_sensitivity(config, model_path, corpus_dir)
-        elif args.command == "perturb":
-            cmd_perturb(config, model_path, args.input)
-        elif args.command == "evaluate":
-            cmd_evaluate(
-                config,
-                model_path,
-                args.originals,
-                args.perturbed,
-                corpus_dir,
-                args.threshold,
-                args.baselines,
-            )
-        elif args.command == "sweep":
-            cmd_sweep(config, model_path, corpus_dir)
+        for name, default in (("model", "model.dpim"), ("corpus_dir", "corpus")):
+            if name in args and getattr(args, name) is None:
+                setattr(args, name, out_dir / default)
+        extra, lines = args.run(config, args)
+        # the record is written only once the handler has succeeded, and
+        # before any summary: a failed request prints nothing on stdout
+        _write_provenance(out_dir, args.command, config, extra)
+        for line in lines:
+            print(line)
         return 0
     except DpImageError as exc:
         print(f"error:{exc.category}: {exc}", file=sys.stderr)

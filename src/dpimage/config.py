@@ -133,7 +133,3 @@ def build_config(file_path=None, overrides: dict | None = None) -> RunConfig:
             raise ConfigError(f"unknown config key {key!r}")
         values[key] = _convert(key, str(raw)) if isinstance(raw, str) else raw
     return RunConfig(**values)
-
-
-def config_dict(config: RunConfig) -> dict:
-    return {f.name: getattr(config, f.name) for f in fields(RunConfig)}

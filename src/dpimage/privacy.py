@@ -98,15 +98,20 @@ def identity_mask(m: int, identity_len: int) -> np.ndarray:
 # so u = 0.5 stands for the top cell (0.5 - 2**-53, 0.5]; its midpoint gives a
 # finite draw, about 36.7 * scale, and every other grid point is below it.
 _U_MAX = 0.5 - 2.0**-54
+# the largest draw at scale 1, reached at |u| = 0.5
+_MAX_DRAW = -math.log1p(-2.0 * _U_MAX)
 
 
 def laplace_from_uniform(u, scale: float):
     """Inverse-CDF map from u in [-0.5, 0.5] to Laplace(0, scale); always finite.
 
-    Scale 0 maps every u to +0.0.
+    Scale 0 maps every u to +0.0. A scale whose largest draw would overflow
+    (NaN, inf, or above about 4.89e306) is rejected.
     """
     if scale < 0:
         raise ValueError(f"scale must be nonnegative, got {scale}")
+    if not math.isfinite(float(scale) * _MAX_DRAW):
+        raise ValueError(f"scale {scale} makes Laplace draws overflow")
     u = np.asarray(u, dtype=np.float64)
     if scale == 0.0:
         return np.zeros_like(u)

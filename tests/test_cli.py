@@ -120,12 +120,27 @@ class TestConfig:
         assert run("generate", "--config", tiny_cfg) == 0
         assert run("generate", "--config", tiny_cfg, "--seed", "1") == 0
 
-    def test_subcommand_help_lists_shared_and_own_flags(self, capsys):
+    OWN_FLAGS = {
+        "generate": set(),
+        "train": {"--corpus-dir"},
+        "sensitivity": {"--model", "--corpus-dir"},
+        "perturb": {"--model", "--input"},
+        "evaluate": {
+            "--model", "--corpus-dir", "--originals", "--perturbed", "--threshold", "--baselines"
+        },
+        "sweep": {"--model", "--corpus-dir"},
+    }
+
+    @pytest.mark.parametrize("command", sorted(OWN_FLAGS))
+    def test_subcommand_help_lists_shared_and_own_flags(self, capsys, command):
         with pytest.raises(SystemExit) as exit_info:
-            main(["train", "--help"])
+            main([command, "--help"])
         assert exit_info.value.code == 0
-        text = capsys.readouterr().out
-        assert "--epochs" in text and "--corpus-dir" in text and "--config" in text
+        listed = set(re.findall(r"--[a-z][a-z_-]*", capsys.readouterr().out))
+        own = self.OWN_FLAGS[command]
+        assert {"--config", "--seed", "--epochs"} | own <= listed
+        others = set().union(*self.OWN_FLAGS.values()) - own
+        assert not others & listed
 
     def test_sweep_spec_from_config(self, trained):
         cfg, out = trained
@@ -146,6 +161,16 @@ class TestGenerate:
         prov = json.loads((tmp_path / "out" / "provenance_generate.json").read_text())
         assert prov["command"] == "generate"
         assert prov["config"]["n_identities"] == 4
+
+    def test_unwritable_record_prints_no_summary(self, tiny_cfg, tmp_path, capsys):
+        # the provenance record is written before the summary is printed
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / "provenance_generate.json").mkdir()
+        assert run("generate", "--config", tiny_cfg) == 1
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:validation: ")
+        assert captured.out == ""
 
     def test_rerun_identical_bytes(self, tiny_cfg, tmp_path):
         assert run("generate", "--config", tiny_cfg) == 0
@@ -988,6 +1013,19 @@ class TestErrorReporting:
         assert (out / "ledger.csv").read_bytes() == ledger
         assert tree_bytes(out / "perturbed") == released
 
+    def test_overflowing_noise_scale_charges_nothing(self, trained, capsys):
+        # sensitivity / epsilon = 1 / 1e-310 overflows to inf: the sampler
+        # rejects it before the ledger records the request
+        cfg, out = trained
+        capsys.readouterr()
+        code = run(
+            "perturb", "--config", cfg, "--sensitivity", "1", "--epsilon", "1e-310",
+            "--input", out / "corpus",
+        )
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 1 and len(err) == 1 and err[0].startswith("error:validation: ")
+        assert not (out / "ledger.csv").exists() and not (out / "perturbed").exists()
+
     @pytest.mark.parametrize(
         "command, text, where",
         [
@@ -1069,8 +1107,10 @@ class TestErrorReporting:
         (out / "perturbed" / corpus[2].name).mkdir()
         capsys.readouterr()
         assert run("perturb", "--config", cfg, "--sensitivity", "5.0", "--input", *corpus[1:]) == 1
-        err = capsys.readouterr().err.strip().splitlines()
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
+        assert captured.out == ""
         ledger = PrivacyBudgetLedger.load_csv(out / "ledger.csv")
         assert [e[0] for e in ledger.entries] == [p.name for p in corpus]
         # the provenance record still describes the one-row ledger: it must not be trusted

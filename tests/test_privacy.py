@@ -36,6 +36,10 @@ from dpimage.privacy import (
 )
 
 
+# the largest noise scale laplace_from_uniform accepts
+LARGEST_SCALE = 4.8934395673698066e306
+
+
 def laplace_cdf(x, b):
     x = np.asarray(x)
     return np.where(x < 0, 0.5 * np.exp(x / b), 1.0 - 0.5 * np.exp(-x / b))
@@ -58,6 +62,10 @@ class TestLaplaceSampler:
             laplace_batch(make_stream(0), 1, -1.0)
         with pytest.raises(ValueError):
             laplace_from_uniform(rng_uniform_rows(derive_states(0, np.arange(3)), 4), -1.0)
+        # NaN, inf and any scale whose draw at |u| = 0.5 would overflow
+        for scale in (math.nan, math.inf, 1e307, math.nextafter(LARGEST_SCALE, math.inf)):
+            with pytest.raises(ValueError, match="overflow"):
+                laplace_from_uniform(np.array([0.25, -0.5]), scale)
 
     def test_draw_mean(self):
         draws, _ = laplace_batch(make_stream(5), 10**4, 1.0)
@@ -85,6 +93,9 @@ class TestLaplaceSampler:
             v = laplace_from_uniform(u, 1.0)
             assert np.isfinite(v) and abs(v) > 36.0
         assert laplace_from_uniform(0.5, 1.0) == -laplace_from_uniform(-0.5, 1.0)
+        # the largest scale accepted reaches the largest double without overflow
+        v = laplace_from_uniform(np.array([0.5, -0.5, 0.25]), LARGEST_SCALE)
+        assert np.isfinite(v).all() and v[0] == -v[1] > 1.79e308
 
     def test_interior_draws_unchanged(self):
         u, _ = rng_uniform_batch(make_stream(4), 10**5)
