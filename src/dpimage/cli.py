@@ -6,8 +6,9 @@ one provenance_<command>.json per stage, sufficient to reproduce the run.
 Reports are CSV; images are binary PGM.
 
 One parser table binds each command to its handler and declares its flags.
-A handler takes (config, args) and returns its provenance extra and its
-summary lines; main alone writes the record, then prints the lines.
+main resolves the output directory and loads any --model, then calls the
+handler with (config, args, out_dir); main alone writes the record from its
+extra, then prints its lines. A directory appears with its first file.
 
 The harness never selects or filters outputs by similarity to the original
 image; doing so would condition the release on the input and void the
@@ -132,9 +133,8 @@ def _calibrated_tau(identity_ids: np.ndarray, embeddings: np.ndarray) -> float:
     return nearest_rank_percentile(iss_scores(embeddings[i], embeddings[j]), 95.0)
 
 
-def cmd_generate(config: RunConfig, args) -> tuple[dict, list[str]]:
-    corpus_dir = Path(config.output_dir) / "corpus"
-    corpus_dir.mkdir(parents=True, exist_ok=True)
+def cmd_generate(config: RunConfig, args, out_dir: Path) -> tuple[dict, list[str]]:
+    corpus_dir = out_dir / "corpus"
     images, manifest = generate_corpus(
         config.n_identities, config.samples_per_identity, config.image_side, config.seed
     )
@@ -143,9 +143,7 @@ def cmd_generate(config: RunConfig, args) -> tuple[dict, list[str]]:
     return {"n_images": len(images)}, [f"wrote {len(images)} images to {corpus_dir}"]
 
 
-def cmd_train(config: RunConfig, args) -> tuple[dict, list[str]]:
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def cmd_train(config: RunConfig, args, out_dir: Path) -> tuple[dict, list[str]]:
     train_rows, corpus = _load_corpus(args.corpus_dir, "train")
     if not train_rows:
         raise DataError("manifest has no train split")
@@ -158,12 +156,9 @@ def cmd_train(config: RunConfig, args) -> tuple[dict, list[str]]:
     return {"final_loss": trace[-1]}, [summary]
 
 
-def cmd_sensitivity(config: RunConfig, args) -> tuple[dict, list[str]]:
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    model = load_model(args.model)
+def cmd_sensitivity(config: RunConfig, args, out_dir: Path) -> tuple[dict, list[str]]:
     manifest, images = _load_corpus(args.corpus_dir)
-    latents = encode_batch(model, images)
+    latents = encode_batch(args.model, images)
     report = estimate_sensitivity(latents)
     # one row at a time, so the file's bytes are the one copy held besides the array
     rows = (z.tolist() for z in latents)
@@ -212,11 +207,9 @@ def _ledger_checkpoint(out_dir: Path):
         return None
 
 
-def cmd_perturb(config: RunConfig, args) -> tuple[dict, list[str]]:
-    out_dir = Path(config.output_dir)
-    model = load_model(args.model)
+def cmd_perturb(config: RunConfig, args, out_dir: Path) -> tuple[dict, list[str]]:
     delta_f = _resolve_delta_f(config, out_dir)
-    params = _privacy_params(config, model, config.epsilon, delta_f)
+    params = _privacy_params(config, args.model, config.epsilon, delta_f)
     ledger_path = out_dir / "ledger.csv"
     ledger = (
         PrivacyBudgetLedger.load_csv(ledger_path, _ledger_checkpoint(out_dir))
@@ -230,9 +223,8 @@ def cmd_perturb(config: RunConfig, args) -> tuple[dict, list[str]]:
     # each image's stream is addressed by its ledger row, so every release,
     # in this request or any other, gets fresh noise
     states = derive_states(config.seed, _STREAM_PERTURB, loaded + np.arange(len(files)))
-    released = dp_images(model, images, params, rng_uniform_rows(states, params.n_noisy))
-    perturbed_dir = out_dir / "perturbed"
-    perturbed_dir.mkdir(parents=True, exist_ok=True)
+    released = dp_images(args.model, images, params, rng_uniform_rows(states, params.n_noisy))
+    out_dir.mkdir(parents=True, exist_ok=True)  # for save_csv, whose open() makes none
     # group tracks data disjointness only (same corpus: budgets add); masked
     # releases are annotated on the release id, since the epsilon guarantee
     # then covers only the masked coordinate subspace
@@ -242,7 +234,7 @@ def cmd_perturb(config: RunConfig, args) -> tuple[dict, list[str]]:
     # the request is charged before its first image is written: a write that
     # fails partway leaves unwritten images charged, never written ones free
     ledger.save_csv(ledger_path)  # appends this request's rows
-    write_pgms(released, [perturbed_dir / path.name for path in files])
+    write_pgms(released, [out_dir / "perturbed" / path.name for path in files])
     total = ledger.total()
     extra = {
         "delta_f": delta_f,
@@ -261,10 +253,8 @@ def cmd_perturb(config: RunConfig, args) -> tuple[dict, list[str]]:
     return extra, [summary]
 
 
-def cmd_evaluate(config: RunConfig, args) -> tuple[dict, list[str]]:
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    model = load_model(args.model)
+def cmd_evaluate(config: RunConfig, args, out_dir: Path) -> tuple[dict, list[str]]:
+    model = args.model
     orig_files = {p.name: p for p in sorted(args.originals.glob("*.pgm"))}
     pert_files = {p.name: p for p in sorted(args.perturbed.glob("*.pgm"))}
     if not orig_files:
@@ -355,12 +345,9 @@ def _baseline_table(originals: Originals, dp_report):
     return rows, notes
 
 
-def cmd_sweep(config: RunConfig, args) -> tuple[dict, list[str]]:
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    model = load_model(args.model)
+def cmd_sweep(config: RunConfig, args, out_dir: Path) -> tuple[dict, list[str]]:
     identity_ids, x_eval = _eval_split(args.corpus_dir)
-    originals = Originals(model, x_eval)
+    originals = Originals(args.model, x_eval)
     tau = _calibrated_tau(identity_ids, originals.embeddings)
     levels = parse_levels(config.sweep_levels)
     image = np.arange(len(x_eval))
@@ -368,7 +355,7 @@ def cmd_sweep(config: RunConfig, args) -> tuple[dict, list[str]]:
     releases_scored = 0
     for level_index, level in enumerate(levels):
         # the level is the noise scale b = delta_f / epsilon itself
-        params = _privacy_params(config, model, 1.0, level)
+        params = _privacy_params(config, args.model, 1.0, level)
         # without noise every repetition releases the same images, so a
         # noise-free level is released once and its scores repeated
         draws = config.sweep_repetitions if params.scale > 0 else 1
@@ -454,7 +441,9 @@ def main(argv=None) -> int:
         for name, default in (("model", "model.dpim"), ("corpus_dir", "corpus")):
             if name in args and getattr(args, name) is None:
                 setattr(args, name, out_dir / default)
-        extra, lines = args.run(config, args)
+        if "model" in args:
+            args.model = load_model(args.model)
+        extra, lines = args.run(config, args, out_dir)
         # the record is written only once the handler has succeeded, and
         # before any summary: a failed request prints nothing on stdout
         _write_provenance(out_dir, args.command, config, extra)

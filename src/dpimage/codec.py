@@ -84,6 +84,10 @@ class AutoencoderModel:
         return self.encoder_dims[0]
 
     @property
+    def side(self) -> int:  # images are side x side
+        return int(round(self.input_dim**0.5))
+
+    @property
     def latent_dim(self) -> int:
         return self.encoder_dims[-1]
 
@@ -193,8 +197,7 @@ def _decode_encode_pass(model: AutoencoderModel, z: np.ndarray, dec, enc):
     encode_batch."""
     y = _run_layers(model, dec, _load_pass(dec, z))
     latents = _run_layers(model, enc, y)[: len(z)]
-    side = int(round(model.input_dim**0.5))
-    return y[: len(z)].reshape(len(z), side, side), latents
+    return y[: len(z)].reshape(len(z), model.side, model.side), latents
 
 
 def _stack_rows(stack, width: int, what: str) -> np.ndarray:
@@ -207,17 +210,19 @@ def _stack_rows(stack, width: int, what: str) -> np.ndarray:
 
 
 def encode_batch(model: AutoencoderModel, images) -> np.ndarray:
-    """Latent rows of a stack of images; row i does not depend on the others."""
-    x = _stack_rows(images, model.input_dim, "image")
-    return _forward(model, x, True)
+    """Latent rows of a stack of side x side images, or of flat input_dim rows;
+    row i does not depend on the others."""
+    x = np.asarray(images, dtype=np.float64)
+    if x.ndim > 2 and x.shape[-2:] != (model.side, model.side):
+        expected = f"{model.side}x{model.side}"
+        raise ValueError(f"image is {x.shape[-1]}x{x.shape[-2]}, model expects {expected}")
+    return _forward(model, _stack_rows(x, model.input_dim, "image"), True)
 
 
 def decode_batch(model: AutoencoderModel, latents) -> np.ndarray:
     """Square images with pixels in (0, 1) from a stack of latent vectors."""
     z = _stack_rows(latents, model.latent_dim, "latent")
-    flat = _forward(model, z, False)
-    side = int(round(model.input_dim**0.5))
-    return flat.reshape(len(z), side, side)
+    return _forward(model, z, False).reshape(len(z), model.side, model.side)
 
 
 def encode(model: AutoencoderModel, image: np.ndarray) -> np.ndarray:
@@ -323,7 +328,7 @@ def init_model(
 def train(
     corpus, config: RunConfig, hidden_dims=DEFAULT_HIDDEN_DIMS
 ) -> tuple[AutoencoderModel, list[float]]:
-    """Fit the autoencoder on a corpus of equal-sized images.
+    """Fit the autoencoder on a corpus of equal-sized square images.
 
     Minibatch gradient descent with momentum; batch order is reshuffled
     each epoch from the seeded stream. The latent size, identity block,
@@ -333,6 +338,8 @@ def train(
     if len(corpus) == 0:
         raise ValueError("corpus must be nonempty")
     d = int(np.prod(np.shape(corpus[0])))
+    if np.shape(corpus[0]) != (round(d**0.5),) * 2:  # the decoder's images are square
+        raise ValueError(f"image shape {np.shape(corpus[0])} is not square")
     model = init_model(
         (d, *hidden_dims, config.latent_dim),
         config.identity_len,

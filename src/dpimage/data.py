@@ -264,13 +264,17 @@ def write_pgms(stack, paths) -> None:
 
 
 def write_file(path, blob: bytes) -> None:
-    """Make blob the whole content of path, rewriting an existing file in place.
+    """Make blob the whole content of path, in place; a missing directory is made.
 
     The bytes equal those of open(path, "wb"), with the same permissions for
     a new file. Truncating to zero on open makes ext4 flush the old blocks on
     close; truncating after the write does not. Neither way is atomic.
     """
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    except FileNotFoundError:  # the success path makes no extra system call
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     try:
         view = memoryview(blob).cast("B")
         size = len(view)

@@ -1027,6 +1027,65 @@ class TestErrorReporting:
         assert not (out / "ledger.csv").exists() and not (out / "perturbed").exists()
 
     @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("generate", ("--n_identities", "1")),
+            ("train", ("--corpus-dir", "{missing}")),
+            ("sensitivity", ("--model", "{missing}", "--corpus-dir", "{out}/corpus")),
+            ("evaluate", ("--model", "{out}/model.dpim", "--corpus-dir", "{out}/corpus",
+                          "--originals", "{missing}", "--perturbed", "{out}/corpus")),
+            ("sweep", ("--model", "{out}/model.dpim", "--corpus-dir", "{out}/corpus",
+                       "--sweep_levels", "0,1e307")),
+            ("perturb", ("--model", "{out}/model.dpim", "--sensitivity", "1",
+                         "--input", "{missing}")),
+        ],
+        ids=["generate", "train", "sensitivity", "evaluate", "sweep", "perturb"],
+    )
+    def test_rejected_request_leaves_no_directory(self, trained, tmp_path, capsys, command, flags):
+        # a directory appears only with its first file, so a command that
+        # fails before it writes one leaves no directory behind
+        cfg, out = trained
+        fresh = tmp_path / "fresh" / "out"
+        argv = [f.format(out=out, missing=tmp_path / "missing") for f in flags]
+        capsys.readouterr()
+        assert run(command, "--config", cfg, "--output_dir", fresh, *argv) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert not (tmp_path / "fresh").exists()
+
+    @pytest.mark.parametrize(
+        "command, flags, written",
+        [
+            ("sweep", ("--corpus-dir", "{out}/corpus", "--sweep_levels", "0"), ["sweep.csv"]),
+            ("perturb", ("--sensitivity", "1", "--input", "{out}/corpus/{image}"),
+             ["ledger.csv", "perturbed"]),
+        ],
+        ids=["sweep", "perturb"],
+    )
+    def test_first_file_makes_a_new_nested_directory(self, trained, tmp_path, command, flags,
+                                                     written):
+        cfg, out = trained
+        fresh = tmp_path / "fresh" / "out"
+        image = load_manifest(out / "corpus" / "manifest.csv")[0].path
+        argv = [f.format(out=out, image=image) for f in flags]
+        assert run(command, "--config", cfg, "--output_dir", fresh,
+                   "--model", out / "model.dpim", *argv) == 0
+        names = sorted(p.name for p in fresh.iterdir())
+        assert names == sorted([f"provenance_{command}.json", *written])
+
+    def test_image_of_another_shape_releases_nothing(self, trained, tmp_path, capsys):
+        # 16 wide and 64 tall holds a 32x32 model's 1024 values, but it is
+        # not a 32x32 image: it is rejected before the ledger is charged
+        cfg, out = trained
+        wide = tmp_path / "wide.pgm"
+        wide.write_bytes(b"P5\n16 64\n255\n" + bytes([128]) * 1024)
+        capsys.readouterr()
+        code = run("perturb", "--config", cfg, "--sensitivity", "1", "--input", wide)
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 1 and err == ["error:validation: image is 16x64, model expects 32x32"]
+        assert not (out / "ledger.csv").exists() and not (out / "perturbed").exists()
+
+    @pytest.mark.parametrize(
         "command, text, where",
         [
             (

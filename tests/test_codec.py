@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from dpimage import codec
 from dpimage.codec import (
     BLOCK_ROWS,
     PASS_ROWS,
@@ -143,6 +144,15 @@ class TestBatchForward:
             encode_batch(self.model, np.zeros((3, 16, 16)))
         with pytest.raises(ValueError):
             decode_batch(self.model, np.zeros((3, 31)))
+
+    def test_image_of_another_shape_rejected(self):
+        # 16x64 holds the model's 1024 values, but it is not a 32x32 image;
+        # the same pixels as flat rows still encode as the square stack does
+        pixels = self.images[:2]
+        with pytest.raises(ValueError, match="image is 64x16, model expects 32x32"):
+            encode_batch(self.model, pixels.reshape(2, 16, 64))
+        rows = encode_batch(self.model, pixels.reshape(2, 1024))
+        assert np.array_equal(rows.view(np.uint64), encode_batch(self.model, pixels).view(np.uint64))
 
 
 class TestForward:
@@ -419,6 +429,13 @@ class TestTrain:
         cfg = RunConfig(epochs=1)
         with pytest.raises(ValueError):
             train([np.zeros((8, 8)), np.zeros((4, 4))], cfg)
+
+    def test_non_square_images_rejected_before_the_first_step(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(codec, "loss_and_gradients", lambda *a, **k: calls.append(a))
+        with pytest.raises(ValueError, match=r"image shape \(16, 32\) is not square"):
+            train([np.full((16, 32), 0.5)] * 4, RunConfig(epochs=1))
+        assert calls == []
 
     def test_config_validation(self):
         for bad in ({"epochs": 0}, {"batch_size": 0}, {"momentum": 1.0}, {"learning_rate": 0.0}):
