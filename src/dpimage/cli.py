@@ -350,31 +350,33 @@ def cmd_sweep(config: RunConfig, args, out_dir: Path) -> tuple[dict, list[str]]:
     originals = Originals(args.model, x_eval)
     tau = _calibrated_tau(identity_ids, originals.embeddings)
     levels = parse_levels(config.sweep_levels)
-    image = np.arange(len(x_eval))
-    results = []
-    releases_scored = 0
-    for level_index, level in enumerate(levels):
-        # the level is the noise scale b = delta_f / epsilon itself
-        params = _privacy_params(config, args.model, 1.0, level)
-        # without noise every repetition releases the same images, so a
-        # noise-free level is released once and its scores repeated
-        draws = config.sweep_repetitions if params.scale > 0 else 1
+    # the level is the noise scale b = delta_f / epsilon itself
+    params = [_privacy_params(config, args.model, 1.0, level) for level in levels]
+    # without noise every repetition releases the same images, so a
+    # noise-free level is released once and its scores repeated
+    draws = [config.sweep_repetitions if p.scale > 0 else 1 for p in params]
+    n, image = len(x_eval), np.arange(len(x_eval))
+    # each level's rows of one stream of releases, in (level, repetition, image) order
+    spans = [slice(end - d * n, end) for d, end in zip(draws, np.cumsum(draws) * n)]
+    stream = np.empty((spans[-1].stop, args.model.latent_dim))
+    for level_index, (p, d, rows) in enumerate(zip(params, draws, spans)):
         # every repetition's release of the split as rows of one 2-D stack, in
         # (repetition, image) order, which fixes the bits of the means (numpy
         # sums a 3-D stack's clip norms in another order)
-        rep = np.arange(draws)[:, None]
+        rep = np.arange(d)[:, None]
         states = derive_states(config.seed, _STREAM_SWEEP, level_index, rep, image)
-        u = rng_uniform_rows(states, params.n_noisy)
-        noisy = perturb_latents(np.tile(originals.latents, (draws, 1)), params, u)
-        releases_scored += len(noisy)
-        copies = config.sweep_repetitions // draws
-        iss, l2, ssim = (np.tile(v, copies) for v in originals.score_latents(noisy))
+        u = rng_uniform_rows(states, p.n_noisy)
+        stream[rows] = perturb_latents(np.tile(originals.latents, (d, 1)), p, u)
+    scores = originals.score_latents(stream)  # every level's passes in one deal
+    results = []
+    for level, d, rows in zip(levels, draws, spans):
+        iss, l2, ssim = (np.tile(v[rows], config.sweep_repetitions // d) for v in scores)
         means = (iss.mean(), np.mean(iss < tau), l2.mean(), ssim.mean())
         results.append((level, *map(float, means)))
     header = ("level", "mean_iss", "mean_fppsr", "mean_l2", "mean_ssim")
     write_csv(out_dir / "sweep.csv", header, results)
     extra = {"threshold": tau, "levels": list(levels), "repetitions": config.sweep_repetitions}
-    extra["releases_scored"] = releases_scored  # eval-split releases decoded and scored
+    extra["releases_scored"] = len(stream)  # eval-split releases decoded and scored
     return extra, [
         f"level {level}: mean ISS {mean_iss:.4f}, FPPSR {mean_fppsr:.4f}"
         for level, mean_iss, mean_fppsr, _, _ in results
@@ -425,12 +427,8 @@ _PARSER = build_parser()
 
 
 def _config_from_args(args) -> RunConfig:
-    overrides = {}
-    for f in fields(RunConfig):
-        raw = getattr(args, f.name, None)
-        if raw is not None:
-            overrides[f.name] = raw
-    return build_config(args.config, overrides)
+    raw = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
+    return build_config(args.config, {name: v for name, v in raw.items() if v is not None})
 
 
 def main(argv=None) -> int:

@@ -12,11 +12,11 @@ in zero-padded passes of up to PASS_ROWS rows, through each layer in turn,
 so a row's bits do not depend on the stack it came in (see BLOCK_ROWS). A
 pass writes every layer's product, bias and activation into a PassWorkspace:
 each call builds its own, so encode and decode are safe to share across
-threads. Each of the sweep's scoring threads owns a pair for
-_decode_encode_pass, which reuses them pass after pass and encodes the
-images where the decoder left them. Worker threads call private helpers
-only: public functions run on the calling thread, since a tracer that wraps
-them keeps one span stack.
+threads. Each of the sweep's scoring threads owns one decoder-then-encoder
+workspace for _decode_encode_pass, which reuses it pass after pass, the
+encoder reading the images where the decoder left them. Worker threads call
+private helpers only: public functions run on the calling thread, since a
+tracer that wraps them keeps one span stack.
 """
 
 from __future__ import annotations
@@ -125,46 +125,45 @@ def _activate_in_place(model: AutoencoderModel, layer: int, z: np.ndarray, scrat
 
 
 class PassWorkspace:
-    """The buffers of forward passes through the encoder or the decoder.
+    """The buffers of forward passes through the decoder, the encoder, or the
+    decoder then the encoder (for _decode_encode_pass).
 
     The zero-padded input block and each layer's buffer (its product, bias
-    and activation are written into it) take turns in two allocations, all
-    of one pass height: min(PASS_ROWS, rows rounded up to BLOCK_ROWS); and
-    BLOCK_ROWS rows of scratch for the output sigmoid. A stack of any height
-    runs through it a pass at a time. With input_block=False there is no
-    input block, for _decode_encode_pass's encoder.
+    and activation are written into it) share at most three allocations of
+    one pass height: min(PASS_ROWS, rows rounded up to BLOCK_ROWS). A layer
+    writes the first that holds neither its input nor the decoded images,
+    which the encoder reads where they lie; the output sigmoid's BLOCK_ROWS
+    rows of scratch lie in the output layer's input buffer, spent once its
+    product is taken. Each allocation is sized for every use: 672 KiB for 64
+    rows of the default decoder then encoder. A stack of any height runs
+    through it a pass at a time.
     """
 
-    def __init__(
-        self, model: AutoencoderModel, encoder: bool, rows: int = PASS_ROWS, input_block=True
-    ):
+    def __init__(self, model: AutoencoderModel, decoder: bool, encoder: bool, rows=PASS_ROWS):
         n_enc = model.n_encoder_layers
-        self.layers = range(0, n_enc) if encoder else range(n_enc, 2 * n_enc)
+        self.layers = [*range(n_enc, 2 * n_enc)] * decoder + [*range(n_enc)] * encoder
         height = min(PASS_ROWS, rows + -rows % BLOCK_ROWS or BLOCK_ROWS)
         dims = model.full_dims
-        widths = [dims[layer + 1] for layer in self.layers]
-        if input_block:
-            widths.insert(0, dims[self.layers.start])
-        # layer i reads buffer i % 2 and writes the other, so two serve them all
-        flat = [np.empty(height * max(widths[i::2], default=0)) for i in (0, 1)]
-        bufs = [
-            flat[i % 2][: height * width].reshape(height, width) for i, width in enumerate(widths)
-        ]
-        self.input, self.acts = (bufs[0], bufs[1:]) if input_block else (None, bufs)
-        self.scratch = np.empty((min(height, BLOCK_ROWS), dims[self.layers.stop]))
+        # (allocation, rows, width) of the input block, then of each layer's buffer
+        uses = [(0, height, dims[self.layers[0]])]
+        for i, layer in enumerate(self.layers):
+            images = uses[n_enc][0] if decoder and i >= n_enc else None  # the decoder's output
+            uses.append((min({0, 1, 2} - {uses[-1][0], images}), height, dims[layer + 1]))
+        if decoder:  # the sigmoid's scratch, in the input of the output layer (the decoder's last)
+            uses.append((uses[n_enc - 1][0], min(height, BLOCK_ROWS), dims[-1]))
+        flat = [np.empty(max([r * w for s, r, w in uses if s == i], default=0)) for i in range(3)]
+        bufs = [flat[s][: r * w].reshape(r, w) for s, r, w in uses]
+        self.input, self.acts = bufs[0], bufs[1 : len(self.layers) + 1]
+        self.scratch = bufs[-1] if decoder else None
 
 
-def _load_pass(ws: PassWorkspace, rows: np.ndarray) -> np.ndarray:
-    """Rows (at most one pass) zero-padded to a multiple of BLOCK_ROWS in ws's input block."""
+def _run_pass(model: AutoencoderModel, ws: PassWorkspace, rows: np.ndarray) -> np.ndarray:
+    """Rows (at most one pass), zero-padded to a multiple of BLOCK_ROWS in ws's
+    input block, through ws's layers; returns the last layer's buffer, which
+    holds the pass's output."""
     a = ws.input[: len(rows) + -len(rows) % BLOCK_ROWS]
     a[: len(rows)] = rows
     a[len(rows) :] = 0.0
-    return a
-
-
-def _run_layers(model: AutoencoderModel, ws: PassWorkspace, a: np.ndarray) -> np.ndarray:
-    """One pass a, a multiple of BLOCK_ROWS high, through ws's layers;
-    returns the last layer's buffer, which holds the pass's output."""
     height = len(a)
     for layer, buf in zip(ws.layers, ws.acts):
         w, z = model.weights[layer], buf[:height]
@@ -181,23 +180,22 @@ def _run_layers(model: AutoencoderModel, ws: PassWorkspace, a: np.ndarray) -> np
 def _forward(model: AutoencoderModel, x: np.ndarray, encoder: bool) -> np.ndarray:
     """Rows of x through the encoder or the decoder, one pass at a time
     through a workspace of its own."""
-    ws = PassWorkspace(model, encoder, len(x))
-    out = np.empty((len(x), model.full_dims[ws.layers.stop]))
+    ws = PassWorkspace(model, decoder=not encoder, encoder=encoder, rows=len(x))
+    out = np.empty((len(x), ws.acts[-1].shape[1]))
     for start in range(0, len(x), len(ws.input)):
         rows = x[start : start + len(ws.input)]
-        out[start : start + len(rows)] = _run_layers(model, ws, _load_pass(ws, rows))[: len(rows)]
+        out[start : start + len(rows)] = _run_pass(model, ws, rows)[: len(rows)]
     return out
 
 
-def _decode_encode_pass(model: AutoencoderModel, z: np.ndarray, dec, enc):
-    """Decode at most one pass of latent rows z through dec, then encode the
-    images where they lie through enc, an encoder workspace with no input
-    block. Returns views into the workspaces, valid until their next pass:
-    the images and their latents, with the bits of decode_batch, then
-    encode_batch."""
-    y = _run_layers(model, dec, _load_pass(dec, z))
-    latents = _run_layers(model, enc, y)[: len(z)]
-    return y[: len(z)].reshape(len(z), model.side, model.side), latents
+def _decode_encode_pass(model: AutoencoderModel, z: np.ndarray, ws: PassWorkspace):
+    """Decode at most one pass of latent rows z, then encode the images where
+    they lie, through ws, a decoder-then-encoder workspace. Returns views
+    into ws, valid until its next pass: the images and their latents, with
+    the bits of decode_batch, then encode_batch."""
+    latents = _run_pass(model, ws, z)[: len(z)]
+    y = ws.acts[model.n_encoder_layers - 1][: len(z)]
+    return y.reshape(len(z), model.side, model.side), latents
 
 
 def _stack_rows(stack, width: int, what: str) -> np.ndarray:

@@ -7,10 +7,11 @@ distance, relative l_inf distortion, windowed SSIM, and a Frechet distance
 between Gaussian fits of embedding sets (FED). Originals prepares a stack of
 original images once (its latents and its SSIM statistics) and scores any
 number of released stacks against it, row by row; its report aggregates in
-the order of the rows it is given. For the sweep it also scores stacks of
-noisy latents a pass of PASS_ROWS rows at a time, on up to SWEEP_THREADS
-threads, each with one pass of buffers; no byte depends on their number.
-Public functions run on the calling thread only.
+the order of the rows it is given. For the sweep it also scores a stream of
+noisy latents a pass of PASS_ROWS rows at a time on up to SWEEP_THREADS
+threads, each decoding through one pass of buffers and scoring one at a
+time; no byte depends on their number. Public functions run on the calling
+thread only.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ SSIM_C1 = (0.01 * 1.0) ** 2  # dynamic range L = 1 for [0,1] pixels
 SSIM_C2 = (0.03 * 1.0) ** 2
 # images per SSIM filtering step; bounds the scorer's temporaries
 SSIM_BLOCK = 16
+SWEEP_SSIM_BLOCK = 32  # images per SSIM block of the buffer set the sweep's workers share
 # most threads that score a sweep level; measured on 2 CPUs only
 SWEEP_THREADS = 2
 
@@ -100,10 +102,11 @@ def ssim_reference(x: np.ndarray, window: int = SSIM_WINDOW, sigma: float = SSIM
     windows, constants for unit dynamic range. The window is separable, so
     every local statistic of a stack a is rows @ a @ cols.T with banded
     matrices of 1-D taps (Wang et al. 2004). x's local mean and variance are
-    held; each call filters y, y * y and x * y. Both run SSIM_BLOCK images at
-    a time, and a stacked matmul runs one product per image, so the grouping
-    moves no bit. score(y, start) pairs y's rows with x's rows from start on,
-    through one set of block buffers per call.
+    held; each call filters y, y * y and x * y a block of images at a time,
+    and a stacked matmul runs one product per image, so the grouping moves no
+    bit. score(y, start, buffers) pairs y's rows with x's rows from start on,
+    in blocks of a buffer set from score.buffers(images), one call at a time
+    per set; without one a call allocates a set of SSIM_BLOCK images.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim < 2 or x.shape[-2] < window or x.shape[-1] < window:
@@ -116,46 +119,49 @@ def ssim_reference(x: np.ndarray, window: int = SSIM_WINDOW, sigma: float = SSIM
     def filtered(a, stat, half):
         np.matmul(np.matmul(rows, a, out=half[: len(a)]), cols.T, out=stat)
 
+    def block_buffers(images: int):  # product, half-filtered block, four statistics
+        stats = np.empty((4, images, len(rows), len(cols)))
+        return np.empty((images, h, w)), np.empty((images, len(rows), w)), stats
+
     mu_x = np.empty((len(x_all), len(rows), len(cols)))
     var_x = np.empty_like(mu_x)
-    k = min(SSIM_BLOCK, len(x_all))
-    product, half, sq = np.empty((k, h, w)), np.empty((k, len(rows), w)), np.empty_like(mu_x[:k])
+    product, half, (sq, *_) = block_buffers(min(SSIM_BLOCK, len(x_all)))
     for lo in range(0, len(x_all), SSIM_BLOCK):
         a, mx, vx = (v[lo : lo + SSIM_BLOCK] for v in (x_all, mu_x, var_x))
         filtered(a, mx, half)
         filtered(np.multiply(a, a, out=product[: len(a)]), vx, half)
         vx -= np.multiply(mx, mx, out=sq[: len(a)])
 
-    def score(y: np.ndarray, start: int = 0) -> np.ndarray:
+    def score(y: np.ndarray, start: int = 0, buffers=None) -> np.ndarray:
         y = np.asarray(y, dtype=np.float64)
         stack = y.reshape(-1, h, w) if y.shape[-2:] == (h, w) else y
         if stack.ndim != 3 or not 0 <= start <= len(x_all) - len(stack):
             raise ValueError(f"image shapes differ: {x.shape} vs {y.shape} from row {start}")
-        k = min(SSIM_BLOCK, len(stack))
-        product, half = np.empty((k, h, w)), np.empty((k, len(rows), w))
-        mu_y, var_y, cov, t1, t2 = np.empty((5, k, len(rows), len(cols)))
+        product, half, stats = buffers or block_buffers(min(SSIM_BLOCK, len(stack)))
         out = np.empty(len(stack))
-        for lo in range(0, len(stack), SSIM_BLOCK):
-            b = stack[lo : lo + SSIM_BLOCK]
+        for lo in range(0, len(stack), len(product)):
+            b = stack[lo : lo + len(product)]
             n, xs = len(b), slice(start + lo, start + lo + len(b))
             mx, vx = mu_x[xs], var_x[xs]
-            my, vy, cv, m1, m2 = mu_y[:n], var_y[:n], cov[:n], t1[:n], t2[:n]
+            my, vy, cv, m = stats[:, :n]
             filtered(b, my, half)
             filtered(np.multiply(b, b, out=product[:n]), vy, half)
             filtered(np.multiply(x_all[xs], b, out=product[:n]), cv, half)
             # the formula's operations in its order, each into a block buffer:
-            # num = (2 mu_x mu_y + C1) (2 cov + C2) in m2, and
+            # num = (2 mu_x mu_y + C1) (2 cov + C2) in m, and
             # den = (mu_x^2 + mu_y^2 + C1) (var_x + var_y + C2) in cv
-            vy -= np.multiply(my, my, out=m1)  # var_y; m1 keeps mu_y^2
-            cv -= np.multiply(mx, my, out=m2)  # cov
-            np.add(np.multiply(np.multiply(mx, 2.0, out=m2), my, out=m2), SSIM_C1, out=m2)
-            m2 *= np.add(np.multiply(cv, 2.0, out=cv), SSIM_C2, out=cv)
-            np.add(np.add(np.multiply(mx, mx, out=cv), m1, out=cv), SSIM_C1, out=cv)
-            cv *= np.add(np.add(vx, vy, out=m1), SSIM_C2, out=m1)
-            m2 /= cv
-            out[lo : lo + n] = np.mean(m2.reshape(n, -1), axis=1)
+            vy -= np.multiply(my, my, out=m)  # var_y
+            cv -= np.multiply(mx, my, out=m)  # cov
+            np.add(np.multiply(np.multiply(mx, 2.0, out=m), my, out=m), SSIM_C1, out=m)
+            m *= np.add(np.multiply(cv, 2.0, out=cv), SSIM_C2, out=cv)
+            np.multiply(my, my, out=my)  # mu_y^2 again, the bits var_y took
+            np.add(np.add(np.multiply(mx, mx, out=cv), my, out=cv), SSIM_C1, out=cv)
+            cv *= np.add(np.add(vx, vy, out=vy), SSIM_C2, out=vy)
+            m /= cv
+            out[lo : lo + n] = np.mean(m.reshape(n, -1), axis=1)
         return out.reshape(y.shape[:-2])
 
+    score.buffers = block_buffers
     return score
 
 
@@ -340,9 +346,11 @@ class Originals:
         equal those of its own decode_batch, iss, l2_distances and ssim,
         whatever the number of workers. Passes are dealt round-robin to
         min(SWEEP_THREADS, available CPUs, passes) workers: the calling
-        thread and a threading.Thread for each other. Each worker owns the
-        workspaces of _decode_encode_pass, built before any thread starts,
-        and writes its rows' ISS, SSIM and l2 into disjoint slices through
+        thread and a threading.Thread for each other. Each worker decodes
+        and encodes through a decoder-then-encoder workspace of its own; its
+        scoring, small numpy calls that hold the GIL, runs under one lock
+        through one SSIM buffer set that the workers share. Buffers are
+        built before any thread starts. Workers write disjoint slices through
         private helpers and the SSIM scorer only, since a tracer that wraps
         public functions keeps one span stack. Once all have joined, the
         calling thread raises the first worker error, if any.
@@ -354,32 +362,28 @@ class Originals:
         affinity = getattr(os, "sched_getaffinity", None)  # absent on macOS and Windows
         cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
         workers = max(1, min(SWEEP_THREADS, cpus, len(passes)))
-        buffers = [
-            (
-                PassWorkspace(model, False, len(z)),
-                PassWorkspace(model, True, len(z), input_block=False),
-            )
-            for _ in range(workers)
-        ]
+        workspaces = [PassWorkspace(model, True, True, len(z)) for _ in range(workers)]
+        scoring, ssim_buffers = threading.Lock(), self.ssim.buffers(min(SWEEP_SSIM_BLOCK, len(z)))
         iss, l2, ssim = np.empty((3, len(z)))
         errors = []
 
         def work(worker: int) -> None:
-            dec, enc = buffers[worker]
+            ws = workspaces[worker]
             try:
                 for start in passes[worker::workers]:
                     if errors:
                         return
-                    y, latent = _decode_encode_pass(model, z[start : start + PASS_ROWS], dec, enc)
+                    y, latent = _decode_encode_pass(model, z[start : start + PASS_ROWS], ws)
                     # the pass in pieces that meet consecutive originals: cut where rows wrap
                     cuts = [start, *range(start - start % n + n, start + len(y), n), start + len(y)]
-                    for lo, hi in zip(cuts, cuts[1:]):
-                        rows, part = slice(lo, hi), slice(lo - start, hi - start)
-                        orig = slice(lo % n, hi % n or n)
-                        iss[rows] = _iss_scores(self.embeddings[orig], latent[part, :k])
-                        ssim[rows] = self.ssim(y[part], lo % n)
-                        # the scored images' difference overwrites them
-                        l2[rows] = _row_norms(np.subtract(y[part], self.x[orig], out=y[part]))
+                    with scoring:
+                        for lo, hi in zip(cuts, cuts[1:]):
+                            rows, part = slice(lo, hi), slice(lo - start, hi - start)
+                            orig = slice(lo % n, hi % n or n)
+                            iss[rows] = _iss_scores(self.embeddings[orig], latent[part, :k])
+                            ssim[rows] = self.ssim(y[part], lo % n, ssim_buffers)
+                            # the scored images' difference overwrites them
+                            l2[rows] = _row_norms(np.subtract(y[part], self.x[orig], out=y[part]))
             except BaseException as exc:  # raised on the calling thread once all have joined
                 errors.append(exc)
 

@@ -18,7 +18,7 @@ from dpimage import cli, codec, metrics, privacy
 from dpimage.cli import _baseline_table, main
 from dpimage.config import RunConfig, build_config, load_config_file, parse_levels
 from dpimage.codec import decode, encode, encode_batch, load_model
-from dpimage.data import load_manifest, read_pgm, write_pgms
+from dpimage.data import load_manifest, read_pgm, write_csv, write_pgms
 from dpimage.metrics import (
     Originals,
     blur_baseline,
@@ -28,7 +28,7 @@ from dpimage.metrics import (
     mosaic_baseline,
     ssim_reference,
 )
-from dpimage.numerics import derive_stream
+from dpimage.numerics import derive_states, derive_stream, rng_uniform_rows
 from dpimage.privacy import (
     PrivacyBudgetLedger,
     PrivacyParams,
@@ -36,6 +36,7 @@ from dpimage.privacy import (
     full_mask,
     identity_mask,
     perturb_latent,
+    perturb_latents,
 )
 from dpimage.errors import ConfigError
 
@@ -624,6 +625,44 @@ class TestEvaluateAndSweep:
         extra = json.loads((tmp_path / "out" / "provenance_sweep.json").read_text())["extra"]
         assert extra["releases_scored"] == (1 + 3 * 5) * 32 == 512
 
+    @pytest.mark.parametrize("reps", [1, 3])
+    @pytest.mark.parametrize(
+        "mode",
+        [(), ("--sensitivity_mode", "clip", "--clip_radius", "2", "--mask_mode", "identity_only")],
+        ids=["default", "clip_identity_only"],
+    )
+    @pytest.mark.parametrize("levels", ["0,0.25,0.5,1,2", "0.25,0.5,4"])
+    def test_one_stream_equals_a_score_call_per_level(self, trained, reps, mode, levels):
+        # every level's releases are scored as one stream; the file must keep
+        # the bytes of one score_latents call per level and count the same
+        # releases. 8 eval images: at 3 repetitions either stream takes two
+        # passes, which levels share
+        cfg, out = trained
+        argv = ("--config", cfg, "--sweep_levels", levels, "--sweep_repetitions", reps, *mode)
+        assert run("sweep", *argv) == 0
+        config = build_config(cfg, {k.lstrip("-"): str(v) for k, v in zip(argv[2::2], argv[3::2])})
+        model = load_model(out / "model.dpim")
+        identity_ids, x_eval = cli._eval_split(out / "corpus")
+        originals = Originals(model, x_eval)
+        tau = cli._calibrated_tau(identity_ids, originals.embeddings)
+        image, results, releases = np.arange(len(x_eval)), [], 0
+        for level_index, level in enumerate(parse_levels(levels)):
+            params = cli._privacy_params(config, model, 1.0, level)
+            draws = reps if params.scale > 0 else 1
+            rep = np.arange(draws)[:, None]
+            states = derive_states(config.seed, cli._STREAM_SWEEP, level_index, rep, image)
+            u = rng_uniform_rows(states, params.n_noisy)
+            noisy = perturb_latents(np.tile(originals.latents, (draws, 1)), params, u)
+            releases += len(noisy)
+            iss, l2, ssim = (np.tile(v, reps // draws) for v in originals.score_latents(noisy))
+            means = (iss.mean(), np.mean(iss < tau), l2.mean(), ssim.mean())
+            results.append((level, *map(float, means)))
+        header = ("level", "mean_iss", "mean_fppsr", "mean_l2", "mean_ssim")
+        write_csv(out / "per_level.csv", header, results)
+        assert (out / "sweep.csv").read_bytes() == (out / "per_level.csv").read_bytes()
+        extra = json.loads((out / "provenance_sweep.json").read_text())["extra"]
+        assert extra["releases_scored"] == releases
+
     def test_sweep_measures_clip_mode(self, trained):
         cfg, out = trained
         assert run("sweep", "--config", cfg, "--sweep_levels", "0") == 0
@@ -757,7 +796,7 @@ class TestSweepWorkers:
     """The sweep scores on up to two threads (two CPUs here); public
     functions, which a tracer may wrap, run on the calling thread only."""
 
-    REPS = 40  # 8 eval images x 40: 5 passes per noisy level
+    REPS = 40  # 8 eval images: 8 + 3 x 320 rows, 16 passes in one stream
 
     @pytest.fixture(autouse=True)
     def two_cpus(self, monkeypatch):
@@ -790,7 +829,7 @@ class TestSweepWorkers:
                             monkeypatch.setattr(m, bound, wrapped)
         workers = watch_passes()
         assert run("sweep", "--config", cfg, "--sweep_repetitions", self.REPS) == 0
-        # the calling thread and a new thread per noisy level scored passes
+        # the calling thread and the one other worker scored passes
         assert threading.current_thread().name in workers and len(set(workers)) > 1
         assert set(callers) == {threading.get_ident()}
 

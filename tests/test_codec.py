@@ -111,15 +111,15 @@ class TestBatchForward:
 
     @pytest.mark.parametrize("dims", [(1024, 256, 64, 32), (1024, WIDE_OUT, 100)])
     def test_reused_workspace_bits_equal_block_reference(self, dims):
-        # one workspace pair through passes of every shape, as a sweep worker
-        # holds it: the encoder reads the decoder's output in place, and a
-        # row's bits must not see the previous pass's
+        # one decoder-then-encoder workspace through passes of every shape, as
+        # a sweep worker holds it: the encoder reads the decoder's output in
+        # place, and a row's bits must not see the previous pass's
         model = init_model(dims, 12, seed=7, weight_init_scale=2.0)
         z = np.random.default_rng(7).normal(0.0, 3.0, size=(PASS_ROWS, dims[-1]))
         n_enc = model.n_encoder_layers
-        dec, enc = PassWorkspace(model, False), PassWorkspace(model, True, input_block=False)
+        ws = PassWorkspace(model, decoder=True, encoder=True)
         for height in (64, 1, 17, 16, 64, 1):
-            images, latents = _decode_encode_pass(model, z[:height], dec, enc)
+            images, latents = _decode_encode_pass(model, z[:height], ws)
             ref_images = decode_batch(model, z[:height])
             ref_latents = encode_batch(model, ref_images)
             assert np.array_equal(images.view(np.uint64), ref_images.view(np.uint64))
@@ -129,7 +129,7 @@ class TestBatchForward:
             assert np.array_equal(flat.view(np.uint64), block_images.view(np.uint64))
             block_latents = block_forward(model, flat, 0, n_enc)
             assert np.array_equal(latents.view(np.uint64), block_latents.view(np.uint64))
-        assert len(dec.input) == PASS_ROWS and enc.input is None
+        assert len(ws.input) == PASS_ROWS
 
     def test_shuffled_batch_mates(self):
         enc = encode_batch(self.model, self.images)

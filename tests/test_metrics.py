@@ -2,6 +2,7 @@ import math
 import os
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -10,7 +11,15 @@ from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from dpimage import metrics
-from dpimage.codec import PASS_ROWS, AutoencoderModel, decode_batch, encode_batch, init_model
+from dpimage.codec import (
+    PASS_ROWS,
+    AutoencoderModel,
+    PassWorkspace,
+    _decode_encode_pass,
+    decode_batch,
+    encode_batch,
+    init_model,
+)
 from dpimage.metrics import (
     Originals,
     ald_inf,
@@ -284,6 +293,21 @@ class TestSsimStack:
                 want = per_block_ssim_reference(x[rows], window, sigma)(y[rows])
                 assert np.array_equal(bits(score(y[rows], start)), bits(want))
 
+    @pytest.mark.parametrize("n", [1, 31, 32, 33, 64])
+    def test_shared_buffer_set_equals_per_call_scorer(self, n):
+        # the sweep's workers take turns with one set of SWEEP_SSIM_BLOCK
+        # images; a stack may be shorter or longer than one block
+        rng = np.random.default_rng(n + 50)
+        x = rng.uniform(size=(n + 40, 32, 32))
+        score = ssim_reference(x)
+        shared = score.buffers(metrics.SWEEP_SSIM_BLOCK)
+        for start in (0, 17, 40, 17):  # the set is reused dirty, call after call
+            rows = slice(start, start + n)
+            y = np.clip(x[rows] + rng.normal(0.0, 0.3, size=(n, 32, 32)), 0.0, 1.0)
+            expected = score(y, start)  # a set of its own per call
+            assert np.array_equal(bits(score(y, start, shared)), bits(expected))
+            assert np.array_equal(bits(expected), bits(per_block_ssim_reference(x[rows])(y)))
+
     def test_offset_past_the_reference_rejected(self):
         score = ssim_reference(np.zeros((4, 16, 16)))
         for start, k in ((3, 2), (-1, 1), (5, 0)):
@@ -402,6 +426,63 @@ class TestScoreLatents:
             self.originals.score_latents(z)
         assert err.value is error  # raised on the second pass only, so once
         assert len(set(calls)) == 2
+        assert threading.active_count() == before
+
+    def test_decode_encode_workspace_holds_the_decoder_and_one_block(self):
+        # the encoder's 256- and 32-wide layers and the sigmoid's scratch lie
+        # in the decoder's spent buffer: only the 64-wide layer adds a block
+        model = self.model
+        ws = PassWorkspace(model, True, True)
+        views = [ws.input, *ws.acts, ws.scratch]
+        held = {id(v.base): v.base.nbytes for v in views}
+        decoder = PASS_ROWS * (max(32, 256) + max(64, 1024)) * 8  # its two buffers
+        assert sum(held.values()) <= decoder + PASS_ROWS * 64 * 8 == 672 * 1024
+        assert len(held) == 3
+
+    @pytest.mark.parametrize("height", [16, 48, 64])
+    def test_decode_encode_workspace_bits_at_every_pass_height(self, height):
+        z = np.random.default_rng(height).normal(0.0, 3.0, size=(height, 32))
+        ws = PassWorkspace(self.model, True, True, height)
+        assert len(ws.input) == height
+        for rows in (height, 1, height - 5, height):
+            images, latents = _decode_encode_pass(self.model, z[:rows], ws)
+            ref_images = decode_batch(self.model, z[:rows])
+            assert np.array_equal(bits(images), bits(ref_images))
+            assert np.array_equal(bits(latents), bits(encode_batch(self.model, ref_images)))
+
+    def test_scoring_error_releases_the_lock_and_is_raised_once(self, monkeypatch, watch_passes):
+        # the other worker's row norms fail inside the locked scoring section,
+        # slowly enough that the calling thread's worker waits for the lock
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        error, norms, calls = RuntimeError("row norms failed"), metrics._row_norms, []
+
+        def failing(d):
+            calls.append(threading.current_thread())
+            if calls[-1] is caller or error in calls:
+                return norms(d)
+            time.sleep(0.5)
+            calls.append(error)
+            raise error
+
+        monkeypatch.setattr(metrics, "_row_norms", failing)
+        passes = watch_passes()
+        before, raised = threading.active_count(), []
+
+        def call():
+            try:
+                self.originals.score_latents(np.tile(self.originals.latents, (10, 1)))  # 5 passes
+            except RuntimeError as exc:
+                raised.append(exc)
+
+        # a daemon, as the worker it starts: a lock never released fails the
+        # join instead of hanging the suite
+        caller = threading.Thread(target=call, daemon=True)
+        caller.start()
+        caller.join(timeout=30)
+        assert not caller.is_alive() and raised == [error]
+        assert len(set(passes)) == 2
+        # the calling thread's worker scored its waiting pass once the lock was free
+        assert caller in calls[calls.index(error) :]
         assert threading.active_count() == before
 
     def test_rows_pair_with_originals_modulo_the_split(self):
