@@ -123,8 +123,8 @@ def _eval_split(corpus_dir: Path):
 
 
 def _calibrated_tau(identity_ids: np.ndarray, embeddings: np.ndarray) -> float:
-    """tau at the nearest-rank 95th percentile of the ISS over every impostor
-    pair i < j of eval images, as calibrate_threshold sets it."""
+    """The program's one threshold, for evaluate and sweep: tau at the nearest-rank
+    95th percentile of the ISS over every impostor pair i < j of eval images."""
     i, j = np.triu_indices(len(identity_ids), k=1)
     impostor = identity_ids[i] != identity_ids[j]
     if impostor.all() or not impostor.any():

@@ -165,13 +165,6 @@ def ssim_reference(x: np.ndarray, window: int = SSIM_WINDOW, sigma: float = SSIM
     return score
 
 
-def ssim(
-    x: np.ndarray, y: np.ndarray, window: int = SSIM_WINDOW, sigma: float = SSIM_SIGMA
-) -> float:
-    """Mean structural similarity of two images (see ssim_reference)."""
-    return float(ssim_reference(x, window, sigma)(y))
-
-
 def iss_scores(e_x: np.ndarray, e_y: np.ndarray) -> np.ndarray:
     """Cosine similarity mapped to [0, 1] along the last axis; zero embeddings score 0.5.
 
@@ -202,15 +195,6 @@ def identity_embedding(model: AutoencoderModel, image: np.ndarray) -> np.ndarray
     return encode(model, image)[: model.identity_len]
 
 
-@dataclass(frozen=True)
-class ThresholdReport:
-    """Calibrated decision threshold plus the score evidence behind it."""
-
-    tau: float
-    genuine_scores: np.ndarray
-    impostor_scores: np.ndarray
-
-
 def nearest_rank_percentile(values, percentile: float) -> float:
     """Nearest-rank order statistic: smallest v with cdf(v) >= percentile."""
     vals = np.sort(np.asarray(values, dtype=np.float64))
@@ -218,24 +202,6 @@ def nearest_rank_percentile(values, percentile: float) -> float:
         raise ValueError("need at least one value")
     rank = max(1, math.ceil(percentile / 100.0 * vals.size))
     return float(vals[min(rank, vals.size) - 1])
-
-
-def calibrate_threshold(
-    model: AutoencoderModel, genuine_pairs, impostor_pairs, percentile: float = 95.0
-) -> ThresholdReport:
-    """Set tau at a percentile of the impostor ISS distribution.
-
-    Genuine pairs share an identity; impostor pairs do not. The impostor
-    upper tail says how similar two different people ever look to the
-    embedding, which anchors the de-identification decision boundary.
-    """
-    if len(genuine_pairs) == 0 or len(impostor_pairs) == 0:
-        raise ValueError("genuine and impostor pair lists must be nonempty")
-    genuine, impostor = (
-        iss_scores(*(encode_batch(model, side)[:, : model.identity_len] for side in zip(*pairs)))
-        for pairs in (genuine_pairs, impostor_pairs)
-    )
-    return ThresholdReport(nearest_rank_percentile(impostor, percentile), genuine, impostor)
 
 
 def _psd_sqrt(m: np.ndarray) -> np.ndarray:

@@ -2,11 +2,9 @@
 
 One mechanism function, perturb_latents, clips latents and adds Laplace
 noise to their masked coordinates from uniform rows its caller supplies, one
-per latent: perturb_latent and dp_image draw theirs from a stream, perturb
-and sweep from rng_uniform_rows. Around it: feature-space sensitivity, the
-encode-perturb-decode image mechanism, budget accounting with
-sequential/parallel composition, and an empirical check of the privacy-loss
-ratio bound.
+per latent. dp_images, the one release path, encodes a stack, perturbs it and
+decodes it. Around them: the Laplace sampler, feature-space sensitivity, and
+budget accounting with sequential/parallel composition.
 
 The guarantee is d_X-privacy (Chatzikokolakis et al., PETS 2013): noise of
 scale delta_f / epsilon on f(x) bounds the privacy loss between any two
@@ -39,9 +37,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .codec import AutoencoderModel, decode, decode_batch, encode, encode_batch
+from .codec import AutoencoderModel, decode_batch, encode_batch
 from .errors import FormatError, decode_utf8
-from .numerics import RngStream, make_stream, rng_uniform_batch
 
 LEDGER_HEADER = ("release_id", "epsilon", "group")
 CHECKPOINT_KEYS = ("ledger_rows", "ledger_sums", "ledger_digest")
@@ -118,14 +115,6 @@ def laplace_from_uniform(u, scale: float):
     return -scale * np.sign(u) * np.log1p(-2.0 * np.minimum(np.abs(u), _U_MAX))
 
 
-def laplace_batch(
-    stream: RngStream, n: int, scale: float
-) -> tuple[np.ndarray, RngStream]:
-    """n Laplace(0, scale) draws; consumes n uniforms even when scale is 0."""
-    u, stream = rng_uniform_batch(stream, n)
-    return laplace_from_uniform(u, scale), stream
-
-
 @dataclass(frozen=True)
 class SensitivityReport:
     """Empirical feature-space sensitivity over a set of latents.
@@ -200,36 +189,13 @@ def perturb_latents(latents, params: PrivacyParams, uniforms) -> np.ndarray:
     return z
 
 
-def perturb_latent(
-    latent: np.ndarray, params: PrivacyParams, stream: RngStream
-) -> tuple[np.ndarray, RngStream]:
-    """perturb_latents on one latent, its uniforms the next n_noisy of stream."""
-    u, stream = rng_uniform_batch(stream, params.n_noisy)
-    return perturb_latents(latent, params, u), stream
-
-
-def dp_image(
-    model: AutoencoderModel,
-    image: np.ndarray,
-    params: PrivacyParams,
-    stream: RngStream,
-) -> tuple[np.ndarray, RngStream]:
-    """Encode, clip and perturb the latent, decode: f2[f(X) + N].
+def dp_images(model: AutoencoderModel, images, params: PrivacyParams, uniforms) -> np.ndarray:
+    """Encode, clip and perturb, decode: f2[f(X) + N], one row of uniforms per image.
 
     Decoding is input-independent post-processing of the perturbed latent,
-    so the release costs exactly params.epsilon, the same as releasing the
-    perturbed latent itself. The result equals the matching row of
-    :func:`dp_images`.
-    """
-    z_noisy, stream = perturb_latent(encode(model, image), params, stream)
-    return decode(model, z_noisy), stream
-
-
-def dp_images(model: AutoencoderModel, images, params: PrivacyParams, uniforms) -> np.ndarray:
-    """The mechanism over a stack of images, one row of uniforms per image.
-
-    Image i equals dp_image on images[i] from a stream whose next n_noisy
-    uniforms are uniforms[i], bit for bit, whatever else is in the stack.
+    so a release costs exactly params.epsilon, the same as releasing the
+    perturbed latent itself. Image i is a function of images[i] and
+    uniforms[i] alone, bit for bit, whatever else is in the stack.
     """
     return decode_batch(model, perturb_latents(encode_batch(model, images), params, uniforms))
 
@@ -392,52 +358,3 @@ def _parse_rows(path, blob: bytes) -> tuple[list[tuple[str, float, str]], dict[s
     if text and not text.endswith("\n"):
         raise malformed("last row has no line end")
     return entries, sums
-
-
-def verify_dp_empirical(
-    scale: float,
-    delta_f: float,
-    n_samples: int = 10**6,
-    bins: int = 64,
-    stream: RngStream | None = None,
-) -> tuple[float, bool]:
-    """Empirical 1-D check of the Laplace privacy-loss ratio bound.
-
-    Draws n_samples from Laplace(0, scale) and from delta_f +
-    Laplace(0, scale), clamps both into [-8*scale, delta_f + 8*scale], and
-    compares add-one-smoothed cell frequencies. Cells hold equal pooled
-    mass (empirical quantiles of the combined sample) so every cell's
-    frequency estimate carries roughly the same sampling error; with
-    equal-width cells the near-empty tail cells would swamp the ratio
-    statistic with noise far beyond any fixed slack.
-
-    Returns (max over cells of |ln(p/q)|, pass) where pass means the
-    maximum stays within 10% slack of the analytic bound delta_f / scale.
-    """
-    if not scale > 0:
-        raise ValueError(f"scale must be positive, got {scale}")
-    if n_samples < 10**5:
-        raise ValueError(f"need at least 1e5 samples, got {n_samples}")
-    if bins < 2:
-        raise ValueError(f"need at least 2 bins, got {bins}")
-    if stream is None:
-        stream = make_stream(0)
-    p, stream = laplace_batch(stream, n_samples, scale)
-    q, stream = laplace_batch(stream, n_samples, scale)
-    q = q + delta_f
-    lo = -8.0 * scale
-    hi = delta_f + 8.0 * scale
-    p = np.clip(p, lo, hi)
-    q = np.clip(q, lo, hi)
-    pooled = np.sort(np.concatenate([p, q]))
-    cut = (np.arange(1, bins) * pooled.size) // bins
-    edges = np.concatenate([[lo], pooled[cut], [hi]])
-    edges = np.maximum.accumulate(edges)
-    cp, _ = np.histogram(p, bins=edges)
-    cq, _ = np.histogram(q, bins=edges)
-    p_hat = (cp + 1.0) / (n_samples + bins)
-    q_hat = (cq + 1.0) / (n_samples + bins)
-    max_log_ratio = float(np.max(np.abs(np.log(p_hat / q_hat))))
-    epsilon = delta_f / scale
-    return max_log_ratio, max_log_ratio <= epsilon * 1.1
-

@@ -14,18 +14,10 @@ import pytest
 from dpimage.cli import main
 from dpimage.codec import decode, encode, init_model, load_model, loss_and_gradients
 from dpimage.data import load_manifest, read_pgm
-from dpimage.metrics import blur_baseline, calibrate_threshold, fed, iss_from_embeddings, mosaic_baseline, ssim
+from dpimage.metrics import blur_baseline, fed, iss_from_embeddings, mosaic_baseline
 from dpimage.numerics import gaussian_batch, make_stream
-from dpimage.privacy import (
-    PrivacyBudgetLedger,
-    PrivacyParams,
-    dp_image,
-    estimate_sensitivity,
-    full_mask,
-    laplace_batch,
-    perturb_latent,
-    verify_dp_empirical,
-)
+from dpimage.privacy import PrivacyBudgetLedger, PrivacyParams, estimate_sensitivity, full_mask
+from support import calibrate_threshold, dp_image, laplace_batch, perturb_latent, ssim, verify_dp_empirical
 
 
 @contextmanager

@@ -1,10 +1,12 @@
-"""Every dpimage name that the acceptance tests and the benchmark worker use exists.
+"""Every dpimage name that the acceptance tests and the benchmark worker use exists,
+and every name the library defines is one the program calls.
 
-tests/test_acceptance.py imports names from dpimage modules. perfbench/worker.py
-reaches module attributes (``codec.encode``, ``cli.main``, ...), wraps the
-methods its METHODS table names, looked up in the class dict, and reads
-attributes of the ledger in the observers of those methods. Both files are
-parsed, not run, so a deletion that would break either fails here in seconds.
+tests/test_acceptance.py imports names from dpimage modules and from
+tests/support.py, which imports its own. perfbench/worker.py reaches module
+attributes (``codec.encode``, ``cli.main``, ...), wraps the methods its
+METHODS table names, looked up in the class dict, and reads attributes of the
+ledger in the observers of those methods. The files are parsed, not run, so a
+deletion that would break any of them fails here in seconds.
 """
 
 import ast
@@ -17,7 +19,9 @@ import dpimage
 
 ROOT = Path(__file__).resolve().parents[1]
 ACCEPTANCE = ROOT / "tests" / "test_acceptance.py"
+SUPPORT = ROOT / "tests" / "support.py"
 WORKER = ROOT / "perfbench" / "worker.py"
+LIBRARY = ROOT / "src" / "dpimage"
 
 
 def parse(path: Path) -> ast.Module:
@@ -94,11 +98,67 @@ def worker_module_attributes(tree: ast.Module) -> list[tuple[str, str]]:
     )
 
 
+def used_names(node: ast.AST) -> set[str]:
+    """Every identifier under node: names, attribute names and imported names."""
+    fields = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}
+    return {getattr(n, fields[type(n)]) for n in ast.walk(node) if type(n) in fields}
+
+
+def unreached(trees, roots) -> list[str]:
+    """Top-level defs and classes of the modules in trees that no root reaches.
+
+    The closure runs over bare names: a reached def or class reaches every
+    name in its body, and each module-level statement other than a def,
+    class or import is a root. A name shared with a method or an attribute
+    counts as reached, so the check can miss a name but never reports a
+    reached one.
+    """
+    defs, todo = {}, set(roots)
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defs.setdefault(node.name, []).append(node)
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                todo |= used_names(node)
+    reached = set()
+    while todo:
+        name = todo.pop()
+        reached.add(name)
+        todo |= set().union(*(used_names(node) for node in defs.get(name, ()))) - reached
+    return sorted(set(defs) - reached)
+
+
+def library_trees() -> list[ast.Module]:
+    return [parse(path) for path in sorted(LIBRARY.glob("*.py"))]
+
+
+def program_roots() -> set[str]:
+    """cli.main and every name in the benchmark worker and the scripts."""
+    callers = [WORKER, *sorted((ROOT / "scripts").glob("*.py"))]
+    return {"main"}.union(*(used_names(parse(path)) for path in callers))
+
+
 def test_acceptance_imports_exist():
     names = imported_names(parse(ACCEPTANCE))
-    assert ("dpimage.privacy", "perturb_latent") in names and ("dpimage.cli", "main") in names
+    assert ("dpimage.privacy", "PrivacyParams") in names and ("dpimage.cli", "main") in names
+    names += imported_names(parse(SUPPORT))
+    assert ("dpimage.privacy", "dp_images") in names
     missing = [f"{m}.{n}" for m, n in names if not hasattr(importlib.import_module(m), n)]
-    assert not missing, f"test_acceptance.py imports deleted names: {missing}"
+    assert not missing, f"test_acceptance.py or support.py imports deleted names: {missing}"
+
+
+def test_library_is_what_the_program_calls():
+    unused = unreached(library_trees(), program_roots())
+    assert not unused, f"src/dpimage defines names the program never calls: {unused}"
+
+
+def test_unreached_def_is_reported():
+    # a twin that calls the library but that no caller reaches, beside the real library
+    twin = ast.parse("def twin(model, image):\n    return encode_batch(model, [image])[0]\n")
+    assert unreached([*library_trees(), twin], program_roots()) == ["twin"]
+    # and on its own: reached through a module-level statement and a call chain only
+    source = "X = used()\ndef used():\n    return helper()\ndef helper():\n    pass\ndef unused():\n    return helper()\n"
+    assert unreached([ast.parse(source)], set()) == ["unused"]
 
 
 def test_worker_module_attributes_exist():
@@ -150,7 +210,7 @@ def test_worker_observers_read_existing_attributes():
 @pytest.mark.parametrize(
     "walker, source",
     [
-        (imported_names, "from dpimage.metrics import ssim, gone"),
+        (imported_names, "from dpimage.metrics import fed, gone"),
         (worker_module_attributes, "from dpimage import codec\ncodec.encode(1)\ncodec.gone(1)"),
     ],
     ids=["import", "attribute"],

@@ -22,23 +22,15 @@ from dpimage.data import load_manifest, read_pgm, write_csv, write_pgms
 from dpimage.metrics import (
     Originals,
     blur_baseline,
-    calibrate_threshold,
     iss_scores,
     l2_distances,
     mosaic_baseline,
     ssim_reference,
 )
 from dpimage.numerics import derive_states, derive_stream, rng_uniform_rows
-from dpimage.privacy import (
-    PrivacyBudgetLedger,
-    PrivacyParams,
-    dp_image,
-    full_mask,
-    identity_mask,
-    perturb_latent,
-    perturb_latents,
-)
+from dpimage.privacy import PrivacyBudgetLedger, PrivacyParams, full_mask, identity_mask, perturb_latents
 from dpimage.errors import ConfigError
+from support import calibrate_threshold, dp_image, perturb_latent
 
 
 def run(*argv):

@@ -24,17 +24,16 @@ from dpimage.metrics import (
     Originals,
     ald_inf,
     blur_baseline,
-    calibrate_threshold,
     fed,
     iss_from_embeddings,
     iss_scores,
     l2_distances,
     mosaic_baseline,
     nearest_rank_percentile,
-    ssim,
     ssim_reference,
 )
 from dpimage.privacy import PrivacyParams, full_mask, identity_mask, perturb_latents
+from support import calibrate_threshold, ssim
 
 RNG = np.random.default_rng(0)
 

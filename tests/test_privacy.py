@@ -23,17 +23,14 @@ from dpimage.privacy import (
     PrivacyBudgetLedger,
     PrivacyParams,
     clip_latent,
-    dp_image,
     dp_images,
     estimate_sensitivity,
     full_mask,
     identity_mask,
-    laplace_batch,
     laplace_from_uniform,
-    perturb_latent,
     perturb_latents,
-    verify_dp_empirical,
 )
+from support import dp_image, laplace_batch, perturb_latent, verify_dp_empirical
 
 
 # the largest noise scale laplace_from_uniform accepts
