@@ -30,7 +30,7 @@ import numpy as np
 from .config import RunConfig
 from .data import write_file
 from .errors import BadMagicError, FormatError, TrainingError, TruncatedError, VersionError
-from .numerics import make_stream, rng_uniform_batch
+from .numerics import make_stream, rng_uniform_rows
 
 MODEL_MAGIC = b"DPIM"
 MODEL_VERSION = 1
@@ -315,10 +315,12 @@ def init_model(
     full = encoder_dims + tuple(reversed(encoder_dims[:-1]))
     # weights and biases are views of one flat buffer, laid out as w0, b0, w1, ...
     weights, biases = _param_views(np.zeros(_param_count(full)), full)
-    stream = make_stream(seed)
+    # each layer's weights are the next w.size draws of stream 0
+    state, offset = make_stream(seed), 0
     for w in weights:
         bound = weight_init_scale / np.sqrt(w.shape[1])
-        u, stream = rng_uniform_batch(stream, w.size)
+        u = rng_uniform_rows(state, w.size, offset)
+        offset += w.size
         np.multiply(2.0 * bound, u.reshape(w.shape), out=w)
     return AutoencoderModel(encoder_dims, identity_len, weights, biases)
 
@@ -361,11 +363,11 @@ def train(
         for lo in range(0, params.size, UPDATE_CHUNK)
     ]
 
-    shuffle_stream = make_stream(config.seed, stream_id=1)
+    shuffle_state = make_stream(config.seed, stream_id=1)
     trace = []
     for epoch in range(config.epochs):
-        u, shuffle_stream = rng_uniform_batch(shuffle_stream, n)
-        order = np.argsort(u, kind="stable")
+        # epoch e's order sorts draws e*n+1 ... (e+1)*n of stream 1
+        order = np.argsort(rng_uniform_rows(shuffle_state, n, epoch * n)[0], kind="stable")
         epoch_loss = 0.0
         for start in range(0, n, batch):
             idx = order[start : start + batch]

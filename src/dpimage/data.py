@@ -23,7 +23,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import BadMagicError, BadMaxvalError, DataError, TruncatedError, decode_utf8
-from .numerics import RngStream, derive_stream, gaussian_batch, rng_uniform_batch
+from .numerics import derive_states, gaussian_from_uniform, rng_uniform_rows
 
 # Identity parameters are fractions of the image side; nuisance in the units
 # noted. Ranges are inclusive.
@@ -79,13 +79,11 @@ def _check_ranges(params: FaceParams) -> None:
             raise DataError(f"face parameter {name}={value} outside [{lo}, {hi}]")
 
 
-def render_face(
-    params: FaceParams, side: int, stream: RngStream
-) -> tuple[np.ndarray, RngStream]:
+def render_face(params: FaceParams, side: int, uniforms) -> np.ndarray:
     """Rasterize one face, 2x2 supersampled, pixels in [0, 1].
 
-    Pixel noise (if params.noise_std > 0) comes from the caller's stream;
-    the stream is consumed only when noise_std is nonzero.
+    Pixel noise of std params.noise_std is Box-Muller over the caller's
+    2 * side**2 uniforms, which a noise-free face does not read.
     """
     if side < 16:
         raise DataError(f"side must be >= 16, got {side}")
@@ -123,9 +121,8 @@ def render_face(
     img = sub.reshape(side, 2, side, 2).mean(axis=(1, 3))
     img = img + params.brightness
     if params.noise_std > 0.0:
-        noise, stream = gaussian_batch(stream, side * side, 0.0, params.noise_std)
-        img = img + noise.reshape(side, side)
-    return np.clip(img, 0.0, 1.0), stream
+        img = img + gaussian_from_uniform(uniforms, 0.0, params.noise_std).reshape(side, side)
+    return np.clip(img, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -135,23 +132,9 @@ class ManifestRow:
     split: str  # "train" or "eval"
 
 
-def _sample_ranges(ranges: dict, stream: RngStream) -> tuple[dict, RngStream]:
-    """One uniform draw per named range, in the dict's order."""
-    us, stream = rng_uniform_batch(stream, len(ranges))
-    values = {name: lo + (u + 0.5) * (hi - lo) for (name, (lo, hi)), u in zip(ranges.items(), us)}
-    return values, stream
-
-
-def sample_identity_params(stream: RngStream) -> tuple[FaceParams, RngStream]:
-    """Draw one identity; nuisance fields left at their neutral values."""
-    values, stream = _sample_ranges(IDENTITY_PARAM_RANGES, stream)
-    return FaceParams(**values), stream
-
-
-def sample_nuisance(params: FaceParams, stream: RngStream) -> tuple[FaceParams, RngStream]:
-    """Resample the nuisance fields of an identity's parameters."""
-    values, stream = _sample_ranges(NUISANCE_PARAM_RANGES, stream)
-    return replace(params, **values), stream
+def _from_uniform(ranges: dict, u) -> dict:
+    """One value per named range, in the dict's order, from uniforms on (-0.5, 0.5]."""
+    return {name: lo + (v + 0.5) * (hi - lo) for (name, (lo, hi)), v in zip(ranges.items(), u)}
 
 
 def identity_distance(a: FaceParams, b: FaceParams) -> float:
@@ -188,10 +171,14 @@ def generate_corpus(
         # the eval split always offers genuine (same-identity) pairs
         wanted = max(2, math.ceil(samples_per_identity * EVAL_FRACTION))
         n_eval = min(samples_per_identity - 1, wanted)
+    n_shape = len(IDENTITY_PARAM_RANGES)
+    n_nuisance = len(NUISANCE_PARAM_RANGES)
     for ident in range(n_identities):
-        stream = derive_stream(seed, 0, ident)
-        for _ in range(1000):
-            params, stream = sample_identity_params(stream)
+        # candidate t is draws n_shape*t+1 ... n_shape*(t+1) of the identity's stream
+        state = derive_states(seed, 0, ident)
+        for t in range(1000):
+            u = rng_uniform_rows(state, n_shape, n_shape * t)[0]
+            params = FaceParams(**_from_uniform(IDENTITY_PARAM_RANGES, u))
             if all(identity_distance(params, p) >= MIN_IDENTITY_DISTANCE for p in accepted):
                 break
         else:
@@ -200,11 +187,12 @@ def generate_corpus(
                 f"{MIN_IDENTITY_DISTANCE}; reduce n_identities"
             )
         accepted.append(params)
+        # row k: image k's nuisance uniforms, then its pixel-noise uniforms
+        image_ids = ident * samples_per_identity + np.arange(samples_per_identity)
+        u = rng_uniform_rows(derive_states(seed, 1, image_ids), n_nuisance + 2 * side * side)
         for k in range(samples_per_identity):
-            stream = derive_stream(seed, 1, ident * samples_per_identity + k)
-            sample, stream = sample_nuisance(params, stream)
-            img, stream = render_face(sample, side, stream)
-            images.append(img)
+            sample = replace(params, **_from_uniform(NUISANCE_PARAM_RANGES, u[k]))
+            images.append(render_face(sample, side, u[k, n_nuisance:]))
             split = "eval" if k >= samples_per_identity - n_eval else "train"
             manifest.append(
                 ManifestRow(

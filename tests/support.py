@@ -14,30 +14,40 @@ import numpy as np
 
 from dpimage.codec import AutoencoderModel, encode_batch
 from dpimage.metrics import SSIM_SIGMA, SSIM_WINDOW, iss_scores, nearest_rank_percentile, ssim_reference
-from dpimage.numerics import RngStream, make_stream, rng_uniform_batch
+from dpimage.numerics import gaussian_from_uniform, make_stream, rng_uniform_rows
 from dpimage.privacy import PrivacyParams, dp_images, laplace_from_uniform, perturb_latents
 
+# Each sampler below reads the draws start+1 ... start+m of one stream (a
+# one-element state array, from make_stream or derive_states) and returns
+# them mapped, with start + m, the position the next call continues from.
 
-def laplace_batch(stream: RngStream, n: int, scale: float) -> tuple[np.ndarray, RngStream]:
+
+def laplace_batch(state, n: int, scale: float, start: int = 0) -> tuple[np.ndarray, int]:
     """n Laplace(0, scale) draws; consumes n uniforms even when scale is 0."""
-    u, stream = rng_uniform_batch(stream, n)
-    return laplace_from_uniform(u, scale), stream
+    return laplace_from_uniform(rng_uniform_rows(state, n, start)[0], scale), start + n
+
+
+def gaussian_batch(
+    state, n: int, mean: float = 0.0, std: float = 1.0, start: int = 0
+) -> tuple[np.ndarray, int]:
+    """n Gaussian draws via Box-Muller; consumes 2n uniforms whatever the std."""
+    return gaussian_from_uniform(rng_uniform_rows(state, 2 * n, start)[0], mean, std), start + 2 * n
 
 
 def perturb_latent(
-    latent: np.ndarray, params: PrivacyParams, stream: RngStream
-) -> tuple[np.ndarray, RngStream]:
-    """perturb_latents on one latent, its uniforms the next n_noisy of stream."""
-    u, stream = rng_uniform_batch(stream, params.n_noisy)
-    return perturb_latents(latent, params, u), stream
+    latent: np.ndarray, params: PrivacyParams, state, start: int = 0
+) -> tuple[np.ndarray, int]:
+    """perturb_latents on one latent, its uniforms the stream's next n_noisy."""
+    u = rng_uniform_rows(state, params.n_noisy, start)[0]
+    return perturb_latents(latent, params, u), start + params.n_noisy
 
 
 def dp_image(
-    model: AutoencoderModel, image: np.ndarray, params: PrivacyParams, stream: RngStream
-) -> tuple[np.ndarray, RngStream]:
-    """dp_images on a one-image stack, its uniforms the next n_noisy of stream."""
-    u, stream = rng_uniform_batch(stream, params.n_noisy)
-    return dp_images(model, [image], params, u[None])[0], stream
+    model: AutoencoderModel, image: np.ndarray, params: PrivacyParams, state, start: int = 0
+) -> tuple[np.ndarray, int]:
+    """dp_images on a one-image stack, its uniforms the stream's next n_noisy."""
+    u = rng_uniform_rows(state, params.n_noisy, start)
+    return dp_images(model, [image], params, u)[0], start + params.n_noisy
 
 
 def ssim(x: np.ndarray, y: np.ndarray, window: int = SSIM_WINDOW, sigma: float = SSIM_SIGMA) -> float:
@@ -75,17 +85,18 @@ def verify_dp_empirical(
     delta_f: float,
     n_samples: int = 10**6,
     bins: int = 64,
-    stream: RngStream | None = None,
+    state=None,
 ) -> tuple[float, bool]:
     """Empirical 1-D check of the Laplace privacy-loss ratio bound.
 
     Draws n_samples from Laplace(0, scale) and from delta_f +
-    Laplace(0, scale), clamps both into [-8*scale, delta_f + 8*scale], and
-    compares add-one-smoothed cell frequencies. Cells hold equal pooled
-    mass (empirical quantiles of the combined sample) so every cell's
-    frequency estimate carries roughly the same sampling error; with
-    equal-width cells the near-empty tail cells would swamp the ratio
-    statistic with noise far beyond any fixed slack.
+    Laplace(0, scale), from the first and the next n_samples uniforms of
+    the stream (make_stream(0) by default), clamps both into
+    [-8*scale, delta_f + 8*scale], and compares add-one-smoothed cell
+    frequencies. Cells hold equal pooled mass (empirical quantiles of the
+    combined sample) so every cell's frequency estimate carries roughly the
+    same sampling error; with equal-width cells the near-empty tail cells
+    would swamp the ratio statistic with noise far beyond any fixed slack.
 
     Returns (max over cells of |ln(p/q)|, pass) where pass means the
     maximum stays within 10% slack of the analytic bound delta_f / scale.
@@ -96,10 +107,10 @@ def verify_dp_empirical(
         raise ValueError(f"need at least 1e5 samples, got {n_samples}")
     if bins < 2:
         raise ValueError(f"need at least 2 bins, got {bins}")
-    if stream is None:
-        stream = make_stream(0)
-    p, stream = laplace_batch(stream, n_samples, scale)
-    q, stream = laplace_batch(stream, n_samples, scale)
+    if state is None:
+        state = make_stream(0)
+    p, position = laplace_batch(state, n_samples, scale)
+    q, _ = laplace_batch(state, n_samples, scale, position)
     q = q + delta_f
     lo = -8.0 * scale
     hi = delta_f + 8.0 * scale

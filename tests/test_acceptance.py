@@ -15,9 +15,11 @@ from dpimage.cli import main
 from dpimage.codec import decode, encode, init_model, load_model, loss_and_gradients
 from dpimage.data import load_manifest, read_pgm
 from dpimage.metrics import blur_baseline, fed, iss_from_embeddings, mosaic_baseline
-from dpimage.numerics import gaussian_batch, make_stream
+from dpimage.numerics import make_stream
 from dpimage.privacy import PrivacyBudgetLedger, PrivacyParams, estimate_sensitivity, full_mask
-from support import calibrate_threshold, dp_image, laplace_batch, perturb_latent, ssim, verify_dp_empirical
+from support import (
+    calibrate_threshold, dp_image, gaussian_batch, laplace_batch, perturb_latent, ssim, verify_dp_empirical,
+)
 
 
 @contextmanager

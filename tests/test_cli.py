@@ -27,7 +27,7 @@ from dpimage.metrics import (
     mosaic_baseline,
     ssim_reference,
 )
-from dpimage.numerics import derive_states, derive_stream, rng_uniform_rows
+from dpimage.numerics import derive_states, rng_uniform_rows
 from dpimage.privacy import PrivacyBudgetLedger, PrivacyParams, full_mask, identity_mask, perturb_latents
 from dpimage.errors import ConfigError
 from support import calibrate_threshold, dp_image, perturb_latent
@@ -367,7 +367,7 @@ class TestPerturb:
         model = load_model(out / "model.dpim")
         params = PrivacyParams(epsilon=1.0, sensitivity=5.0, mask=full_mask(model.latent_dim))
         for k in (0, 17):
-            y, _ = dp_image(model, read_pgm(corpus[k]), params, derive_stream(0, 2, 3 + k))
+            y, _ = dp_image(model, read_pgm(corpus[k]), params, derive_states(0, 2, 3 + k))
             write_pgms([y], [tmp_path / "expected.pgm"])
             assert alone[corpus[k].name] == (tmp_path / "expected.pgm").read_bytes()
 
@@ -565,7 +565,7 @@ class TestEvaluateAndSweep:
             for rep in range(3):
                 for image, x in enumerate(x_eval):
                     z = encode(model, x)
-                    stream = derive_stream(0, 3, level_index, rep, image)  # sweep's streams
+                    stream = derive_states(0, 3, level_index, rep, image)  # sweep's streams
                     y = decode(model, perturb_latent(z, params, stream)[0])
                     iss = iss_scores(z[:n_id], encode(model, y)[:n_id])
                     scores.append((iss, l2_distances(x[None], y[None])[0], ssim_reference(x)(y)))
@@ -595,7 +595,7 @@ class TestEvaluateAndSweep:
             for rep in range(3):
                 for image, x in enumerate(x_eval):
                     z = encode(model, x)
-                    stream = derive_stream(0, 3, level_index, rep, image)  # sweep's streams
+                    stream = derive_states(0, 3, level_index, rep, image)  # sweep's streams
                     y = decode(model, perturb_latent(z, params, stream)[0])
                     iss = iss_scores(z[:n_id], encode(model, y)[:n_id])
                     scores.append((iss, l2_distances(x[None], y[None])[0], ssim_reference(x)(y)))

@@ -33,7 +33,7 @@ from dpimage.errors import (
     TruncatedError,
     VersionError,
 )
-from dpimage.numerics import make_stream, rng_uniform_batch
+from dpimage.numerics import make_stream, rng_uniform_rows
 
 
 def small_corpus(n=12, side=8, seed=0):
@@ -188,6 +188,16 @@ class TestForward:
         for x in small_corpus(10, seed=5):
             assert np.all(np.isfinite(encode(model, x)))
 
+    def test_init_weights_read_stream_0_in_order(self):
+        # layer after layer, each weight matrix the next w.size draws of the
+        # seed's stream 0, scaled to +-scale/sqrt(fan_in); biases zero
+        model = init_model((64, 16, 8), 4, seed=4, weight_init_scale=1.5)
+        sizes = [w.size for w in model.weights]
+        u = np.split(rng_uniform_rows(make_stream(4), sum(sizes))[0], np.cumsum(sizes)[:-1])
+        for w, draws in zip(model.weights, u):
+            assert np.array_equal(w, 2.0 * (1.5 / np.sqrt(w.shape[1])) * draws.reshape(w.shape))
+        assert all(not b.any() for b in model.biases)
+
     def test_dimension_mismatch(self):
         model = init_model((64, 16, 8), 4, seed=0)
         with pytest.raises(ValueError):
@@ -287,12 +297,12 @@ def reference_train(corpus, cfg, hidden_dims):
     n = len(x_all)
     dims = (x_all.shape[1], *hidden_dims, cfg.latent_dim)
     model = init_model(dims, cfg.identity_len, cfg.seed, cfg.weight_init_scale)
-    stream = make_stream(cfg.seed, stream_id=1)
     vel_w = [np.zeros_like(w) for w in model.weights]
     vel_b = [np.zeros_like(b) for b in model.biases]
     trace = []
-    for _ in range(cfg.epochs):
-        u, stream = rng_uniform_batch(stream, n)
+    # each epoch sorts the next n draws of stream 1
+    shuffles = rng_uniform_rows(make_stream(cfg.seed, stream_id=1), cfg.epochs * n).reshape(-1, n)
+    for u in shuffles:
         order = np.argsort(u, kind="stable")
         epoch_loss = 0.0
         for start in range(0, n, cfg.batch_size):
@@ -392,7 +402,7 @@ class TestTrain:
             epochs=1, batch_size=4, learning_rate=0.1, seed=2, weight_init_scale=1.0,
             latent_dim=8, identity_len=4,
         )
-        u, _ = rng_uniform_batch(make_stream(cfg.seed, stream_id=1), len(corpus))
+        u = rng_uniform_rows(make_stream(cfg.seed, stream_id=1), len(corpus))[0]
         position = list(np.argsort(u, kind="stable")).index(7)
         offset = position - position % cfg.batch_size
         assert offset > 0

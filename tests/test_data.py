@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpimage.data import (
+    IDENTITY_PARAM_RANGES,
+    _from_uniform,
     _pgm_tokens,
     FaceParams,
     identity_distance,
@@ -15,14 +17,13 @@ from dpimage.data import (
     read_pgm,
     read_pgms,
     render_face,
-    sample_identity_params,
     save_manifest,
     write_csv,
     write_file,
     write_pgms,
 )
 from dpimage.errors import BadMagicError, BadMaxvalError, DataError, TruncatedError
-from dpimage.numerics import make_stream
+from dpimage.numerics import derive_states, make_stream, rng_uniform_rows
 
 SYMMETRIC = FaceParams(
     face_width=0.36,
@@ -34,15 +35,20 @@ SYMMETRIC = FaceParams(
 )
 
 
+def noise(seed, side=32):
+    """Pixel-noise uniforms for one side x side face."""
+    return rng_uniform_rows(make_stream(seed), 2 * side * side)[0]
+
+
 class TestRenderFace:
     def test_deterministic(self):
         p = SYMMETRIC
-        a, _ = render_face(p, 32, make_stream(3))
-        b, _ = render_face(p, 32, make_stream(3))
+        a = render_face(p, 32, noise(3))
+        b = render_face(p, 32, noise(3))
         assert np.array_equal(a, b)
 
     def test_symmetric_when_noise_free(self):
-        img, _ = render_face(SYMMETRIC, 32, make_stream(0))
+        img = render_face(SYMMETRIC, 32, noise(0))
         assert np.max(np.abs(img - img[:, ::-1])) <= 1e-12
 
     def test_range(self):
@@ -58,7 +64,7 @@ class TestRenderFace:
             brightness=0.05,
             noise_std=0.02,
         )
-        img, _ = render_face(p, 32, make_stream(1))
+        img = render_face(p, 32, noise(1))
         assert img.min() >= 0.0 and img.max() <= 1.0
 
     def test_out_of_range_rejected(self):
@@ -71,21 +77,19 @@ class TestRenderFace:
             mouth_curve=0.0,
         )
         with pytest.raises(DataError):
-            render_face(bad, 32, make_stream(0))
+            render_face(bad, 32, noise(0))
 
     def test_small_side_rejected(self):
         with pytest.raises(DataError):
-            render_face(SYMMETRIC, 8, make_stream(0))
+            render_face(SYMMETRIC, 8, noise(0))
 
-    def test_noise_consumes_stream(self):
+    def test_noise_free_face_ignores_uniforms(self):
         p_noise = FaceParams(**{**SYMMETRIC.__dict__, "noise_std": 0.01})
-        _, s0 = render_face(SYMMETRIC, 32, make_stream(5))
-        _, s1 = render_face(p_noise, 32, make_stream(5))
-        assert s0 == make_stream(5)
-        assert s1 != make_stream(5)
+        assert np.array_equal(render_face(SYMMETRIC, 32, noise(5)), render_face(SYMMETRIC, 32, noise(6)))
+        assert not np.array_equal(render_face(p_noise, 32, noise(5)), render_face(p_noise, 32, noise(6)))
 
     def test_has_structure(self):
-        img, _ = render_face(SYMMETRIC, 32, make_stream(0))
+        img = render_face(SYMMETRIC, 32, noise(0))
         assert img.std() > 0.05  # not a constant field
 
 
@@ -105,7 +109,6 @@ class TestGenerateCorpus:
         images, manifest = generate_corpus(3, 4, 32, seed=2)
         # two samples of identity 0 differ (nuisance) but share identity params
         assert not np.array_equal(images[0], images[1])
-        p0, _ = sample_identity_params(make_stream(0))
         # identity params are a pure function of (seed, identity)
         a, _ = generate_corpus(3, 2, 32, seed=2)
         assert np.array_equal(images[0], a[0])
@@ -120,18 +123,15 @@ class TestGenerateCorpus:
             generate_corpus(1, 5, 32, seed=0)
 
     def test_identities_separated(self):
-        from dpimage.data import sample_identity_params
-        from dpimage.numerics import derive_stream
-
         # rejection sampling keeps every accepted pair farther apart than
         # any two samples of one identity (which share parameters exactly)
         _, manifest = generate_corpus(12, 2, 32, seed=3)
         params = []
         accepted = []
         for ident in range(12):
-            stream = derive_stream(3, 0, ident)
-            for _ in range(1000):
-                cand, stream = sample_identity_params(stream)
+            state = derive_states(3, 0, ident)
+            for t in range(1000):  # candidate t: the stream's draws 6t+1 ... 6t+6
+                cand = FaceParams(**_from_uniform(IDENTITY_PARAM_RANGES, rng_uniform_rows(state, 6, 6 * t)[0]))
                 if all(identity_distance(cand, p) >= 0.6 for p in accepted):
                     break
             accepted.append(cand)

@@ -11,14 +11,7 @@ from hypothesis import strategies as st
 from dpimage import privacy
 from dpimage.codec import decode, encode, init_model
 from dpimage.errors import FormatError
-from dpimage.numerics import (
-    RngStream,
-    derive_states,
-    derive_stream,
-    make_stream,
-    rng_uniform_batch,
-    rng_uniform_rows,
-)
+from dpimage.numerics import derive_states, make_stream, rng_uniform_rows
 from dpimage.privacy import (
     PrivacyBudgetLedger,
     PrivacyParams,
@@ -95,7 +88,7 @@ class TestLaplaceSampler:
         assert np.isfinite(v).all() and v[0] == -v[1] > 1.79e308
 
     def test_interior_draws_unchanged(self):
-        u, _ = rng_uniform_batch(make_stream(4), 10**5)
+        u = rng_uniform_rows(make_stream(4), 10**5)[0]
         u = np.concatenate([u, [0.5 - 2.0**-53, -0.5 + 2.0**-53, 0.0]])
         unclamped = -2.0 * np.sign(u) * np.log1p(-2.0 * np.abs(u))
         assert np.array_equal(laplace_from_uniform(u, 2.0), unclamped)
@@ -111,16 +104,16 @@ class TestLaplaceSampler:
         rows = perturb_latents(z, params, u)
         assert rows.shape == (120, 32)
         for i in range(120):
-            stream = derive_stream(9, 3, 1, int(rep[i]), int(item[i]))
+            stream = derive_states(9, 3, 1, int(rep[i]), int(item[i]))
             expected, _ = perturb_latent(z[i], params, stream)
             assert np.array_equal(rows[i], expected)
             noise, _ = laplace_batch(stream, 32, scale)
             assert np.array_equal(expected, z[i] + noise)
 
     def test_scale_zero_still_consumes_draws(self):
-        _, s_a = laplace_batch(make_stream(3), 10, 0.0)
-        _, s_b = laplace_batch(make_stream(3), 10, 1.0)
-        assert s_a == s_b
+        a, position_a = laplace_batch(make_stream(3), 10, 0.0)
+        b, position_b = laplace_batch(make_stream(3), 10, 1.0)
+        assert position_a == position_b == 10 and a.shape == b.shape == (10,)
 
 
 class TestSensitivity:
@@ -272,10 +265,10 @@ class TestPerturb:
         b = 0.7
         params = PrivacyParams(epsilon=1.0, sensitivity=b, mask=full_mask(2))
         z = np.array([3.0, -1.5])
-        stream = make_stream(11)
+        stream, position = make_stream(11), 0
         outs = []
         for _ in range(5):
-            out, stream = perturb_latent(z, params, stream)
+            out, position = perturb_latent(z, params, stream, position)
             outs.append(out)
         noise, _ = laplace_batch(make_stream(11), 10, b)
         assert np.allclose(np.stack(outs), z + noise.reshape(5, 2), atol=0)
@@ -314,7 +307,7 @@ class TestPerturb:
         states = derive_states(2, 2, np.arange(20))
         rows = perturb_latents(z, params, rng_uniform_rows(states, params.n_noisy))
         for i in range(20):
-            single, _ = perturb_latent(z[i], params, RngStream(int(states[i])))
+            single, _ = perturb_latent(z[i], params, states[i : i + 1])
             assert np.array_equal(rows[i], single)
 
     @pytest.mark.parametrize(
@@ -394,7 +387,7 @@ class TestDpImage:
         u = rng_uniform_rows(states, 8)
         stack = dp_images(self.model, images, params, u)
         for i in range(19):
-            single, _ = dp_image(self.model, images[i], params, RngStream(int(states[i])))
+            single, _ = dp_image(self.model, images[i], params, states[i : i + 1])
             assert np.array_equal(stack[i], single)
         assert np.array_equal(dp_images(self.model, images[3:5], params, u[3:5]), stack[3:5])
 
