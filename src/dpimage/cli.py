@@ -218,12 +218,13 @@ def cmd_perturb(config: RunConfig, args, out_dir: Path) -> tuple[dict, list[str]
     )
     loaded = len(ledger)
     files = _input_images(args.input)
-    # every input is read before the first release, so a bad one releases nothing
-    images = read_pgms(files)
     # each image's stream is addressed by its ledger row, so every release,
     # in this request or any other, gets fresh noise
     states = derive_states(config.seed, _STREAM_PERTURB, loaded + np.arange(len(files)))
-    released = dp_images(args.model, images, params, rng_uniform_rows(states, params.n_noisy))
+    uniforms = rng_uniform_rows(states, params.n_noisy)
+    # every input is read before the first release, so a bad one releases
+    # nothing; the input stack is freed once the releases are computed
+    released = dp_images(args.model, read_pgms(files), params, uniforms)
     out_dir.mkdir(parents=True, exist_ok=True)  # for save_csv, whose open() makes none
     # group tracks data disjointness only (same corpus: budgets add); masked
     # releases are annotated on the release id, since the epsilon guarantee

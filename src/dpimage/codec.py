@@ -8,15 +8,17 @@ flat buffer (the model's weights and biases are views of it) beside one
 velocity and one gradient buffer of the same layout, and updates them a
 chunk at a time. Each step writes its activations, deltas and gradients
 into a workspace allocated once per batch height. encode/decode run a stack
-in zero-padded passes of up to PASS_ROWS rows, through each layer in turn,
-so a row's bits do not depend on the stack it came in (see BLOCK_ROWS). A
-pass writes every layer's product, bias and activation into a PassWorkspace:
-each call builds its own, so encode and decode are safe to share across
-threads. Each of the sweep's scoring threads owns one decoder-then-encoder
-workspace for _decode_encode_pass, which reuses it pass after pass, the
-encoder reading the images where the decoder left them. Worker threads call
-private helpers only: public functions run on the calling thread, since a
-tracer that wraps them keeps one span stack.
+in zero-padded passes of up to PASS_ROWS rows, through each layer in turn:
+a wide layer as one product over the pass's rows rounded up to a multiple
+of WIDE_ROWS and at least BLOCK_ROWS, a narrow one as BLOCK_ROWS-row
+products, so a row's bits do not depend on the stack it came in (see
+BLOCK_ROWS). A pass writes every layer's product, bias and activation into
+a PassWorkspace: each call builds its own, so encode and decode are safe to
+share across threads. Each of the sweep's scoring threads owns one
+decoder-then-encoder workspace for _decode_encode_pass, which reuses it pass
+after pass, the encoder reading the images where the decoder left them.
+Worker threads call private helpers only: public functions run on the
+calling thread, since a tracer that wraps them keeps one span stack.
 """
 
 from __future__ import annotations
@@ -41,14 +43,19 @@ DEFAULT_HIDDEN_DIMS = (256, 64)
 # matrix heights: a 1-row product (GEMV), small and large ones differ in the
 # last bits. A product with few outputs (fan_out times height up to about
 # 1200) goes to OpenBLAS's small-matrix kernel, whose bits change with any
-# change of height. A product with more outputs gives each row the same bits
-# at every height that is a multiple of 16 (the Haswell kernel changes bits
-# only at other heights). So the forward pads each pass to a multiple of
-# BLOCK_ROWS rows, runs a layer of at least WIDE_OUT outputs as one product
-# over the whole pass, and a narrower one as BLOCK_ROWS-row products: every
-# row gets the same bits whatever its position or batch mates.
+# change of height, so a layer of fewer than WIDE_OUT outputs runs as
+# BLOCK_ROWS-row products over the pass padded to a multiple of BLOCK_ROWS.
+# A product of at least WIDE_OUT outputs gives each row the same bits at
+# every height that is a multiple of WIDE_ROWS and at least BLOCK_ROWS:
+# measured against a 256-row product at every height from 1 to 130, for
+# 128 to 1024 outputs, under OPENBLAS_CORETYPE Haswell (which changes bits
+# only at odd heights) and SkylakeX (only below 10 rows), by
+# scripts/probe_row_bits.py. So a wide layer runs as one product over
+# max(BLOCK_ROWS, rows rounded up to WIDE_ROWS) rows: every row gets the same
+# bits whatever its position or batch mates.
 BLOCK_ROWS = 16
 WIDE_OUT = 128
+WIDE_ROWS = 4
 # Rows per forward pass: a wide product runs about twice as fast at 64 rows
 # as at 16, and the pass's activations stay small.
 PASS_ROWS = 64
@@ -130,7 +137,10 @@ class PassWorkspace:
 
     The zero-padded input block and each layer's buffer (its product, bias
     and activation are written into it) share at most three allocations of
-    one pass height: min(PASS_ROWS, rows rounded up to BLOCK_ROWS). A layer
+    one pass height: min(PASS_ROWS, rows rounded up to BLOCK_ROWS), the rows
+    a narrow layer's BLOCK_ROWS-row products cover; a wide layer writes
+    max(BLOCK_ROWS, rows rounded up to WIDE_ROWS) of them and zeroes the rest,
+    so no layer reads memory no pass has written (see BLOCK_ROWS). A layer
     writes the first that holds neither its input nor the decoded images,
     which the encoder reads where they lie; the output sigmoid's BLOCK_ROWS
     rows of scratch lie in the output layer's input buffer, spent once its
@@ -159,21 +169,33 @@ class PassWorkspace:
 
 def _run_pass(model: AutoencoderModel, ws: PassWorkspace, rows: np.ndarray) -> np.ndarray:
     """Rows (at most one pass), zero-padded to a multiple of BLOCK_ROWS in ws's
-    input block, through ws's layers; returns the last layer's buffer, which
-    holds the pass's output."""
-    a = ws.input[: len(rows) + -len(rows) % BLOCK_ROWS]
-    a[: len(rows)] = rows
-    a[len(rows) :] = 0.0
-    height = len(a)
+    input block, through ws's layers; returns the last layer's buffer, whose
+    first len(rows) rows hold the pass's output.
+
+    A wide layer runs over the first max(BLOCK_ROWS, rows rounded up to
+    WIDE_ROWS) rows only and zeroes the rest of the pass, which only a narrow
+    layer's padding reads; a narrow layer runs BLOCK_ROWS-row blocks over the
+    whole pass (see BLOCK_ROWS).
+    """
+    n = len(rows)
+    height = n + -n % BLOCK_ROWS
+    wide = max(BLOCK_ROWS, n + -n % WIDE_ROWS)
+    a = ws.input[:height]
+    a[:n] = rows
+    a[n:] = 0.0
     for layer, buf in zip(ws.layers, ws.acts):
-        w, z = model.weights[layer], buf[:height]
+        w = model.weights[layer]
         if w.shape[0] >= WIDE_OUT:
-            np.matmul(a, w.T, out=z)
+            z = buf[:wide]
+            np.matmul(a[:wide], w.T, out=z)
+            buf[wide:height] = 0.0
         else:
+            z = buf[:height]
             for lo in range(0, height, BLOCK_ROWS):
                 np.matmul(a[lo : lo + BLOCK_ROWS], w.T, out=z[lo : lo + BLOCK_ROWS])
         z += model.biases[layer]
-        a = _activate_in_place(model, layer, z, ws.scratch)
+        _activate_in_place(model, layer, z, ws.scratch)
+        a = buf[:height]
     return a
 
 

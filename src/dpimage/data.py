@@ -54,6 +54,7 @@ _MOUTH_THICKNESS = 0.022
 EVAL_FRACTION = 0.2  # share of each identity's samples held out for eval
 MIN_IDENTITY_DISTANCE = 0.6  # in range-normalized identity parameter space
 MANIFEST_COLUMNS = ("path", "identity_id", "split")
+PGM_BLOCK = 64  # images write_pgms checks and quantizes at a time
 
 
 @dataclass(frozen=True)
@@ -235,18 +236,34 @@ def load_manifest(path) -> list[ManifestRow]:
 
 
 def write_pgms(stack, paths) -> None:
-    """Write [0,1] grayscale images (2-D arrays) as binary PGMs (P5, maxval
-    255), one per path. Every image is checked and quantized before the first
-    file is written, so a bad one writes nothing; its error names its path."""
+    """Write [0,1] grayscale images of one shape (2-D arrays) as binary PGMs
+    (P5, maxval 255), one per path. Every image is checked and quantized, up
+    to PGM_BLOCK at a time, before the first file is written, so a bad one
+    writes nothing; the error names the first bad image's path."""
+    paths = list(paths)
+    if len(stack) != len(paths):
+        raise ValueError(f"{len(stack)} images for {len(paths)} paths")
+    if not paths:
+        return
+    shape = np.shape(stack[0])
+    if len(shape) != 2:
+        raise DataError(f"{paths[0]}: expected a 2-D image, got shape {shape}")
+    header = f"P5\n{shape[1]} {shape[0]}\n255\n".encode()
     blobs = []
-    for img, path in zip(stack, paths, strict=True):
-        img = np.asarray(img, dtype=np.float64)
-        if img.ndim != 2:
-            raise DataError(f"{path}: expected a 2-D image, got shape {img.shape}")
-        if not np.all((img >= 0.0) & (img <= 1.0)):  # NaN fails both
-            raise DataError(f"{path}: pixel values must lie in [0, 1]")
-        data = np.rint(img * 255.0).astype(np.uint8)
-        blobs.append((path, f"P5\n{img.shape[1]} {img.shape[0]}\n255\n".encode() + data.tobytes()))
+    for lo in range(0, len(paths), PGM_BLOCK):
+        images, names = stack[lo : lo + PGM_BLOCK], paths[lo : lo + PGM_BLOCK]
+        # the images before the first of another shape are checked first
+        n = next((k for k, img in enumerate(images) if np.shape(img) != shape), len(images))
+        x = np.asarray(images[:n], dtype=np.float64).reshape(n, *shape)
+        valid = (x.min(axis=(1, 2)) >= 0.0) & (x.max(axis=(1, 2)) <= 1.0)  # NaN fails both
+        if not valid.all():
+            raise DataError(f"{names[np.argmin(valid)]}: pixel values must lie in [0, 1]")
+        if n < len(images):
+            found = np.shape(images[n])
+            raise DataError(f"{names[n]}: expected a 2-D image of shape {shape}, got shape {found}")
+        q = x * 255.0
+        data = np.rint(q, out=q).astype(np.uint8)
+        blobs += [(path, header + img.tobytes()) for path, img in zip(names, data)]
     for path, blob in blobs:
         write_file(path, blob)
 

@@ -112,7 +112,14 @@ def laplace_from_uniform(u, scale: float):
     u = np.asarray(u, dtype=np.float64)
     if scale == 0.0:
         return np.zeros_like(u)
-    return -scale * np.sign(u) * np.log1p(-2.0 * np.minimum(np.abs(u), _U_MAX))
+    # -scale * sign(u) * log1p(-2 * min(|u|, U_MAX)) in one buffer: the same
+    # bits, since times -sign(u) is a negation where u < 0 (+0.0 at u = +-0)
+    noise = np.abs(u, out=np.empty_like(u))  # an array for a scalar u too
+    np.minimum(noise, _U_MAX, out=noise)
+    noise *= -2.0
+    np.log1p(noise, out=noise)
+    noise *= -scale
+    return np.negative(noise, out=noise, where=u < 0)
 
 
 @dataclass(frozen=True)
@@ -175,7 +182,7 @@ def perturb_latents(latents, params: PrivacyParams, uniforms) -> np.ndarray:
     coordinate order. Unmasked coordinates of an unclipped latent pass through
     bit-identical.
     """
-    z = np.array(latents, dtype=np.float64)
+    z = np.asarray(latents, dtype=np.float64)
     u = np.asarray(uniforms, dtype=np.float64)
     if z.shape[-1:] != params.mask.shape:
         raise ValueError(
@@ -183,9 +190,13 @@ def perturb_latents(latents, params: PrivacyParams, uniforms) -> np.ndarray:
         )
     if u.shape != z.shape[:-1] + (params.n_noisy,):  # one row per latent, never broadcast
         raise ValueError(f"uniforms of shape {u.shape}, need {z.shape[:-1] + (params.n_noisy,)}")
-    if params.clip_radius is not None:
-        z = clip_latent(z, params.clip_radius)
-    z[..., params.mask] += laplace_from_uniform(u, params.scale)
+    # a copy of the latents, which clip_latent makes itself
+    z = clip_latent(z, params.clip_radius) if params.clip_radius is not None else z.copy()
+    noise = laplace_from_uniform(u, params.scale)
+    if params.n_noisy == params.mask.size:
+        z += noise
+    else:
+        z[..., params.mask] += noise
     return z
 
 

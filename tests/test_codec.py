@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from dpimage.codec import (
     PassWorkspace,
     _activate_in_place,
     _decode_encode_pass,
+    _run_pass,
     _sigmoid_in_place,
     align_identity_basis,
     decode,
@@ -96,30 +98,39 @@ class TestBatchForward:
     # the second model's widths sit on both sides of WIDE_OUT
     @pytest.mark.parametrize("dims", [(1024, 256, 64, 32), (1024, WIDE_OUT, 100)])
     def test_bits_equal_block_reference(self, dims):
+        # every stack height through 130, wide products running at every
+        # multiple of WIDE_ROWS from BLOCK_ROWS; the reference's rows do not
+        # depend on the stack's height, so one serves every prefix
         model = init_model(dims, 12, seed=6, weight_init_scale=2.0)
         rng = np.random.default_rng(6)
         x = rng.uniform(0.0, 1.0, size=(300, dims[0]))
         z = rng.normal(0.0, 3.0, size=(300, dims[-1]))
         n_enc = model.n_encoder_layers
-        for height in (1, 16, 17, 64, 65, 129, 300):
+        ref_enc = block_forward(model, x, 0, n_enc).view(np.uint64)
+        ref_dec = block_forward(model, z, n_enc, 2 * n_enc).view(np.uint64)
+        for height in [*range(1, 131), 300]:
             enc = encode_batch(model, x[:height])
             dec = decode_batch(model, z[:height]).reshape(height, -1)
-            ref_enc = block_forward(model, x[:height], 0, n_enc)
-            ref_dec = block_forward(model, z[:height], n_enc, 2 * n_enc)
-            assert np.array_equal(enc.view(np.uint64), ref_enc.view(np.uint64))
-            assert np.array_equal(dec.view(np.uint64), ref_dec.view(np.uint64))
+            assert np.array_equal(enc.view(np.uint64), ref_enc[:height]), height
+            assert np.array_equal(dec.view(np.uint64), ref_dec[:height]), height
 
     @pytest.mark.parametrize("dims", [(1024, 256, 64, 32), (1024, WIDE_OUT, 100)])
     def test_reused_workspace_bits_equal_block_reference(self, dims):
         # one decoder-then-encoder workspace through passes of every shape, as
         # a sweep worker holds it: the encoder reads the decoder's output in
-        # place, and a row's bits must not see the previous pass's
+        # place, and a row's bits must not see the previous pass's. Each pass
+        # starts from buffers of inf, so a pass that reads anything it did not
+        # write shows in the bits or raises a RuntimeWarning.
         model = init_model(dims, 12, seed=7, weight_init_scale=2.0)
         z = np.random.default_rng(7).normal(0.0, 3.0, size=(PASS_ROWS, dims[-1]))
         n_enc = model.n_encoder_layers
         ws = PassWorkspace(model, decoder=True, encoder=True)
-        for height in (64, 1, 17, 16, 64, 1):
-            images, latents = _decode_encode_pass(model, z[:height], ws)
+        for height in (64, 20, 36, 1, 52, 64, 17, 16):
+            for buf in [ws.input, *ws.acts, ws.scratch]:
+                buf.fill(np.inf)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                images, latents = _decode_encode_pass(model, z[:height], ws)
             ref_images = decode_batch(model, z[:height])
             ref_latents = encode_batch(model, ref_images)
             assert np.array_equal(images.view(np.uint64), ref_images.view(np.uint64))
@@ -130,6 +141,27 @@ class TestBatchForward:
             block_latents = block_forward(model, flat, 0, n_enc)
             assert np.array_equal(latents.view(np.uint64), block_latents.view(np.uint64))
         assert len(ws.input) == PASS_ROWS
+
+    @pytest.mark.parametrize("dims", [(1024, 256, 64, 32), (1024, WIDE_OUT, 100)])
+    @pytest.mark.parametrize("decoder", [False, True])
+    def test_pass_reads_no_row_it_did_not_write(self, dims, decoder):
+        # an encoder or decoder workspace, as encode_batch and decode_batch
+        # build, filled with inf before each pass: a narrow layer reading
+        # padding rows that the wide layer before it skipped and did not
+        # zero would raise a RuntimeWarning from matmul (inf times weights)
+        model = init_model(dims, 12, seed=8, weight_init_scale=2.0)
+        rng = np.random.default_rng(8)
+        x = rng.normal(0.0, 3.0, size=(PASS_ROWS, dims[-1] if decoder else dims[0]))
+        forward = decode_batch if decoder else encode_batch
+        ws = PassWorkspace(model, decoder=decoder, encoder=not decoder)
+        for height in (64, 20, 36, 1, 52, 64):
+            for buf in [ws.input, *ws.acts, *[ws.scratch] * decoder]:
+                buf.fill(np.inf)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                out = _run_pass(model, ws, x[:height])[:height]
+            ref = forward(model, x[:height]).reshape(height, -1)
+            assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
 
     def test_shuffled_batch_mates(self):
         enc = encode_batch(self.model, self.images)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from dpimage.data import (
     IDENTITY_PARAM_RANGES,
+    PGM_BLOCK,
     _from_uniform,
     _pgm_tokens,
     FaceParams,
@@ -229,6 +230,36 @@ class TestPgm:
             assert np.array_equal(img, read_pgm(path))
         assert np.array_equal(back, np.rint(stack * 255.0) / 255.0)
         assert read_pgms([]).shape == (0, 0, 0)
+
+    def test_blocks_write_the_bytes_of_one_image_calls(self, tmp_path):
+        # 100 images span two blocks, the second partial; a list stack is
+        # written as an array stack is
+        stack = np.random.default_rng(6).uniform(0.0, 1.0, size=(100, 6, 5))
+        stack[0, 0, 0], stack[99, 5, 4] = 0.0, 1.0
+        paths = [tmp_path / f"{k}.pgm" for k in range(100)]
+        assert PGM_BLOCK < len(stack) < 2 * PGM_BLOCK
+        write_pgms(stack, paths)
+        blobs = [p.read_bytes() for p in paths]
+        write_pgms(list(stack), paths)
+        assert [p.read_bytes() for p in paths] == blobs
+        for path, img, blob in zip(paths, stack, blobs):
+            write_pgms([img], [path])
+            assert path.read_bytes() == blob
+
+    @pytest.mark.parametrize("at", [0, 5])
+    @pytest.mark.parametrize("bad", ["nan", "range", "shape"])
+    def test_bad_image_in_second_block_writes_no_file(self, tmp_path, bad, at):
+        images = list(np.random.default_rng(7).uniform(0.0, 1.0, size=(100, 6, 5)))
+        k = PGM_BLOCK + at
+        if bad == "shape":
+            images[k] = images[k][:, :4]
+        else:
+            images[k][2, 3] = np.nan if bad == "nan" else -0.5
+        images[k + 10][0, 0] = 2.0  # a later bad image is not the one named
+        paths = [tmp_path / f"{i}.pgm" for i in range(100)]
+        with pytest.raises(DataError, match=rf"{k}\.pgm: "):
+            write_pgms(images, paths)
+        assert not any(p.exists() for p in paths)
 
     def test_stack_errors_name_the_file(self, tmp_path):
         paths = [tmp_path / f"{k}.pgm" for k in range(3)]

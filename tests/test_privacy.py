@@ -1,6 +1,7 @@
 import json
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -324,6 +325,33 @@ class TestPerturb:
         params = PrivacyParams(epsilon=1.0, sensitivity=1.0, mask=full_mask(4))
         with pytest.raises(ValueError, match="uniforms of shape"):
             perturb_latent(np.zeros((2, 4)), params, make_stream(0))
+
+    @pytest.mark.parametrize(
+        "mask, clip_radius",
+        [(full_mask(32), None), (identity_mask(32, 12), None), (full_mask(32), 40.0)],
+        ids=["full", "identity", "full_clipped"],
+    )
+    def test_peak_memory_within_four_inputs_and_bits_of_reference(self, mask, clip_radius):
+        # the textbook form: the sampler's formula over the masked columns
+        # of a copy; the call keeps at most four copies of its input live
+        params = PrivacyParams(epsilon=0.5, sensitivity=3.0, mask=mask, clip_radius=clip_radius)
+        z = np.random.default_rng(9).normal(0.0, 3.0, size=(4000, 32))
+        z[:5] = -0.0  # unmasked -0.0 passes through; masked -0.0 gains the noise
+        u = rng_uniform_rows(derive_states(3, 2, np.arange(4000)), params.n_noisy)
+        before = z.copy()
+        tracemalloc.start()
+        try:
+            out = perturb_latents(z, params, u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * z.nbytes
+        assert np.array_equal(z.view(np.uint64), before.view(np.uint64))
+        ref = clip_latent(z, clip_radius) if clip_radius else z.copy()
+        magnitude = np.log1p(-2.0 * np.minimum(np.abs(u), privacy._U_MAX))
+        ref[:, mask] += -params.scale * np.sign(u) * magnitude
+        assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
+        assert np.signbit(out[:5, ~mask]).all()
 
     def test_uniforms_fed_directly(self):
         # u = 0.25 inverts to scale * ln 2 and u = -0.25 to its negative, on masked coordinates only
