@@ -2,8 +2,8 @@
 
 A fully-connected autoencoder (tanh hidden layers, identity latent layer,
 sigmoid output layer) trained with minibatch gradient descent plus momentum.
-Training is single-threaded and a pure function of (corpus, config), so
-reruns produce bit-identical models. Training keeps every parameter in one
+Training, on one thread or two (see train), is a pure function of
+(corpus, config), bit for bit. Training keeps every parameter in one
 flat buffer (the model's weights and biases are views of it) beside one
 velocity and one gradient buffer of the same layout, and updates them a
 chunk at a time. Each step writes its activations, deltas and gradients
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import os
 import struct
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -255,15 +256,50 @@ def decode(model: AutoencoderModel, latent: np.ndarray) -> np.ndarray:
     return decode_batch(model, [latent])[0]
 
 
+def _available_cpus() -> int:
+    """The CPUs this process may run on; os.cpu_count() where sched_getaffinity is absent."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+class _Helper(threading.Thread):
+    """train's helper thread: runs each task handed to submit, in order, or
+    inline at submit if not started; wait raises a task's error."""
+
+    def __init__(self):
+        super().__init__(daemon=True)
+        self.error, self.posted, self.idle = None, threading.Lock(), threading.Lock()
+        self.posted.acquire()  # released once per task posted; idle is held while one runs
+
+    def run(self) -> None:
+        while self.posted.acquire() and self.task[0]:
+            try:
+                self.task[0](*self.task[1:])
+            except BaseException as exc:  # raised on the calling thread by wait
+                self.error = exc
+            self.idle.release()
+
+    def submit(self, fn, *args) -> None:
+        if not self.is_alive():
+            return fn(*args)
+        self.idle.acquire()  # the task before has finished
+        self.task = (fn, *args)
+        self.posted.release()
+
+    def wait(self) -> None:
+        with self.idle:
+            if self.error:
+                raise self.error
+
+
 class _Workspace:
     """The buffers of one training step at one batch height.
 
     Per layer: its activations and the loss gradient at its pre-activation
     (delta); one output-sized scratch. The gradients are fresh arrays unless
-    views of train's flat gradient buffer are passed.
+    views of train's flat gradient buffer are passed, as is train's _Helper.
     """
 
-    def __init__(self, model: AutoencoderModel, height: int, grads=None):
+    def __init__(self, model: AutoencoderModel, height: int, grads=None, helper=None):
         widths = model.full_dims[1:]
         self.acts = [np.empty((height, w)) for w in widths]
         self.deltas = [np.empty((height, w)) for w in widths]
@@ -274,6 +310,14 @@ class _Workspace:
                 [np.empty_like(b) for b in model.biases],
             )
         self.weight_grads, self.bias_grads = grads
+        self.helper = helper or _Helper()
+
+
+def _layer_gradients(ws: _Workspace, layer: int, a: np.ndarray) -> None:
+    """The loss gradients of a layer's weights and biases, from its delta and its input a."""
+    delta = ws.deltas[layer]
+    np.matmul(delta.T, a, out=ws.weight_grads[layer])
+    np.sum(delta, axis=0, out=ws.bias_grads[layer])
 
 
 def loss_and_gradients(model: AutoencoderModel, batch, *, workspace: _Workspace | None = None):
@@ -289,8 +333,11 @@ def loss_and_gradients(model: AutoencoderModel, batch, *, workspace: _Workspace 
         raise ValueError("batch must be nonempty")
     x = _stack_rows(batch, model.input_dim, "image")
     ws = _Workspace(model, len(x)) if workspace is None else workspace
+    top = len(ws.acts) - 1
     a = x
     for layer, out in enumerate(ws.acts):
+        if layer == top:
+            ws.helper.wait()  # train's update of the top layer, run beside the layers below
         np.matmul(a, model.weights[layer].T, out=out)
         out += model.biases[layer]
         a = _activate_in_place(model, layer, out, ws.scratch)
@@ -305,13 +352,16 @@ def loss_and_gradients(model: AutoencoderModel, batch, *, workspace: _Workspace 
     diff *= 2.0 / diff.size
     diff *= gate
     latent = model.n_encoder_layers - 1
-    for layer in range(len(ws.acts) - 1, -1, -1):
+    for layer in range(top, -1, -1):
         delta = ws.deltas[layer]
         a = ws.acts[layer - 1] if layer > 0 else x
-        np.matmul(delta.T, a, out=ws.weight_grads[layer])
-        np.sum(delta, axis=0, out=ws.bias_grads[layer])
+        if layer == top:  # on the helper, beside the delta product below
+            ws.helper.submit(_layer_gradients, ws, layer, a)
+        else:
+            _layer_gradients(ws, layer, a)
         if layer > 0:
             below = np.matmul(delta, model.weights[layer], out=ws.deltas[layer - 1])
+            ws.helper.wait()  # the top layer's gradients read a
             if layer - 1 != latent:  # the identity latent layer's derivative is 1
                 # tanh' = 1 - a * a, in a's buffer: nothing below reads a again
                 np.multiply(a, a, out=a)
@@ -355,7 +405,10 @@ def train(
     Minibatch gradient descent with momentum; batch order is reshuffled
     each epoch from the seeded stream. The latent size, identity block,
     optimizer settings and seed come from the config. Returns the model and
-    the per-epoch loss trace.
+    the per-epoch loss trace. Given a second CPU, a helper thread takes the
+    top layer's gradients, half of the update below the top layer and the
+    top layer's update, each beside work that does not read what it writes
+    and as the same whole calls, so the model's bytes do not move.
     """
     if len(corpus) == 0:
         raise ValueError("corpus must be nonempty")
@@ -379,36 +432,52 @@ def train(
     grads = np.empty_like(params)
     grad_views = _param_views(grads, model.full_dims)
     batch = config.batch_size
-    workspaces = {h: _Workspace(model, h, grad_views) for h in {min(batch, n), n % batch or batch}}
-    chunks = [
-        tuple(buf[lo : lo + UPDATE_CHUNK] for buf in (velocity, grads, params))
-        for lo in range(0, params.size, UPDATE_CHUNK)
-    ]
+    n_below = params.size - model.weights[-1].size - model.biases[-1].size  # below the top layer
+    front, back, last = (
+        [tuple(b[i : min(i + UPDATE_CHUNK, hi)] for b in (velocity, grads, params))
+         for i in range(lo, hi, UPDATE_CHUNK)]
+        for lo, hi in ((0, n_below // 2), (n_below // 2, n_below), (n_below, params.size))
+    )
 
     shuffle_state = make_stream(config.seed, stream_id=1)
     trace = []
-    for epoch in range(config.epochs):
-        # epoch e's order sorts draws e*n+1 ... (e+1)*n of stream 1
-        order = np.argsort(rng_uniform_rows(shuffle_state, n, epoch * n)[0], kind="stable")
-        epoch_loss = 0.0
-        for start in range(0, n, batch):
-            idx = order[start : start + batch]
-            loss, _, _ = loss_and_gradients(model, x_all[idx], workspace=workspaces[len(idx)])
-            if not np.isfinite(loss):
-                raise TrainingError(
-                    f"non-finite loss {loss} at epoch {epoch}, batch offset {start}; "
-                    "reduce learning_rate"
-                )
-            epoch_loss += loss * len(idx)
-            # v = mu * v - lr * g; p = p + v, in place: each value rounds the
-            # same; a chunk of all three buffers stays in cache for the four ops
-            for v, g, p in chunks:
-                v *= config.momentum
-                g *= config.learning_rate
-                v -= g
-                p += v
-        trace.append(epoch_loss / n)
+    helper = _Helper()
+    workspaces = {h: _Workspace(model, h, grad_views, helper) for h in {min(batch, n), n % batch or batch}}
+    if _available_cpus() > 1:
+        helper.start()
+    try:
+        for epoch in range(config.epochs):
+            # epoch e's order sorts draws e*n+1 ... (e+1)*n of stream 1
+            order = np.argsort(rng_uniform_rows(shuffle_state, n, epoch * n)[0], kind="stable")
+            epoch_loss = 0.0
+            for start in range(0, n, batch):
+                idx = order[start : start + batch]
+                loss, _, _ = loss_and_gradients(model, x_all[idx], workspace=workspaces[len(idx)])
+                if not np.isfinite(loss):
+                    where = f"at epoch {epoch}, batch offset {start}"
+                    raise TrainingError(f"non-finite loss {loss} {where}; reduce learning_rate")
+                epoch_loss += loss * len(idx)
+                helper.submit(_momentum_step, back, config)
+                _momentum_step(front, config)
+                helper.wait()
+                helper.submit(_momentum_step, last, config)
+            trace.append(epoch_loss / n)
+        helper.wait()
+    finally:
+        if helper.is_alive():
+            helper.submit(None)  # ends its loop once the task before has finished
+            helper.join()
     return model, trace
+
+
+def _momentum_step(chunks, config: RunConfig) -> None:
+    # v = mu * v - lr * g; p = p + v, in place: each value rounds the same; a
+    # chunk of all three buffers stays in cache for the four ops
+    for v, g, p in chunks:
+        v *= config.momentum
+        g *= config.learning_rate
+        v -= g
+        p += v
 
 
 def _param_count(full_dims) -> int:

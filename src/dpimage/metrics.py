@@ -17,7 +17,6 @@ thread only.
 from __future__ import annotations
 
 import math
-import os
 import threading
 from dataclasses import dataclass
 
@@ -27,6 +26,7 @@ from .codec import (
     PASS_ROWS,
     AutoencoderModel,
     PassWorkspace,
+    _available_cpus,
     _decode_encode_pass,
     encode,
     encode_batch,
@@ -325,9 +325,7 @@ class Originals:
         z = np.asarray(latents, dtype=np.float64).reshape(-1, model.latent_dim)
         n, k = len(self.x), model.identity_len
         passes = range(0, len(z), PASS_ROWS)
-        affinity = getattr(os, "sched_getaffinity", None)  # absent on macOS and Windows
-        cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
-        workers = max(1, min(SWEEP_THREADS, cpus, len(passes)))
+        workers = max(1, min(SWEEP_THREADS, _available_cpus(), len(passes)))
         workspaces = [PassWorkspace(model, True, True, len(z)) for _ in range(workers)]
         scoring, ssim_buffers = threading.Lock(), self.ssim.buffers(min(SWEEP_SSIM_BLOCK, len(z)))
         iss, l2, ssim = np.empty((3, len(z)))

@@ -1,3 +1,6 @@
+import os
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -424,10 +427,69 @@ class TestTrain:
         assert models_equal(a, b)
         assert ta == tb
 
-    def test_non_finite_loss_aborts(self):
+    @pytest.mark.parametrize("images, batch", [(40, 32), (5, 1)])  # a partial last batch; batch size 1
+    def test_bits_equal_at_one_and_two_cpus(self, monkeypatch, images, batch):
+        # the default dims; at 2 CPUs a helper thread takes the top layer's
+        # gradients and part of the momentum update, each as the same call
+        corpus = np.random.default_rng(images).uniform(0.0, 1.0, size=(images, 32, 32))
+        cfg = RunConfig(epochs=3, batch_size=batch, seed=4)
+        gradients, threads = codec._layer_gradients, []
+
+        def recorded(*args):
+            threads.append(threading.current_thread())
+            return gradients(*args)
+
+        monkeypatch.setattr(codec, "_layer_gradients", recorded)
+        runs, interval = [], sys.getswitchinterval()
+        try:
+            for switch in (interval, 1e-6):  # 1e-6: threads trade the interpreter often
+                sys.setswitchinterval(switch)
+                for cpus in (1, 2):
+                    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+                    threads.clear()
+                    model, trace = train(corpus, cfg)
+                    runs.append((model.weights[0].base.view(np.uint64), trace))
+                    helpers = set(threads) - {threading.current_thread()}
+                    assert len(helpers) == cpus - 1  # one helper at 2 CPUs, none at 1
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(np.array_equal(bits, runs[0][0]) and trace == runs[0][1] for bits, trace in runs)
+
+    @pytest.mark.parametrize("task", ["_layer_gradients", "_momentum_step"])
+    def test_helper_error_raised_once_after_the_helper_joins(self, monkeypatch, task):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        error, original, failed = RuntimeError(f"{task} failed"), getattr(codec, task), []
+
+        def failing(*args):
+            if threading.current_thread() is not caller:
+                failed.append(error)
+                raise error
+            return original(*args)
+
+        monkeypatch.setattr(codec, task, failing)
+        before, raised = threading.active_count(), []
+
+        def call():
+            try:
+                train(small_corpus(10), RunConfig(epochs=2, batch_size=4, latent_dim=8, identity_len=4), hidden_dims=(16,))
+            except RuntimeError as exc:
+                raised.append((exc, threading.active_count()))
+
+        # a daemon: a helper never joined fails the join instead of hanging the suite
+        caller = threading.Thread(target=call, daemon=True)
+        caller.start()
+        caller.join(timeout=30)
+        assert not caller.is_alive()
+        # raised once, on the calling thread, with only it and this one left
+        assert raised == [(error, before + 1)] and failed == [error]
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_non_finite_loss_aborts(self, monkeypatch, cpus):
         # bounded sigmoid output keeps honest losses finite, so feed a
         # poisoned image to exercise the abort path; the error names the
         # epoch and the offset of the poisoned image's batch
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         corpus = small_corpus(10)
         corpus[7] = np.full((8, 8), np.nan)
         cfg = RunConfig(
@@ -439,8 +501,10 @@ class TestTrain:
         offset = position - position % cfg.batch_size
         assert offset > 0
         message = f"non-finite loss nan at epoch 0, batch offset {offset};"
+        before = threading.active_count()
         with pytest.raises(TrainingError, match=message):
             train(corpus, cfg, hidden_dims=(16,))
+        assert threading.active_count() == before
 
     def test_parameters_share_one_buffer(self):
         model = init_model((64, 16, 8), 4, seed=9)
