@@ -14,11 +14,12 @@ of WIDE_ROWS and at least BLOCK_ROWS, a narrow one as BLOCK_ROWS-row
 products, so a row's bits do not depend on the stack it came in (see
 BLOCK_ROWS). A pass writes every layer's product, bias and activation into
 a PassWorkspace: each call builds its own, so encode and decode are safe to
-share across threads. Each of the sweep's scoring threads owns one
+share across threads. _Helper is the program's one worker thread, for
+train and the sweep. The sweep's calling thread and its helper each own one
 decoder-then-encoder workspace for _decode_encode_pass, which reuses it pass
 after pass, the encoder reading the images where the decoder left them.
-Worker threads call private helpers only: public functions run on the
-calling thread, since a tracer that wraps them keeps one span stack.
+The helper calls private helpers only: public functions run on the calling
+thread, since a tracer that wraps them keeps one span stack.
 """
 
 from __future__ import annotations
@@ -256,14 +257,11 @@ def decode(model: AutoencoderModel, latent: np.ndarray) -> np.ndarray:
     return decode_batch(model, [latent])[0]
 
 
-def _available_cpus() -> int:
-    """The CPUs this process may run on; os.cpu_count() where sched_getaffinity is absent."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
 class _Helper(threading.Thread):
-    """train's helper thread: runs each task handed to submit, in order, or
-    inline at submit if not started; wait raises a task's error."""
+    """The program's one worker thread: runs each task handed to submit, in
+    order, or inline at submit if not started; wait raises a task's error. As
+    a context manager it starts given a second CPU (of sched_getaffinity, or
+    os.cpu_count() where that is absent) and joins once its last task ends."""
 
     def __init__(self):
         super().__init__(daemon=True)
@@ -277,6 +275,17 @@ class _Helper(threading.Thread):
             except BaseException as exc:  # raised on the calling thread by wait
                 self.error = exc
             self.idle.release()
+
+    def __enter__(self) -> _Helper:
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        if cpus > 1:
+            self.start()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self.is_alive():
+            self.submit(None)  # ends its loop once the task before has finished
+            self.join()
 
     def submit(self, fn, *args) -> None:
         if not self.is_alive():
@@ -441,11 +450,8 @@ def train(
 
     shuffle_state = make_stream(config.seed, stream_id=1)
     trace = []
-    helper = _Helper()
-    workspaces = {h: _Workspace(model, h, grad_views, helper) for h in {min(batch, n), n % batch or batch}}
-    if _available_cpus() > 1:
-        helper.start()
-    try:
+    with _Helper() as helper:
+        workspaces = {h: _Workspace(model, h, grad_views, helper) for h in {min(batch, n), n % batch or batch}}
         for epoch in range(config.epochs):
             # epoch e's order sorts draws e*n+1 ... (e+1)*n of stream 1
             order = np.argsort(rng_uniform_rows(shuffle_state, n, epoch * n)[0], kind="stable")
@@ -463,10 +469,6 @@ def train(
                 helper.submit(_momentum_step, last, config)
             trace.append(epoch_loss / n)
         helper.wait()
-    finally:
-        if helper.is_alive():
-            helper.submit(None)  # ends its loop once the task before has finished
-            helper.join()
     return model, trace
 
 

@@ -8,10 +8,10 @@ between Gaussian fits of embedding sets (FED). Originals prepares a stack of
 original images once (its latents and its SSIM statistics) and scores any
 number of released stacks against it, row by row; its report aggregates in
 the order of the rows it is given. For the sweep it also scores a stream of
-noisy latents a pass of PASS_ROWS rows at a time on up to SWEEP_THREADS
-threads, each decoding through one pass of buffers and scoring one at a
-time; no byte depends on their number. Public functions run on the calling
-thread only.
+noisy latents a pass of PASS_ROWS rows at a time on the calling thread and,
+given a second CPU, codec's helper thread, each decoding through one pass of
+buffers and scoring one at a time; no byte depends on their number. Public
+functions run on the calling thread only.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from .codec import (
     PASS_ROWS,
     AutoencoderModel,
     PassWorkspace,
-    _available_cpus,
     _decode_encode_pass,
+    _Helper,
     encode,
     encode_batch,
 )
@@ -39,8 +39,6 @@ SSIM_C2 = (0.03 * 1.0) ** 2
 # images per SSIM filtering step; bounds the scorer's temporaries
 SSIM_BLOCK = 16
 SWEEP_SSIM_BLOCK = 32  # images per SSIM block of the buffer set the sweep's workers share
-# most threads that score a sweep level; measured on 2 CPUs only
-SWEEP_THREADS = 2
 
 
 def _check_same_shape(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -72,17 +70,6 @@ def ald_inf(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.max(np.abs((y - x).reshape(len(x), -1)), axis=1) / denom
 
 
-def _gaussian_band(n: int, window: int, sigma: float) -> np.ndarray:
-    """(n - window + 1) x n matrix; row i holds the normalized 1-D Gaussian
-    taps in columns i .. i + window - 1."""
-    half = (window - 1) / 2.0
-    g = np.exp(-((np.arange(window) - half) ** 2) / (2.0 * sigma * sigma))
-    start = np.arange(n - window + 1)[:, None]
-    band = np.zeros((n - window + 1, n))
-    band[start, start + np.arange(window)] = g / g.sum()
-    return band
-
-
 def _blur_band(n: int, sigma: float, radius: int) -> np.ndarray:
     """n x n matrix of normalized 1-D Gaussian taps, clamped to the edges:
     row i holds tap k at column clamp(i + k - radius), so a tap past an edge
@@ -109,11 +96,13 @@ def ssim_reference(x: np.ndarray, window: int = SSIM_WINDOW, sigma: float = SSIM
     per set; without one a call allocates a set of SSIM_BLOCK images.
     """
     x = np.asarray(x, dtype=np.float64)
+    if window % 2 == 0:
+        raise ValueError(f"SSIM window {window} is even; it must have a center pixel")
     if x.ndim < 2 or x.shape[-2] < window or x.shape[-1] < window:
         raise ValueError(f"image {x.shape} smaller than the {window}x{window} window")
     h, w = x.shape[-2:]
-    rows = _gaussian_band(h, window, sigma)
-    cols = _gaussian_band(w, window, sigma)
+    # the blur's band less its clamped edge rows: row i's taps fill columns i .. i + window - 1
+    rows, cols = (_blur_band(n, sigma, window // 2)[window // 2 : n - window // 2] for n in (h, w))
     x_all = x.reshape(-1, h, w)
 
     def filtered(a, stat, half):
@@ -310,34 +299,32 @@ class Originals:
 
         Row r is decoded and scored against original r mod n; its scores
         equal those of its own decode_batch, iss, l2_distances and ssim,
-        whatever the number of workers. Passes are dealt round-robin to
-        min(SWEEP_THREADS, available CPUs, passes) workers: the calling
-        thread and a threading.Thread for each other. Each worker decodes
-        and encodes through a decoder-then-encoder workspace of its own; its
-        scoring, small numpy calls that hold the GIL, runs under one lock
-        through one SSIM buffer set that the workers share. Buffers are
-        built before any thread starts. Workers write disjoint slices through
-        private helpers and the SSIM scorer only, since a tracer that wraps
-        public functions keeps one span stack. Once all have joined, the
-        calling thread raises the first worker error, if any.
+        whatever the number of workers. Given a second CPU and more than one
+        pass, codec's _Helper takes the odd passes as one task while the
+        calling thread takes the even ones. Each worker decodes and encodes
+        through a decoder-then-encoder workspace of its own; its scoring,
+        small numpy calls that hold the GIL, runs under one lock through one
+        SSIM buffer set that the workers share. Workers write disjoint slices
+        through private helpers and the SSIM scorer only, since a tracer that
+        wraps public functions keeps one span stack. A helper error stops the
+        calling thread at its next pass and is raised by the helper's wait; a
+        calling thread error is raised after the helper finishes and joins.
         """
         model = self.model
         z = np.asarray(latents, dtype=np.float64).reshape(-1, model.latent_dim)
         n, k = len(self.x), model.identity_len
         passes = range(0, len(z), PASS_ROWS)
-        workers = max(1, min(SWEEP_THREADS, _available_cpus(), len(passes)))
-        workspaces = [PassWorkspace(model, True, True, len(z)) for _ in range(workers)]
         scoring, ssim_buffers = threading.Lock(), self.ssim.buffers(min(SWEEP_SSIM_BLOCK, len(z)))
         iss, l2, ssim = np.empty((3, len(z)))
-        errors = []
+        with _Helper() as helper:
+            workers = 2 if helper.is_alive() and len(passes) > 1 else 1
+            workspaces = [PassWorkspace(model, True, True, len(z)) for _ in range(workers)]
 
-        def work(worker: int) -> None:
-            ws = workspaces[worker]
-            try:
+            def work(worker: int) -> None:
                 for start in passes[worker::workers]:
-                    if errors:
+                    if helper.error:
                         return
-                    y, latent = _decode_encode_pass(model, z[start : start + PASS_ROWS], ws)
+                    y, latent = _decode_encode_pass(model, z[start : start + PASS_ROWS], workspaces[worker])
                     # the pass in pieces that meet consecutive originals: cut where rows wrap
                     cuts = [start, *range(start - start % n + n, start + len(y), n), start + len(y)]
                     with scoring:
@@ -348,17 +335,11 @@ class Originals:
                             ssim[rows] = self.ssim(y[part], lo % n, ssim_buffers)
                             # the scored images' difference overwrites them
                             l2[rows] = _row_norms(np.subtract(y[part], self.x[orig], out=y[part]))
-            except BaseException as exc:  # raised on the calling thread once all have joined
-                errors.append(exc)
 
-        threads = [threading.Thread(target=work, args=(worker,)) for worker in range(1, workers)]
-        for thread in threads:
-            thread.start()
-        work(0)
-        for thread in threads:
-            thread.join()
-        if errors:
-            raise errors[0]
+            if workers > 1:
+                helper.submit(work, 1)
+            work(0)
+            helper.wait()
         return iss, l2, ssim
 
     def iss(self, y) -> np.ndarray:

@@ -1,6 +1,7 @@
 import os
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 
@@ -482,6 +483,36 @@ class TestTrain:
         assert not caller.is_alive()
         # raised once, on the calling thread, with only it and this one left
         assert raised == [(error, before + 1)] and failed == [error]
+        assert threading.active_count() == before
+
+    def test_helper_joins_when_its_block_raises_during_a_task(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        running, helpers, finished, raised = threading.Event(), [], [], []
+
+        def task():
+            running.set()
+            time.sleep(0.2)
+            finished.append(threading.current_thread())
+
+        def call():
+            try:
+                with codec._Helper() as helper:
+                    helpers.append(helper)
+                    helper.submit(task)
+                    running.wait(timeout=30)
+                    raise KeyError("block failed")
+            except KeyError:
+                raised.append(threading.active_count())
+
+        before = threading.active_count()
+        # a daemon: a helper never joined fails the join instead of hanging the suite
+        caller = threading.Thread(target=call, daemon=True)
+        caller.start()
+        caller.join(timeout=30)
+        assert not caller.is_alive()
+        # the exit let the running task finish, then joined the helper: only
+        # the calling thread and this one were left when the error came out
+        assert raised == [before + 1] and finished == helpers and not helpers[0].is_alive()
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("cpus", [1, 2])

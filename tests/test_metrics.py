@@ -321,6 +321,8 @@ class TestSsimStack:
             ssim_reference(x)
         assert str(direct.value) == "image (10, 32) smaller than the 11x11 window"
         assert str(reference.value) == "image (3, 10, 32) smaller than the 11x11 window"
+        with pytest.raises(ValueError, match="SSIM window 10 is even"):
+            ssim_reference(np.zeros((3, 32, 32)), window=10)
 
     def test_scorer_rejects_other_shapes(self):
         score = ssim_reference(np.zeros((2, 16, 16)))
@@ -387,25 +389,25 @@ class TestScoreLatents:
             axis=1,
         )
         calls = watch_passes()
-        monkeypatch.setattr(metrics, "SWEEP_THREADS", 3)  # one more than the default cap
         interval = sys.getswitchinterval()
         try:
             sys.setswitchinterval(1e-6)  # threads trade the interpreter often
-            for cpus in (1, 2, 3):  # 3: more workers than this box may have cores
+            for cpus in (1, 2, 3):  # 3: more CPUs than workers
                 monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
                 calls.clear()
                 iss, l2, ssim_vals = originals.score_latents(z)
                 assert np.array_equal(bits(np.stack([iss, l2, ssim_vals])), bits(reference))
-                assert len(set(calls)) == min(cpus, -(-len(z) // PASS_ROWS))
+                assert len(set(calls)) == min(2, cpus, -(-len(z) // PASS_ROWS))
         finally:
             sys.setswitchinterval(interval)
 
     @pytest.mark.parametrize("cpus, expected", [(1, 1), (8, 2)])
-    def test_workers_capped_at_sweep_threads(self, monkeypatch, watch_passes, cpus, expected):
+    def test_workers_capped_at_two(self, monkeypatch, watch_passes, cpus, expected):
+        # the calling thread and, given a second CPU, the one helper thread
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         calls = watch_passes()
         self.originals.score_latents(np.tile(self.originals.latents, (10, 1)))  # 5 passes
-        assert len(set(calls)) == expected == min(cpus, metrics.SWEEP_THREADS)
+        assert len(set(calls)) == expected
 
     @pytest.mark.parametrize("cpu_count, expected", [(3, 2), (None, 1)])
     def test_workers_follow_cpu_count_without_affinity(self, monkeypatch, watch_passes, cpu_count, expected):
@@ -425,6 +427,37 @@ class TestScoreLatents:
             self.originals.score_latents(z)
         assert err.value is error  # raised on the second pass only, so once
         assert len(set(calls)) == 2
+        assert threading.active_count() == before
+
+    def test_calling_thread_error_raised_once_after_the_helper_joins(self, monkeypatch):
+        # the calling thread's second pass fails, while the helper has passes left
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        error, one_pass, calls = RuntimeError("calling thread's pass failed"), metrics._decode_encode_pass, []
+
+        def failing(*args):
+            calls.append(threading.current_thread())
+            if calls.count(caller) == 2 and calls[-1] is caller:
+                raise error
+            return one_pass(*args)
+
+        monkeypatch.setattr(metrics, "_decode_encode_pass", failing)
+        before, raised = threading.active_count(), []
+
+        def call():
+            try:
+                self.originals.score_latents(np.tile(self.originals.latents, (20, 1)))  # 10 passes
+            except RuntimeError as exc:
+                raised.append((exc, threading.active_count()))
+
+        # a daemon, as the helper it starts: a helper never joined fails the
+        # join instead of hanging the suite
+        caller = threading.Thread(target=call, daemon=True)
+        caller.start()
+        caller.join(timeout=30)
+        assert not caller.is_alive()
+        # raised once, on the calling thread, with only it and this one left
+        assert raised == [(error, before + 1)]
+        assert calls.count(caller) == 2 and len(set(calls)) == 2
         assert threading.active_count() == before
 
     def test_decode_encode_workspace_holds_the_decoder_and_one_block(self):
