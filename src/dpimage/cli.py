@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .codec import align_identity_basis, encode_batch, load_model, save_model, train
+from .codec import TRAIN_DTYPE, align_identity_basis, encode_batch, load_model, save_model, train
 from .config import RunConfig, build_config, parse_levels
 from .data import (
     generate_corpus,
@@ -153,7 +153,7 @@ def cmd_train(config: RunConfig, args, out_dir: Path) -> tuple[dict, list[str]]:
     save_model(model, out_dir / "model.dpim")
     write_csv(out_dir / "loss_trace.csv", ("epoch", "loss"), enumerate(trace))
     summary = f"trained {config.epochs} epochs, final loss {trace[-1]:.6f}"
-    return {"final_loss": trace[-1]}, [summary]
+    return {"final_loss": trace[-1], "train_dtype": TRAIN_DTYPE.name}, [summary]
 
 
 def cmd_sensitivity(config: RunConfig, args, out_dir: Path) -> tuple[dict, list[str]]:

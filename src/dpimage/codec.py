@@ -2,8 +2,8 @@
 
 A fully-connected autoencoder (tanh hidden layers, identity latent layer,
 sigmoid output layer) trained with minibatch gradient descent plus momentum.
-Training, on one thread or two (see train), is a pure function of
-(corpus, config), bit for bit. Training keeps every parameter in one
+Training, on one thread or two (see train), runs in TRAIN_DTYPE and is a
+pure function of (corpus, config), bit for bit. It keeps every parameter in one
 flat buffer (the model's weights and biases are views of it) beside one
 velocity and one gradient buffer of the same layout, and updates them a
 chunk at a time. Each step writes its activations, deltas and gradients
@@ -65,6 +65,10 @@ PASS_ROWS = 64
 # ridge on the within-identity scatter in the basis alignment, as a fraction
 # of its mean eigenvalue
 WITHIN_REG = 0.01
+
+# train's dtype: its batches, so a row's place in each product, are fixed by
+# (config, seed). A release's depend on its batch mates: inference is float64.
+TRAIN_DTYPE = np.dtype(np.float32)
 
 # Values per pass of train's momentum update: the chunk of the velocity,
 # gradient and parameter buffers stays in cache across the update's four ops.
@@ -222,9 +226,9 @@ def _decode_encode_pass(model: AutoencoderModel, z: np.ndarray, ws: PassWorkspac
     return y.reshape(len(z), model.side, model.side), latents
 
 
-def _stack_rows(stack, width: int, what: str) -> np.ndarray:
-    """A stack of arrays as float64 rows of `width` values each."""
-    x = np.asarray(stack, dtype=np.float64)
+def _stack_rows(stack, width: int, what: str, dtype=np.float64) -> np.ndarray:
+    """A stack of arrays as rows of `width` values of dtype each."""
+    x = np.asarray(stack, dtype=dtype)
     if x.ndim == 0 or x.size != len(x) * width:
         got = x.size // len(x) if x.ndim and len(x) else x.size
         raise ValueError(f"{what} has {got} values, model expects {width}")
@@ -304,21 +308,18 @@ class _Workspace:
     """The buffers of one training step at one batch height.
 
     Per layer: its activations and the loss gradient at its pre-activation
-    (delta); one output-sized scratch. The gradients are fresh arrays unless
-    views of train's flat gradient buffer are passed, as is train's _Helper.
+    (delta); one output-sized scratch; all in the weights' dtype. Gradients
+    are views of a fresh flat buffer unless train's is passed, as is its _Helper.
     """
 
     def __init__(self, model: AutoencoderModel, height: int, grads=None, helper=None):
-        widths = model.full_dims[1:]
-        self.acts = [np.empty((height, w)) for w in widths]
-        self.deltas = [np.empty((height, w)) for w in widths]
-        self.scratch = np.empty((height, widths[-1]))
+        widths, dtype = model.full_dims[1:], model.weights[0].dtype
+        self.acts = [np.empty((height, w), dtype) for w in widths]
+        self.deltas = [np.empty((height, w), dtype) for w in widths]
+        self.scratch = np.empty((height, widths[-1]), dtype)
         if grads is None:
-            grads = (
-                [np.empty_like(w) for w in model.weights],
-                [np.empty_like(b) for b in model.biases],
-            )
-        self.weight_grads, self.bias_grads = grads
+            grads = np.empty(_param_count(model.full_dims), dtype)
+        self.weight_grads, self.bias_grads = _param_views(grads, model.full_dims)
         self.helper = helper or _Helper()
 
 
@@ -333,14 +334,14 @@ def loss_and_gradients(model: AutoencoderModel, batch, *, workspace: _Workspace 
     """Reconstruction MSE and its gradients by backpropagation.
 
     Loss is the mean over batch entries and pixels of the squared
-    reconstruction error. Returns (loss, weight_grads, bias_grads) with
-    gradients shaped like the model parameters. Without a workspace every
-    call returns fresh arrays; with one (train's, of the batch's height)
+    reconstruction error, in the weights' dtype. Returns (loss, weight_grads,
+    bias_grads) with gradients shaped like the parameters. Without a workspace
+    every call returns fresh arrays; with one (train's, of the batch's height)
     they are the workspace's, overwritten by its next step.
     """
     if len(batch) == 0:
         raise ValueError("batch must be nonempty")
-    x = _stack_rows(batch, model.input_dim, "image")
+    x = _stack_rows(batch, model.input_dim, "image", model.weights[0].dtype)
     ws = _Workspace(model, len(x)) if workspace is None else workspace
     top = len(ws.acts) - 1
     a = x
@@ -413,33 +414,30 @@ def train(
 
     Minibatch gradient descent with momentum; batch order is reshuffled
     each epoch from the seeded stream. The latent size, identity block,
-    optimizer settings and seed come from the config. Returns the model and
-    the per-epoch loss trace. Given a second CPU, a helper thread takes the
-    top layer's gradients, half of the update below the top layer and the
-    top layer's update, each beside work that does not read what it writes
-    and as the same whole calls, so the model's bytes do not move.
+    optimizer settings and seed come from the config. Every step runs in
+    TRAIN_DTYPE, from init_model's parameters cast once. Returns the model,
+    cast to float64 once the training buffers are freed, and the per-epoch
+    loss trace. Given a second CPU, a helper thread takes the top layer's
+    gradients, half of the update below the top layer and the top layer's
+    update, each beside work that does not read what it writes and as the
+    same whole calls, so the model's bytes do not move.
     """
     if len(corpus) == 0:
         raise ValueError("corpus must be nonempty")
     d = int(np.prod(np.shape(corpus[0])))
     if np.shape(corpus[0]) != (round(d**0.5),) * 2:  # the decoder's images are square
         raise ValueError(f"image shape {np.shape(corpus[0])} is not square")
-    model = init_model(
-        (d, *hidden_dims, config.latent_dim),
-        config.identity_len,
-        config.seed,
-        config.weight_init_scale,
-    )
-    # a float64 stack (read_pgms's) is used as it is, not copied
-    x_all = _stack_rows(corpus, d, "image")
+    dims = (d, *hidden_dims, config.latent_dim)
+    model = init_model(dims, config.identity_len, config.seed, config.weight_init_scale)
+    # parameters (init_model's flat buffer, cast), velocity and gradients each
+    # in one buffer of one layout; the model's and the workspaces' arrays are views
+    params = model.weights[0].base.astype(TRAIN_DTYPE)
+    model.weights, model.biases = _param_views(params, model.full_dims)
+    x_all = _stack_rows(corpus, d, "image", TRAIN_DTYPE)
     n = x_all.shape[0]
 
-    # parameters (init_model's flat buffer), velocity and gradients each in
-    # one buffer of one layout; the model's and the workspaces' arrays are views
-    params = model.weights[0].base
     velocity = np.zeros_like(params)
     grads = np.empty_like(params)
-    grad_views = _param_views(grads, model.full_dims)
     batch = config.batch_size
     n_below = params.size - model.weights[-1].size - model.biases[-1].size  # below the top layer
     front, back, last = (
@@ -451,14 +449,14 @@ def train(
     shuffle_state = make_stream(config.seed, stream_id=1)
     trace = []
     with _Helper() as helper:
-        workspaces = {h: _Workspace(model, h, grad_views, helper) for h in {min(batch, n), n % batch or batch}}
+        workspaces = {h: _Workspace(model, h, grads, helper) for h in {min(batch, n), n % batch or batch}}
         for epoch in range(config.epochs):
             # epoch e's order sorts draws e*n+1 ... (e+1)*n of stream 1
             order = np.argsort(rng_uniform_rows(shuffle_state, n, epoch * n)[0], kind="stable")
             epoch_loss = 0.0
             for start in range(0, n, batch):
                 idx = order[start : start + batch]
-                loss, _, _ = loss_and_gradients(model, x_all[idx], workspace=workspaces[len(idx)])
+                loss = loss_and_gradients(model, x_all[idx], workspace=workspaces[len(idx)])[0]
                 if not np.isfinite(loss):
                     where = f"at epoch {epoch}, batch offset {start}"
                     raise TrainingError(f"non-finite loss {loss} {where}; reduce learning_rate")
@@ -469,6 +467,8 @@ def train(
                 helper.submit(_momentum_step, last, config)
             trace.append(epoch_loss / n)
         helper.wait()
+    del velocity, grads, front, back, last, workspaces
+    model.weights, model.biases = _param_views(params.astype(np.float64), model.full_dims)
     return model, trace
 
 

@@ -186,6 +186,8 @@ class TestTrain:
         trace = (out / "loss_trace.csv").read_text().splitlines()
         assert trace[0] == "epoch,loss"
         assert len(trace) == 4  # header + 3 epochs
+        extra = json.loads((out / "provenance_train.json").read_text())["extra"]
+        assert extra == {"final_loss": float(trace[-1].split(",")[1]), "train_dtype": "float32"}
 
     def test_epochs_zero_rejected(self, tiny_cfg):
         assert run("train", "--config", tiny_cfg, "--epochs", "0") == 1

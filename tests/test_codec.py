@@ -328,11 +328,14 @@ def reference_step(model, x):
 
 
 def reference_train(corpus, cfg, hidden_dims):
-    """train() written out of place from the textbook step, as a reference."""
-    x_all = np.stack([img.reshape(-1) for img in corpus])
+    """train() written out of place from the textbook step, as a reference:
+    init_model's weights and the corpus cast to float32, every step in it."""
+    x_all = np.stack([img.reshape(-1) for img in corpus]).astype(np.float32)
     n = len(x_all)
     dims = (x_all.shape[1], *hidden_dims, cfg.latent_dim)
     model = init_model(dims, cfg.identity_len, cfg.seed, cfg.weight_init_scale)
+    model.weights = [w.astype(np.float32) for w in model.weights]
+    model.biases = [b.astype(np.float32) for b in model.biases]
     vel_w = [np.zeros_like(w) for w in model.weights]
     vel_b = [np.zeros_like(b) for b in model.biases]
     trace = []
@@ -395,6 +398,7 @@ class TestTrain:
         )
         model, trace = train(corpus, cfg, hidden_dims=(16,))
         expected, expected_trace = reference_train(corpus, cfg, (16,))
+        assert expected.weights[0].dtype == np.float32 and model.weights[0].dtype == np.float64
         assert models_equal(model, expected)
         assert trace == expected_trace
 
@@ -544,23 +548,38 @@ class TestTrain:
         assert base is not None and all(a.base is base for a in arrays)
         assert base.size == sum(a.size for a in arrays)
 
-    def test_peak_memory_holds_corpus_once_and_parameters_three_times(self):
-        # the default dims; training holds the corpus stack, the parameters
-        # and their velocity and gradients, and the step workspaces besides
+    def test_peak_memory_holds_corpus_once_and_parameters_three_times(self, monkeypatch):
+        # the default dims. From init_model's return on, training holds the
+        # caller's stack, one float32 copy of it, the float32 parameters and
+        # their velocity and gradients, and the step workspaces besides; the
+        # float64 result takes the place of the velocity and gradients, freed
+        # before it is made. float64 buffers, or a result made beside them,
+        # break that bound. init_model draws in float64 and peaks first: the
+        # whole call stays within the stack and three float64 parameter buffers
         cfg = RunConfig(epochs=1)
         model = init_model((1024, 256, 64, cfg.latent_dim), cfg.identity_len, cfg.seed)
-        param_bytes = model.weights[0].base.nbytes
+        param_bytes = model.weights[0].base.nbytes  # in float64
         del model
-        slack = 2 * 2**20  # the two step workspaces and one batch take 1.7 MB of it
+        slack = 2**20  # the two step workspaces and one batch take 0.84 MB of it
+        peaks = []
+
+        def init_then_reset_peak(*args):
+            model = init_model(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            return model
+
+        monkeypatch.setattr(codec, "init_model", init_then_reset_peak)
         rng = np.random.default_rng(0)
         tracemalloc.start()
         try:
             corpus = rng.uniform(0.0, 1.0, size=(40, 32, 32))
             train(corpus, cfg)
-            _, peak = tracemalloc.get_traced_memory()
+            peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        assert peak <= corpus.nbytes + 3 * param_bytes + slack
+        assert peaks[1] <= corpus.nbytes * 3 // 2 + 3 * param_bytes // 2 + slack
+        assert max(peaks) <= corpus.nbytes + 3 * param_bytes + 2 * slack
 
     def test_mixed_shapes_rejected(self):
         cfg = RunConfig(epochs=1)
