@@ -558,12 +558,10 @@ def align_identity_basis(model: AutoencoderModel, corpus, identity_labels) -> Au
 def save_model(model: AutoencoderModel, path) -> None:
     """Little-endian binary: magic, version, encoder dims, identity_len, params."""
     dims = model.encoder_dims
-    blob = bytearray(MODEL_MAGIC)
-    blob += struct.pack(f"<{len(dims) + 3}I", MODEL_VERSION, len(dims), *dims, model.identity_len)
-    for w, b in zip(model.weights, model.biases):
-        blob += np.ascontiguousarray(w, "<f8").data  # row-major, copied only if it is not
-        blob += np.ascontiguousarray(b, "<f8").data
-    write_file(path, blob)
+    header = struct.pack(f"<{len(dims) + 3}I", MODEL_VERSION, len(dims), *dims, model.identity_len)
+    # row-major, each array copied only if it is not; one allocation for the file
+    arrays = [np.ascontiguousarray(a, "<f8") for p in zip(model.weights, model.biases) for a in p]
+    write_file(path, b"".join([MODEL_MAGIC, header, *arrays]))
 
 
 def load_model(path) -> AutoencoderModel:

@@ -5,7 +5,9 @@ The toy-face generator replaces any downloaded face dataset. Each identity
 is a point in a six-parameter shape space (head ellipse, eye placement,
 mouth geometry); repeated samples of one identity share those parameters
 and differ only in nuisance (center jitter, brightness, pixel noise), which
-gives ground-truth identity labels for privacy evaluation.
+gives ground-truth identity labels for privacy evaluation. A face is one
+row of a parameter matrix, its columns in FACE_PARAMS order, and
+render_faces rasterizes a whole matrix, one identity's samples, in one call.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import itertools
 import math
 import os
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -25,22 +27,22 @@ import numpy as np
 from .errors import BadMagicError, BadMaxvalError, DataError, TruncatedError, decode_utf8
 from .numerics import derive_states, gaussian_from_uniform, rng_uniform_rows
 
-# Identity parameters are fractions of the image side; nuisance in the units
-# noted. Ranges are inclusive.
-IDENTITY_PARAM_RANGES = {
+# A face's parameter row: N_SHAPE identity parameters (fractions of the
+# image side), then nuisance in the units noted. Ranges are inclusive.
+FACE_PARAMS = {
     "face_width": (0.24, 0.44),  # head semi-axis, horizontal
     "face_height": (0.28, 0.48),  # head semi-axis, vertical
     "eye_spacing": (0.14, 0.34),  # distance between eye centers
     "eye_height": (0.06, 0.24),  # eyes sit this far above center
     "mouth_width": (0.12, 0.42),  # full mouth width
     "mouth_curve": (-0.06, 0.10),  # vertical bend, + smiles
-}
-NUISANCE_PARAM_RANGES = {
     "jitter_x": (-2.0, 2.0),  # pixels
     "jitter_y": (-2.0, 2.0),  # pixels
     "brightness": (-0.05, 0.05),
     "noise_std": (0.0, 0.02),
 }
+N_SHAPE = 6
+_LO, _HI = np.array(list(FACE_PARAMS.values())).T
 
 _BACKGROUND = 0.92
 _FACE = 0.55
@@ -57,73 +59,57 @@ MANIFEST_COLUMNS = ("path", "identity_id", "split")
 PGM_BLOCK = 64  # images write_pgms checks and quantizes at a time
 
 
-@dataclass(frozen=True)
-class FaceParams:
-    """Identity shape parameters plus per-image nuisance."""
+def render_faces(params, side: int, uniforms) -> np.ndarray:
+    """Rasterize a stack of faces, one per row of params, 2x2 supersampled,
+    pixels in [0, 1]; shape (faces, side, side).
 
-    face_width: float
-    face_height: float
-    eye_spacing: float
-    eye_height: float
-    mouth_width: float
-    mouth_curve: float
-    jitter_x: float = 0.0
-    jitter_y: float = 0.0
-    brightness: float = 0.0
-    noise_std: float = 0.0
-
-
-def _check_ranges(params: FaceParams) -> None:
-    for name, (lo, hi) in {**IDENTITY_PARAM_RANGES, **NUISANCE_PARAM_RANGES}.items():
-        value = getattr(params, name)
-        if not lo <= value <= hi:
-            raise DataError(f"face parameter {name}={value} outside [{lo}, {hi}]")
-
-
-def render_face(params: FaceParams, side: int, uniforms) -> np.ndarray:
-    """Rasterize one face, 2x2 supersampled, pixels in [0, 1].
-
-    Pixel noise of std params.noise_std is Box-Muller over the caller's
-    2 * side**2 uniforms, which a noise-free face does not read.
+    Each row holds the FACE_PARAMS columns in order. Row k's pixel noise of
+    std noise_std is Box-Muller over the 2 * side**2 uniforms of row k of
+    uniforms, whose values a noise-free face ignores.
     """
     if side < 16:
         raise DataError(f"side must be >= 16, got {side}")
-    _check_ranges(params)
+    params = np.asarray(params, dtype=np.float64)
+    bad = ~((_LO <= params) & (params <= _HI))  # NaN fails both
+    if bad.any():
+        k, j = np.argwhere(bad)[0]
+        name = list(FACE_PARAMS)[j]
+        raise DataError(f"face {k}: parameter {name}={params[k, j]} outside [{_LO[j]}, {_HI[j]}]")
+    # one (faces, 1, 1) column per parameter, broadcast over the subpixels
+    p = SimpleNamespace(**dict(zip(FACE_PARAMS, params.T[:, :, np.newaxis, np.newaxis])))
 
     # Subpixel centers; all feature tests use coordinates relative to the
     # face center so a symmetric parameter set renders exactly symmetric.
     coords = np.arange(2 * side) * 0.5 + 0.25
-    cx = side / 2.0 + params.jitter_x
-    cy = side / 2.0 + params.jitter_y
-    u = coords[np.newaxis, :] - cx
-    w = coords[:, np.newaxis] - cy
+    u = coords[np.newaxis, np.newaxis, :] - (side / 2.0 + p.jitter_x)
+    w = coords[np.newaxis, :, np.newaxis] - (side / 2.0 + p.jitter_y)
 
-    rx = params.face_width * side
-    ry = params.face_height * side
+    rx = p.face_width * side
+    ry = p.face_height * side
     head = (u / rx) ** 2 + (w / ry) ** 2 <= 1.0
 
-    eye_dx = params.eye_spacing * side / 2.0
-    eye_dy = params.eye_height * side
+    eye_dx = p.eye_spacing * side / 2.0
+    eye_dy = p.eye_height * side
     ex = _EYE_RX * side
     ey = _EYE_RY * side
     left = ((u + eye_dx) / ex) ** 2 + ((w + eye_dy) / ey) ** 2 <= 1.0
     right = ((u - eye_dx) / ex) ** 2 + ((w + eye_dy) / ey) ** 2 <= 1.0
 
-    halfw = params.mouth_width * side / 2.0
-    bend = params.mouth_curve * side * (2.0 * (u / halfw) ** 2 - 1.0)
+    halfw = p.mouth_width * side / 2.0
+    bend = p.mouth_curve * side * (2.0 * (u / halfw) ** 2 - 1.0)
     mouth_dy = w - (_MOUTH_DROP * side + bend)
     mouth = (np.abs(u) <= halfw) & (np.abs(mouth_dy) <= _MOUTH_THICKNESS * side)
 
-    sub = np.full((2 * side, 2 * side), _BACKGROUND)
+    sub = np.full(head.shape, _BACKGROUND)
     sub[head] = _FACE
     sub[head & mouth] = _MOUTH
     sub[left | right] = _EYE
 
-    img = sub.reshape(side, 2, side, 2).mean(axis=(1, 3))
-    img = img + params.brightness
-    if params.noise_std > 0.0:
-        img = img + gaussian_from_uniform(uniforms, 0.0, params.noise_std).reshape(side, side)
-    return np.clip(img, 0.0, 1.0)
+    img = sub.reshape(-1, side, 2, side, 2).mean(axis=(2, 4))
+    img += p.brightness
+    # a zero std adds exactly 0.0, so a noise-free face keeps its pixels
+    img += gaussian_from_uniform(uniforms, 0.0, p.noise_std[:, :, 0]).reshape(img.shape)
+    return np.clip(img, 0.0, 1.0, out=img)
 
 
 @dataclass(frozen=True)
@@ -133,24 +119,11 @@ class ManifestRow:
     split: str  # "train" or "eval"
 
 
-def _from_uniform(ranges: dict, u) -> dict:
-    """One value per named range, in the dict's order, from uniforms on (-0.5, 0.5]."""
-    return {name: lo + (v + 0.5) * (hi - lo) for (name, (lo, hi)), v in zip(ranges.items(), u)}
-
-
-def identity_distance(a: FaceParams, b: FaceParams) -> float:
-    """Euclidean distance between identities, each parameter range-normalized."""
-    total = 0.0
-    for name, (lo, hi) in IDENTITY_PARAM_RANGES.items():
-        d = (getattr(a, name) - getattr(b, name)) / (hi - lo)
-        total += d * d
-    return total**0.5
-
-
 def generate_corpus(
     n_identities: int, samples_per_identity: int, side: int, seed: int
-) -> tuple[list[np.ndarray], list[ManifestRow]]:
-    """Deterministic synthetic corpus with ground-truth identity labels.
+) -> tuple[np.ndarray, list[ManifestRow]]:
+    """Deterministic synthetic corpus with ground-truth identity labels: one
+    float64 (images, side, side) stack, identity by identity, and its manifest.
 
     Identity parameters are drawn once per identity; nuisance is resampled
     per image. Identities are rejection-sampled to keep every pair at least
@@ -163,45 +136,40 @@ def generate_corpus(
         raise DataError("need at least 2 identities")
     if samples_per_identity < 1:
         raise DataError("need at least 1 sample per identity")
-    images: list[np.ndarray] = []
-    manifest: list[ManifestRow] = []
-    accepted: list[FaceParams] = []
-    n_eval = 0
-    if samples_per_identity >= 2:
-        # keep at least two eval samples per identity once there is room, so
-        # the eval split always offers genuine (same-identity) pairs
-        wanted = max(2, math.ceil(samples_per_identity * EVAL_FRACTION))
-        n_eval = min(samples_per_identity - 1, wanted)
-    n_shape = len(IDENTITY_PARAM_RANGES)
-    n_nuisance = len(NUISANCE_PARAM_RANGES)
+    # keep at least two eval samples per identity once there is room, so
+    # the eval split always offers genuine (same-identity) pairs
+    wanted = max(2, math.ceil(samples_per_identity * EVAL_FRACTION))
+    n_train = samples_per_identity - min(samples_per_identity - 1, wanted)
+    n_nuisance = len(FACE_PARAMS) - N_SHAPE
+    span = _HI - _LO
+    # a parameter is _LO + (u + 0.5) * span for a uniform u on (-0.5, 0.5]
+    accepted = np.empty((n_identities, N_SHAPE))
+    images = np.empty((n_identities * samples_per_identity, side, side))
     for ident in range(n_identities):
-        # candidate t is draws n_shape*t+1 ... n_shape*(t+1) of the identity's stream
+        # candidate t is draws N_SHAPE*t+1 ... N_SHAPE*(t+1) of the identity's stream
         state = derive_states(seed, 0, ident)
         for t in range(1000):
-            u = rng_uniform_rows(state, n_shape, n_shape * t)[0]
-            params = FaceParams(**_from_uniform(IDENTITY_PARAM_RANGES, u))
-            if all(identity_distance(params, p) >= MIN_IDENTITY_DISTANCE for p in accepted):
+            u = rng_uniform_rows(state, N_SHAPE, N_SHAPE * t)[0]
+            accepted[ident] = _LO[:N_SHAPE] + (u + 0.5) * span[:N_SHAPE]
+            d = (accepted[ident] - accepted[:ident]) / span[:N_SHAPE]
+            if (np.sqrt((d * d).sum(axis=1)) >= MIN_IDENTITY_DISTANCE).all():
                 break
         else:
             raise DataError(
                 f"could not place identity {ident} at separation "
                 f"{MIN_IDENTITY_DISTANCE}; reduce n_identities"
             )
-        accepted.append(params)
         # row k: image k's nuisance uniforms, then its pixel-noise uniforms
         image_ids = ident * samples_per_identity + np.arange(samples_per_identity)
         u = rng_uniform_rows(derive_states(seed, 1, image_ids), n_nuisance + 2 * side * side)
-        for k in range(samples_per_identity):
-            sample = replace(params, **_from_uniform(NUISANCE_PARAM_RANGES, u[k]))
-            images.append(render_face(sample, side, u[k, n_nuisance:]))
-            split = "eval" if k >= samples_per_identity - n_eval else "train"
-            manifest.append(
-                ManifestRow(
-                    path=f"face_{ident:03d}_{k:02d}.pgm",
-                    identity_id=ident,
-                    split=split,
-                )
-            )
+        nuisance = _LO[N_SHAPE:] + (u[:, :n_nuisance] + 0.5) * span[N_SHAPE:]
+        rows = np.column_stack([np.tile(accepted[ident], (len(u), 1)), nuisance])
+        images[image_ids] = render_faces(rows, side, u[:, n_nuisance:])
+    manifest = [
+        ManifestRow(f"face_{ident:03d}_{k:02d}.pgm", ident, "train" if k < n_train else "eval")
+        for ident in range(n_identities)
+        for k in range(samples_per_identity)
+    ]
     return images, manifest
 
 
@@ -236,31 +204,23 @@ def load_manifest(path) -> list[ManifestRow]:
 
 
 def write_pgms(stack, paths) -> None:
-    """Write [0,1] grayscale images of one shape (2-D arrays) as binary PGMs
-    (P5, maxval 255), one per path. Every image is checked and quantized, up
-    to PGM_BLOCK at a time, before the first file is written, so a bad one
+    """Write a [0,1] grayscale stack of shape (n, h, w) as binary PGMs (P5,
+    maxval 255), one per path. Every image is checked and quantized, up to
+    PGM_BLOCK at a time, before the first file is written, so a bad one
     writes nothing; the error names the first bad image's path."""
     paths = list(paths)
+    stack = np.asarray(stack, dtype=np.float64)
     if len(stack) != len(paths):
         raise ValueError(f"{len(stack)} images for {len(paths)} paths")
-    if not paths:
-        return
-    shape = np.shape(stack[0])
-    if len(shape) != 2:
-        raise DataError(f"{paths[0]}: expected a 2-D image, got shape {shape}")
-    header = f"P5\n{shape[1]} {shape[0]}\n255\n".encode()
+    if stack.ndim != 3:
+        raise DataError(f"expected an (n, h, w) image stack, got shape {stack.shape}")
+    header = f"P5\n{stack.shape[2]} {stack.shape[1]}\n255\n".encode()
     blobs = []
     for lo in range(0, len(paths), PGM_BLOCK):
-        images, names = stack[lo : lo + PGM_BLOCK], paths[lo : lo + PGM_BLOCK]
-        # the images before the first of another shape are checked first
-        n = next((k for k, img in enumerate(images) if np.shape(img) != shape), len(images))
-        x = np.asarray(images[:n], dtype=np.float64).reshape(n, *shape)
+        x, names = stack[lo : lo + PGM_BLOCK], paths[lo : lo + PGM_BLOCK]
         valid = (x.min(axis=(1, 2)) >= 0.0) & (x.max(axis=(1, 2)) <= 1.0)  # NaN fails both
         if not valid.all():
             raise DataError(f"{names[np.argmin(valid)]}: pixel values must lie in [0, 1]")
-        if n < len(images):
-            found = np.shape(images[n])
-            raise DataError(f"{names[n]}: expected a 2-D image of shape {shape}, got shape {found}")
         q = x * 255.0
         data = np.rint(q, out=q).astype(np.uint8)
         blobs += [(path, header + img.tobytes()) for path, img in zip(names, data)]

@@ -67,18 +67,16 @@ def rng_uniform_rows(states, n: int, start: int = 0) -> np.ndarray:
     return ((z >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53 - 0.5
 
 
-def gaussian_from_uniform(u, mean: float = 0.0, std: float = 1.0) -> np.ndarray:
+def gaussian_from_uniform(u, mean: float = 0.0, std=1.0) -> np.ndarray:
     """Box-Muller map from pairs of uniforms on (-0.5, 0.5] to Gaussian draws.
 
-    The last axis holds the pairs, so it halves. Std 0 maps every pair to
-    ``mean``, so the draws consumed never depend on parameter values.
+    The last axis holds the pairs, so it halves. std broadcasts against the
+    draws, so a (rows, 1) column gives each row its own. Std 0 maps every
+    pair to ``mean``, so the draws consumed never depend on parameter values.
     """
-    if std < 0:
+    std = np.asarray(std, dtype=np.float64)
+    if (std < 0).any():
         raise ValueError(f"std must be nonnegative, got {std}")
     u = np.asarray(u, dtype=np.float64)
-    u1 = u[..., 0::2] + 0.5  # (0, 1], so log is finite
-    u2 = u[..., 1::2] + 0.5
-    if std == 0.0:
-        return np.full(u1.shape, float(mean))
-    r = np.sqrt(-2.0 * np.log(u1))
-    return mean + std * r * np.cos(2.0 * np.pi * u2)
+    r = np.sqrt(-2.0 * np.log(u[..., 0::2] + 0.5))  # (0, 1], so log is finite
+    return mean + std * r * np.cos(2.0 * np.pi * (u[..., 1::2] + 0.5))

@@ -7,26 +7,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpimage.data import (
-    IDENTITY_PARAM_RANGES,
+    FACE_PARAMS,
+    N_SHAPE,
     PGM_BLOCK,
-    _from_uniform,
     _pgm_tokens,
-    FaceParams,
-    identity_distance,
     generate_corpus,
     load_manifest,
     read_pgm,
     read_pgms,
-    render_face,
+    render_faces,
     save_manifest,
     write_csv,
     write_file,
     write_pgms,
 )
 from dpimage.errors import BadMagicError, BadMaxvalError, DataError, TruncatedError
-from dpimage.numerics import derive_states, make_stream, rng_uniform_rows
+from dpimage.numerics import derive_states, rng_uniform_rows
 
-SYMMETRIC = FaceParams(
+SYMMETRIC = dict(
     face_width=0.36,
     face_height=0.40,
     eye_spacing=0.24,
@@ -36,24 +34,34 @@ SYMMETRIC = FaceParams(
 )
 
 
-def noise(seed, side=32):
-    """Pixel-noise uniforms for one side x side face."""
-    return rng_uniform_rows(make_stream(seed), 2 * side * side)[0]
+def face(**values):
+    """One FACE_PARAMS row as a (1, 10) matrix; unnamed nuisance is 0."""
+    row = {name: 0.0 for name in FACE_PARAMS} | values
+    assert list(row) == list(FACE_PARAMS)
+    return np.array([list(row.values())])
+
+
+def noise(seed, side=32, faces=1):
+    """Pixel-noise uniforms for a stack of side x side faces, one row per face."""
+    return rng_uniform_rows(derive_states(seed, np.arange(faces)), 2 * side * side)
+
+
+def render_one(row, side=32, seed=0):
+    return render_faces(row, side, noise(seed, side))[0]
 
 
 class TestRenderFace:
     def test_deterministic(self):
-        p = SYMMETRIC
-        a = render_face(p, 32, noise(3))
-        b = render_face(p, 32, noise(3))
+        a = render_one(face(**SYMMETRIC), seed=3)
+        b = render_one(face(**SYMMETRIC), seed=3)
         assert np.array_equal(a, b)
 
     def test_symmetric_when_noise_free(self):
-        img = render_face(SYMMETRIC, 32, noise(0))
+        img = render_one(face(**SYMMETRIC))
         assert np.max(np.abs(img - img[:, ::-1])) <= 1e-12
 
     def test_range(self):
-        p = FaceParams(
+        p = face(
             face_width=0.42,
             face_height=0.46,
             eye_spacing=0.32,
@@ -65,33 +73,48 @@ class TestRenderFace:
             brightness=0.05,
             noise_std=0.02,
         )
-        img = render_face(p, 32, noise(1))
+        img = render_one(p, seed=1)
         assert img.min() >= 0.0 and img.max() <= 1.0
 
     def test_out_of_range_rejected(self):
-        bad = FaceParams(
-            face_width=0.9,
-            face_height=0.40,
-            eye_spacing=0.24,
-            eye_height=0.14,
-            mouth_width=0.28,
-            mouth_curve=0.0,
-        )
+        bad = face(**{**SYMMETRIC, "face_width": 0.9, "mouth_curve": 0.0})
         with pytest.raises(DataError):
-            render_face(bad, 32, noise(0))
+            render_one(bad)
+
+    def test_out_of_range_error_names_parameter_and_value(self):
+        rows = np.concatenate([face(**SYMMETRIC), face(**{**SYMMETRIC, "eye_height": 0.3})])
+        message = r"face 1: parameter eye_height=0\.3 outside \[0\.06, 0\.24\]"
+        with pytest.raises(DataError, match=message):
+            render_faces(rows, 32, noise(0, faces=2))
+        with pytest.raises(DataError, match=r"face 0: parameter noise_std=nan outside"):
+            render_one(face(**SYMMETRIC, noise_std=np.nan))
 
     def test_small_side_rejected(self):
         with pytest.raises(DataError):
-            render_face(SYMMETRIC, 8, noise(0))
+            render_one(face(**SYMMETRIC), side=8)
 
     def test_noise_free_face_ignores_uniforms(self):
-        p_noise = FaceParams(**{**SYMMETRIC.__dict__, "noise_std": 0.01})
-        assert np.array_equal(render_face(SYMMETRIC, 32, noise(5)), render_face(SYMMETRIC, 32, noise(6)))
-        assert not np.array_equal(render_face(p_noise, 32, noise(5)), render_face(p_noise, 32, noise(6)))
+        quiet, noisy = face(**SYMMETRIC), face(**SYMMETRIC, noise_std=0.01)
+        assert np.array_equal(render_one(quiet, seed=5), render_one(quiet, seed=6))
+        assert not np.array_equal(render_one(noisy, seed=5), render_one(noisy, seed=6))
 
     def test_has_structure(self):
-        img = render_face(SYMMETRIC, 32, noise(0))
+        img = render_one(face(**SYMMETRIC))
         assert img.std() > 0.05  # not a constant field
+
+    def test_stack_rows_equal_one_row_calls(self):
+        # rows that differ in every parameter, noise-free and noisy, render in
+        # one call with the bits each gets alone
+        lo, hi = np.array(list(FACE_PARAMS.values())).T
+        u = rng_uniform_rows(derive_states(8, np.arange(5)), len(FACE_PARAMS))
+        rows = lo + (u + 0.5) * (hi - lo)
+        rows[1, -1] = 0.0
+        u = noise(9, faces=5)
+        stack = render_faces(rows, 32, u)
+        assert stack.shape == (5, 32, 32) and stack.dtype == np.float64
+        for k in range(5):
+            assert np.array_equal(stack[k], render_faces(rows[k : k + 1], 32, u[k : k + 1])[0])
+        assert len({stack[k].tobytes() for k in range(5)}) == 5
 
 
 class TestGenerateCorpus:
@@ -125,20 +148,26 @@ class TestGenerateCorpus:
 
     def test_identities_separated(self):
         # rejection sampling keeps every accepted pair farther apart than
-        # any two samples of one identity (which share parameters exactly)
-        _, manifest = generate_corpus(12, 2, 32, seed=3)
-        params = []
-        accepted = []
+        # any two samples of one identity (which share parameters exactly);
+        # the candidates rebuilt here render the corpus's images bit for bit
+        images, _ = generate_corpus(12, 2, 32, seed=3)
+        lo, hi = np.array(list(FACE_PARAMS.values())).T
+        span = hi - lo
+        accepted = np.empty((12, 6))
         for ident in range(12):
             state = derive_states(3, 0, ident)
             for t in range(1000):  # candidate t: the stream's draws 6t+1 ... 6t+6
-                cand = FaceParams(**_from_uniform(IDENTITY_PARAM_RANGES, rng_uniform_rows(state, 6, 6 * t)[0]))
-                if all(identity_distance(cand, p) >= 0.6 for p in accepted):
+                accepted[ident] = lo[:6] + (rng_uniform_rows(state, 6, 6 * t)[0] + 0.5) * span[:6]
+                distance = np.linalg.norm((accepted[ident] - accepted[:ident]) / span[:6], axis=1)
+                if (distance >= 0.6).all():
                     break
-            accepted.append(cand)
+            u = rng_uniform_rows(derive_states(3, 1, 2 * ident), 4 + 2 * 32 * 32)
+            row = np.concatenate([accepted[ident], lo[6:] + (u[0, :4] + 0.5) * span[6:]])
+            assert np.array_equal(render_faces(row[np.newaxis], 32, u[:, 4:])[0], images[2 * ident])
+        assert N_SHAPE == 6 and list(FACE_PARAMS)[5:7] == ["mouth_curve", "jitter_x"]
         for i in range(12):
             for j in range(i + 1, 12):
-                assert identity_distance(accepted[i], accepted[j]) >= 0.6
+                assert np.linalg.norm((accepted[i] - accepted[j]) / span[:6]) >= 0.6
 
 
 class TestManifestIO:
@@ -247,14 +276,11 @@ class TestPgm:
             assert path.read_bytes() == blob
 
     @pytest.mark.parametrize("at", [0, 5])
-    @pytest.mark.parametrize("bad", ["nan", "range", "shape"])
+    @pytest.mark.parametrize("bad", ["nan", "range"])
     def test_bad_image_in_second_block_writes_no_file(self, tmp_path, bad, at):
-        images = list(np.random.default_rng(7).uniform(0.0, 1.0, size=(100, 6, 5)))
+        images = np.random.default_rng(7).uniform(0.0, 1.0, size=(100, 6, 5))
         k = PGM_BLOCK + at
-        if bad == "shape":
-            images[k] = images[k][:, :4]
-        else:
-            images[k][2, 3] = np.nan if bad == "nan" else -0.5
+        images[k][2, 3] = np.nan if bad == "nan" else -0.5
         images[k + 10][0, 0] = 2.0  # a later bad image is not the one named
         paths = [tmp_path / f"{i}.pgm" for i in range(100)]
         with pytest.raises(DataError, match=rf"{k}\.pgm: "):

@@ -221,6 +221,19 @@ class TestGaussian:
         for i in range(4):
             assert np.array_equal(out[i], gaussian_from_uniform(rows[i], 1.0, 2.0))
 
+    def test_std_column_equals_per_row_scalar_calls(self):
+        # one std per row, zero among them: each row has the bits of its own
+        # scalar call, and the zero row is the mean exactly
+        rows = rng_uniform_rows(derive_states(7, np.arange(4)), 10)
+        std = np.array([[0.5], [0.0], [2.0], [1e-3]])
+        out = gaussian_from_uniform(rows, 3.0, std)
+        assert out.shape == (4, 5)
+        for i in range(4):
+            assert np.array_equal(out[i], gaussian_from_uniform(rows[i], 3.0, std[i, 0]))
+        assert np.array_equal(out[1], np.full(5, 3.0))
+        with pytest.raises(ValueError):
+            gaussian_from_uniform(rows, 0.0, -std)
+
 
 def test_python_int_scalars_raise_no_warning():
     # 0-d uint64 arithmetic warns on wraparound; states stay 1-d arrays, so
