@@ -14,12 +14,13 @@ of WIDE_ROWS and at least BLOCK_ROWS, a narrow one as BLOCK_ROWS-row
 products, so a row's bits do not depend on the stack it came in (see
 BLOCK_ROWS). A pass writes every layer's product, bias and activation into
 a PassWorkspace: each call builds its own, so encode and decode are safe to
-share across threads. _Helper is the program's one worker thread, for
-train and the sweep. The sweep's calling thread and its helper each own one
-decoder-then-encoder workspace for _decode_encode_pass, which reuses it pass
-after pass, the encoder reading the images where the decoder left them.
-The helper calls private helpers only: public functions run on the calling
-thread, since a tracer that wraps them keeps one span stack.
+share across threads. _Helper is the program's one worker thread, and this
+module starts every thread the program runs: train's, and the sweep's pass
+schedule (_decode_encode_passes), whose calling thread and helper each
+reuse one decoder-then-encoder workspace pass after pass, the encoder
+reading the images where the decoder left them. The helper calls private
+helpers only: public functions run on the calling thread, since a tracer
+that wraps them keeps one span stack.
 """
 
 from __future__ import annotations
@@ -139,7 +140,7 @@ def _activate_in_place(model: AutoencoderModel, layer: int, z: np.ndarray, scrat
 
 class PassWorkspace:
     """The buffers of forward passes through the decoder, the encoder, or the
-    decoder then the encoder (for _decode_encode_pass).
+    decoder then the encoder (for _decode_encode_passes).
 
     The zero-padded input block and each layer's buffer (its product, bias
     and activation are written into it) share at most three allocations of
@@ -214,16 +215,6 @@ def _forward(model: AutoencoderModel, x: np.ndarray, encoder: bool) -> np.ndarra
         rows = x[start : start + len(ws.input)]
         out[start : start + len(rows)] = _run_pass(model, ws, rows)[: len(rows)]
     return out
-
-
-def _decode_encode_pass(model: AutoencoderModel, z: np.ndarray, ws: PassWorkspace):
-    """Decode at most one pass of latent rows z, then encode the images where
-    they lie, through ws, a decoder-then-encoder workspace. Returns views
-    into ws, valid until its next pass: the images and their latents, with
-    the bits of decode_batch, then encode_batch."""
-    latents = _run_pass(model, ws, z)[: len(z)]
-    y = ws.acts[model.n_encoder_layers - 1][: len(z)]
-    return y.reshape(len(z), model.side, model.side), latents
 
 
 def _stack_rows(stack, width: int, what: str, dtype=np.float64) -> np.ndarray:
@@ -302,6 +293,39 @@ class _Helper(threading.Thread):
         with self.idle:
             if self.error:
                 raise self.error
+
+
+def _decode_encode_passes(model: AutoencoderModel, z: np.ndarray, score) -> None:
+    """Decode latent rows z a pass of PASS_ROWS rows at a time, encode each
+    pass's images where they lie, and call score(start, images, latents) on
+    views, valid during the call, of the rows from start on, with the bits of
+    decode_batch, then encode_batch. Given a second CPU and more than one
+    pass, a _Helper takes the odd passes as one task, the calling thread the
+    even ones, each through a decoder-then-encoder workspace of its own.
+    score runs under one lock, on either thread, so it calls private helpers
+    only. A helper error stops the calling thread at its next pass and is
+    raised by the helper's wait; a calling thread error, once the helper joins.
+    """
+    passes = range(0, len(z), PASS_ROWS)
+    scoring = threading.Lock()
+    with _Helper() as helper:
+        workers = 2 if helper.is_alive() and len(passes) > 1 else 1
+
+        def work(worker: int) -> None:
+            ws = PassWorkspace(model, True, True, len(z))
+            for start in passes[worker::workers]:
+                if helper.error:
+                    return
+                rows = z[start : start + PASS_ROWS]
+                latents = _run_pass(model, ws, rows)[: len(rows)]
+                images = ws.acts[model.n_encoder_layers - 1][: len(rows)]
+                with scoring:
+                    score(start, images.reshape(len(rows), model.side, model.side), latents)
+
+        if workers > 1:
+            helper.submit(work, 1)
+        work(0)
+        helper.wait()
 
 
 class _Workspace:
@@ -397,13 +421,16 @@ def init_model(
     full = encoder_dims + tuple(reversed(encoder_dims[:-1]))
     # weights and biases are views of one flat buffer, laid out as w0, b0, w1, ...
     weights, biases = _param_views(np.zeros(_param_count(full)), full)
-    # each layer's weights are the next w.size draws of stream 0
+    # each layer's weights are the next w.size draws of stream 0, drawn
+    # PASS_ROWS rows at a time to bound the draw's temporaries
     state, offset = make_stream(seed), 0
     for w in weights:
         bound = weight_init_scale / np.sqrt(w.shape[1])
-        u = rng_uniform_rows(state, w.size, offset)
+        for lo in range(0, len(w), PASS_ROWS):
+            rows = w[lo : lo + PASS_ROWS]
+            rows[:] = rng_uniform_rows(state, rows.size, offset + lo * w.shape[1]).reshape(rows.shape)
+            rows *= 2.0 * bound
         offset += w.size
-        np.multiply(2.0 * bound, u.reshape(w.shape), out=w)
     return AutoencoderModel(encoder_dims, identity_len, weights, biases)
 
 
@@ -559,9 +586,9 @@ def save_model(model: AutoencoderModel, path) -> None:
     """Little-endian binary: magic, version, encoder dims, identity_len, params."""
     dims = model.encoder_dims
     header = struct.pack(f"<{len(dims) + 3}I", MODEL_VERSION, len(dims), *dims, model.identity_len)
-    # row-major, each array copied only if it is not; one allocation for the file
+    # row-major, each array copied only if it is not, and written where it lies
     arrays = [np.ascontiguousarray(a, "<f8") for p in zip(model.weights, model.biases) for a in p]
-    write_file(path, b"".join([MODEL_MAGIC, header, *arrays]))
+    write_file(path, MODEL_MAGIC + header, *arrays)
 
 
 def load_model(path) -> AutoencoderModel:

@@ -228,8 +228,9 @@ def write_pgms(stack, paths) -> None:
         write_file(path, blob)
 
 
-def write_file(path, blob: bytes) -> None:
-    """Make blob the whole content of path, in place; a missing directory is made.
+def write_file(path, *blobs) -> None:
+    """Write the buffers blobs, in turn, as the whole content of path, in place;
+    a missing directory is made.
 
     The bytes equal those of open(path, "wb"), with the same permissions for
     a new file. Truncating to zero on open makes ext4 flush the old blocks on
@@ -241,11 +242,11 @@ def write_file(path, blob: bytes) -> None:
         Path(path).parent.mkdir(parents=True, exist_ok=True)
         fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     try:
-        view = memoryview(blob).cast("B")
-        size = len(view)
-        while view:
-            view = view[os.write(fd, view) :]
-        os.ftruncate(fd, size)
+        views = [memoryview(blob).cast("B") for blob in blobs]
+        for view in views:
+            while view:
+                view = view[os.write(fd, view) :]
+        os.ftruncate(fd, sum(map(len, views)))
     finally:
         os.close(fd)
 

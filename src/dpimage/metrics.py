@@ -8,29 +8,18 @@ between Gaussian fits of embedding sets (FED). Originals prepares a stack of
 original images once (its latents and its SSIM statistics) and scores any
 number of released stacks against it, row by row; its report aggregates in
 the order of the rows it is given. For the sweep it also scores a stream of
-noisy latents a pass of PASS_ROWS rows at a time on the calling thread and,
-given a second CPU, codec's helper thread, each decoding through one pass of
-buffers and scoring one at a time; no byte depends on their number. Public
-functions run on the calling thread only.
+noisy latents as codec's pass schedule decodes it, a pass at a time on one
+or two threads, scoring one pass at a time; no byte depends on the number of
+threads. Public functions run on the calling thread only.
 """
 
 from __future__ import annotations
 
-import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import (
-    PASS_ROWS,
-    AutoencoderModel,
-    PassWorkspace,
-    _decode_encode_pass,
-    _Helper,
-    encode,
-    encode_batch,
-)
+from .codec import AutoencoderModel, _decode_encode_passes, encode, encode_batch
 
 SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
@@ -186,11 +175,10 @@ def identity_embedding(model: AutoencoderModel, image: np.ndarray) -> np.ndarray
 
 def nearest_rank_percentile(values, percentile: float) -> float:
     """Nearest-rank order statistic: smallest v with cdf(v) >= percentile."""
-    vals = np.sort(np.asarray(values, dtype=np.float64))
+    vals = np.asarray(values, dtype=np.float64)
     if vals.size == 0:
         raise ValueError("need at least one value")
-    rank = max(1, math.ceil(percentile / 100.0 * vals.size))
-    return float(vals[min(rank, vals.size) - 1])
+    return float(np.percentile(vals, percentile, method="inverted_cdf"))
 
 
 def _psd_sqrt(m: np.ndarray) -> np.ndarray:
@@ -299,47 +287,28 @@ class Originals:
 
         Row r is decoded and scored against original r mod n; its scores
         equal those of its own decode_batch, iss, l2_distances and ssim,
-        whatever the number of workers. Given a second CPU and more than one
-        pass, codec's _Helper takes the odd passes as one task while the
-        calling thread takes the even ones. Each worker decodes and encodes
-        through a decoder-then-encoder workspace of its own; its scoring,
-        small numpy calls that hold the GIL, runs under one lock through one
-        SSIM buffer set that the workers share. Workers write disjoint slices
-        through private helpers and the SSIM scorer only, since a tracer that
-        wraps public functions keeps one span stack. A helper error stops the
-        calling thread at its next pass and is raised by the helper's wait; a
-        calling thread error is raised after the helper finishes and joins.
+        whatever the number of threads. codec's pass schedule calls the
+        scorer below one pass at a time on either thread: it shares one SSIM
+        buffer set and calls private helpers and the SSIM scorer only.
         """
         model = self.model
         z = np.asarray(latents, dtype=np.float64).reshape(-1, model.latent_dim)
         n, k = len(self.x), model.identity_len
-        passes = range(0, len(z), PASS_ROWS)
-        scoring, ssim_buffers = threading.Lock(), self.ssim.buffers(min(SWEEP_SSIM_BLOCK, len(z)))
+        ssim_buffers = self.ssim.buffers(min(SWEEP_SSIM_BLOCK, len(z)))
         iss, l2, ssim = np.empty((3, len(z)))
-        with _Helper() as helper:
-            workers = 2 if helper.is_alive() and len(passes) > 1 else 1
-            workspaces = [PassWorkspace(model, True, True, len(z)) for _ in range(workers)]
 
-            def work(worker: int) -> None:
-                for start in passes[worker::workers]:
-                    if helper.error:
-                        return
-                    y, latent = _decode_encode_pass(model, z[start : start + PASS_ROWS], workspaces[worker])
-                    # the pass in pieces that meet consecutive originals: cut where rows wrap
-                    cuts = [start, *range(start - start % n + n, start + len(y), n), start + len(y)]
-                    with scoring:
-                        for lo, hi in zip(cuts, cuts[1:]):
-                            rows, part = slice(lo, hi), slice(lo - start, hi - start)
-                            orig = slice(lo % n, hi % n or n)
-                            iss[rows] = _iss_scores(self.embeddings[orig], latent[part, :k])
-                            ssim[rows] = self.ssim(y[part], lo % n, ssim_buffers)
-                            # the scored images' difference overwrites them
-                            l2[rows] = _row_norms(np.subtract(y[part], self.x[orig], out=y[part]))
+        def score(start: int, y: np.ndarray, latent: np.ndarray) -> None:
+            # the pass in pieces that meet consecutive originals: cut where rows wrap
+            cuts = [start, *range(start - start % n + n, start + len(y), n), start + len(y)]
+            for lo, hi in zip(cuts, cuts[1:]):
+                rows, part = slice(lo, hi), slice(lo - start, hi - start)
+                orig = slice(lo % n, hi % n or n)
+                iss[rows] = _iss_scores(self.embeddings[orig], latent[part, :k])
+                ssim[rows] = self.ssim(y[part], lo % n, ssim_buffers)
+                # the scored images' difference overwrites them
+                l2[rows] = _row_norms(np.subtract(y[part], self.x[orig], out=y[part]))
 
-            if workers > 1:
-                helper.submit(work, 1)
-            work(0)
-            helper.wait()
+        _decode_encode_passes(model, z, score)
         return iss, l2, ssim
 
     def iss(self, y) -> np.ndarray:

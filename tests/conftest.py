@@ -8,21 +8,22 @@ from dpimage import metrics
 @pytest.fixture
 def watch_passes(monkeypatch):
     """watch_passes(fail_on=None, error=None) records, in call order, the
-    thread name of each call of the sweep's pass helper; the call numbered
-    fail_on raises error instead."""
+    thread name of each pass that codec's pass schedule hands to the sweep's
+    scorer; the call numbered fail_on raises error instead of scoring."""
 
     def watch(fail_on=None, error=None):
-        calls, lock, one_pass = [], threading.Lock(), metrics._decode_encode_pass
+        calls, passes = [], metrics._decode_encode_passes
 
-        def watched(*args):
-            with lock:
-                calls.append(threading.current_thread().name)
-                failing = len(calls) == fail_on
-            if failing:
-                raise error
-            return one_pass(*args)
+        def watched_passes(model, z, score):
+            def watched(*args):
+                calls.append(threading.current_thread().name)  # under the schedule's lock
+                if len(calls) == fail_on:
+                    raise error
+                return score(*args)
 
-        monkeypatch.setattr(metrics, "_decode_encode_pass", watched)
+            return passes(model, z, watched)
+
+        monkeypatch.setattr(metrics, "_decode_encode_passes", watched_passes)
         return calls
 
     return watch

@@ -152,6 +152,22 @@ def test_library_is_what_the_program_calls():
     assert not unused, f"src/dpimage defines names the program never calls: {unused}"
 
 
+def thread_names(tree: ast.Module) -> set[str]:
+    """The names of threading and of codec's _Helper that tree imports or uses."""
+    modules = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    return {"threading", "_Helper"} & (used_names(tree) | modules)
+
+
+def test_codec_starts_every_thread():
+    # one module decides how work is dealt to threads: train and the sweep's pass schedule
+    users = {path.name: thread_names(parse(path)) for path in sorted(LIBRARY.glob("*.py"))}
+    assert users.pop("codec.py") == {"threading", "_Helper"}
+    others = {name: found for name, found in users.items() if found}
+    assert not others, f"src/dpimage modules other than codec deal work to threads: {others}"
+    detected = [thread_names(ast.parse(s)) for s in ("from threading import Lock", "codec._Helper()")]
+    assert detected == [{"threading"}, {"_Helper"}]
+
+
 def test_unreached_def_is_reported():
     # a twin that calls the library but that no caller reaches, beside the real library
     twin = ast.parse("def twin(model, image):\n    return encode_batch(model, [image])[0]\n")

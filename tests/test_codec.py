@@ -15,7 +15,7 @@ from dpimage.codec import (
     WIDE_OUT,
     PassWorkspace,
     _activate_in_place,
-    _decode_encode_pass,
+    _decode_encode_passes,
     _run_pass,
     _sigmoid_in_place,
     align_identity_basis,
@@ -119,32 +119,46 @@ class TestBatchForward:
             assert np.array_equal(dec.view(np.uint64), ref_dec[:height]), height
 
     @pytest.mark.parametrize("dims", [(1024, 256, 64, 32), (1024, WIDE_OUT, 100)])
-    def test_reused_workspace_bits_equal_block_reference(self, dims):
-        # one decoder-then-encoder workspace through passes of every shape, as
-        # a sweep worker holds it: the encoder reads the decoder's output in
-        # place, and a row's bits must not see the previous pass's. Each pass
-        # starts from buffers of inf, so a pass that reads anything it did not
-        # write shows in the bits or raises a RuntimeWarning.
+    def test_reused_workspace_bits_equal_block_reference(self, dims, monkeypatch):
+        # the sweep's pass schedule on one thread: one decoder-then-encoder
+        # workspace through a full pass, then a pass of every shape: the
+        # encoder reads the decoder's output in place, and a row's bits must
+        # not see the previous pass's. Each pass starts from buffers of inf,
+        # so a pass that reads anything it did not write shows in the bits or
+        # raises a RuntimeWarning.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         model = init_model(dims, 12, seed=7, weight_init_scale=2.0)
-        z = np.random.default_rng(7).normal(0.0, 3.0, size=(PASS_ROWS, dims[-1]))
-        n_enc = model.n_encoder_layers
-        ws = PassWorkspace(model, decoder=True, encoder=True)
-        for height in (64, 20, 36, 1, 52, 64, 17, 16):
-            for buf in [ws.input, *ws.acts, ws.scratch]:
-                buf.fill(np.inf)
-            with warnings.catch_warnings():
+        z = np.random.default_rng(7).normal(0.0, 3.0, size=(2 * PASS_ROWS, dims[-1]))
+        n_enc, run_pass = model.n_encoder_layers, codec._run_pass
+        for height in (64, 20, 36, 1, 52, 17, 16):
+            stream, passes = z[: PASS_ROWS + height], []
+            images = np.empty((len(stream), model.input_dim))
+            latents = np.empty((len(stream), dims[-1]))
+
+            def from_inf(model, ws, rows):
+                passes.append((ws, len(rows)))
+                for buf in [ws.input, *ws.acts, ws.scratch]:
+                    buf.fill(np.inf)
+                return run_pass(model, ws, rows)
+
+            def score(start, y, latent):
+                images[start : start + len(y)] = y.reshape(len(y), -1)
+                latents[start : start + len(y)] = latent
+
+            with monkeypatch.context() as patched, warnings.catch_warnings():
+                patched.setattr(codec, "_run_pass", from_inf)
                 warnings.simplefilter("error", RuntimeWarning)
-                images, latents = _decode_encode_pass(model, z[:height], ws)
-            ref_images = decode_batch(model, z[:height])
+                _decode_encode_passes(model, stream, score)
+            (ws, full), (reused, rows) = passes
+            assert reused is ws and (len(ws.input), full, rows) == (PASS_ROWS, PASS_ROWS, height)
+            ref_images = decode_batch(model, stream).reshape(len(stream), -1)
             ref_latents = encode_batch(model, ref_images)
             assert np.array_equal(images.view(np.uint64), ref_images.view(np.uint64))
             assert np.array_equal(latents.view(np.uint64), ref_latents.view(np.uint64))
-            flat = images.reshape(height, -1)
-            block_images = block_forward(model, z[:height], n_enc, 2 * n_enc)
-            assert np.array_equal(flat.view(np.uint64), block_images.view(np.uint64))
-            block_latents = block_forward(model, flat, 0, n_enc)
+            block_images = block_forward(model, stream, n_enc, 2 * n_enc)
+            assert np.array_equal(images.view(np.uint64), block_images.view(np.uint64))
+            block_latents = block_forward(model, images, 0, n_enc)
             assert np.array_equal(latents.view(np.uint64), block_latents.view(np.uint64))
-        assert len(ws.input) == PASS_ROWS
 
     @pytest.mark.parametrize("dims", [(1024, 256, 64, 32), (1024, WIDE_OUT, 100)])
     @pytest.mark.parametrize("decoder", [False, True])
@@ -554,8 +568,10 @@ class TestTrain:
         # their velocity and gradients, and the step workspaces besides; the
         # float64 result takes the place of the velocity and gradients, freed
         # before it is made. float64 buffers, or a result made beside them,
-        # break that bound. init_model draws in float64 and peaks first: the
-        # whole call stays within the stack and three float64 parameter buffers
+        # break that bound. init_model draws in float64 and peaks first, at
+        # its one float64 parameter buffer and the draw of PASS_ROWS rows of
+        # the widest layer (four arrays of them); the whole call stays within
+        # the stack and three float64 parameter buffers
         cfg = RunConfig(epochs=1)
         model = init_model((1024, 256, 64, cfg.latent_dim), cfg.identity_len, cfg.seed)
         param_bytes = model.weights[0].base.nbytes  # in float64
@@ -578,6 +594,8 @@ class TestTrain:
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
+        draw = 4 * PASS_ROWS * 1024 * 8
+        assert peaks[0] <= corpus.nbytes + param_bytes + draw + slack
         assert peaks[1] <= corpus.nbytes * 3 // 2 + 3 * param_bytes // 2 + slack
         assert max(peaks) <= corpus.nbytes + 3 * param_bytes + 2 * slack
 
@@ -670,6 +688,20 @@ class TestModelIO:
         assert np.array_equal(encode_batch(back, x), encode_batch(model, x))
         z = encode_batch(model, x)
         assert np.array_equal(decode_batch(back, z), decode_batch(model, z))
+
+    def test_save_copies_no_parameters(self, tmp_path):
+        # the default dims: the file is written from the parameters where they lie
+        cfg = RunConfig()
+        model = init_model((1024, 256, 64, cfg.latent_dim), cfg.identity_len, cfg.seed)
+        assert model.weights[0].base.nbytes > 4 * 2**20
+        tracemalloc.start()
+        try:
+            save_model(model, tmp_path / "m.dpim")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert models_equal(load_model(tmp_path / "m.dpim"), model)
 
     def test_round_trip_bytes_stable(self, tmp_path):
         model = init_model((64, 16, 8), 4, seed=9)

@@ -373,6 +373,13 @@ class TestWriteFile:
             write_file(tmp_path / "b.bin", blob)
             assert (tmp_path / "b.bin").read_bytes() == payload
 
+    def test_blobs_written_in_turn(self, tmp_path):
+        # a 2-D float array goes as its row-major bytes, and the file ends with the last blob
+        rows = np.arange(12.0).reshape(3, 4)
+        write_file(tmp_path / "b.bin", b"a much longer first version" * 10)
+        write_file(tmp_path / "b.bin", b"head", rows, b"", b"tail")
+        assert (tmp_path / "b.bin").read_bytes() == b"head" + rows.tobytes() + b"tail"
+
 
 class TestWriteCsv:
     def test_lines_end_in_lf(self, tmp_path):

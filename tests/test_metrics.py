@@ -15,7 +15,7 @@ from dpimage.codec import (
     PASS_ROWS,
     AutoencoderModel,
     PassWorkspace,
-    _decode_encode_pass,
+    _decode_encode_passes,
     decode_batch,
     encode_batch,
     init_model,
@@ -432,15 +432,18 @@ class TestScoreLatents:
     def test_calling_thread_error_raised_once_after_the_helper_joins(self, monkeypatch):
         # the calling thread's second pass fails, while the helper has passes left
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        error, one_pass, calls = RuntimeError("calling thread's pass failed"), metrics._decode_encode_pass, []
+        error, passes, calls = RuntimeError("calling thread's pass failed"), metrics._decode_encode_passes, []
 
-        def failing(*args):
-            calls.append(threading.current_thread())
-            if calls.count(caller) == 2 and calls[-1] is caller:
-                raise error
-            return one_pass(*args)
+        def failing_passes(model, z, score):
+            def failing(*args):
+                calls.append(threading.current_thread())
+                if calls.count(caller) == 2 and calls[-1] is caller:
+                    raise error
+                return score(*args)
 
-        monkeypatch.setattr(metrics, "_decode_encode_pass", failing)
+            return passes(model, z, failing)
+
+        monkeypatch.setattr(metrics, "_decode_encode_passes", failing_passes)
         before, raised = threading.active_count(), []
 
         def call():
@@ -471,16 +474,24 @@ class TestScoreLatents:
         assert sum(held.values()) <= decoder + PASS_ROWS * 64 * 8 == 672 * 1024
         assert len(held) == 3
 
-    @pytest.mark.parametrize("height", [16, 48, 64])
-    def test_decode_encode_workspace_bits_at_every_pass_height(self, height):
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("height", [1, 11, 16, 48, 64, 65, 2 * PASS_ROWS + 17])
+    def test_decode_encode_passes_bits_at_every_stream_height(self, monkeypatch, cpus, height):
+        # a stream shorter than a pass runs as one short pass; a longer one
+        # is cut into PASS_ROWS-row passes, its last one short
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         z = np.random.default_rng(height).normal(0.0, 3.0, size=(height, 32))
-        ws = PassWorkspace(self.model, True, True, height)
-        assert len(ws.input) == height
-        for rows in (height, 1, height - 5, height):
-            images, latents = _decode_encode_pass(self.model, z[:rows], ws)
-            ref_images = decode_batch(self.model, z[:rows])
-            assert np.array_equal(bits(images), bits(ref_images))
-            assert np.array_equal(bits(latents), bits(encode_batch(self.model, ref_images)))
+        images, latents, starts = np.empty((height, 32, 32)), np.empty((height, 32)), []
+
+        def score(start, y, latent):
+            starts.append(start)
+            images[start : start + len(y)], latents[start : start + len(y)] = y, latent
+
+        _decode_encode_passes(self.model, z, score)
+        assert sorted(starts) == list(range(0, height, PASS_ROWS))
+        ref_images = decode_batch(self.model, z)
+        assert np.array_equal(bits(images), bits(ref_images))
+        assert np.array_equal(bits(latents), bits(encode_batch(self.model, ref_images)))
 
     def test_scoring_error_releases_the_lock_and_is_raised_once(self, monkeypatch, watch_passes):
         # the other worker's row norms fail inside the locked scoring section,
