@@ -5,12 +5,12 @@ identity-block embeddings, and the de-identification success rate (FPPSR)
 against a threshold at a percentile of the impostor ISS. Utility side: l2
 distance, relative l_inf distortion, windowed SSIM, and a Frechet distance
 between Gaussian fits of embedding sets (FED). Originals prepares a stack of
-original images once (its latents and its SSIM statistics) and scores any
-number of released stacks against it, row by row; its report aggregates in
-the order of the rows it is given. For the sweep it also scores a stream of
-noisy latents as codec's pass schedule decodes it, a pass at a time on one
-or two threads, scoring one pass at a time; no byte depends on the number of
-threads. Public functions run on the calling thread only.
+original images once (its latents and its SSIM statistics) and scores
+released images against it with one row scorer: report scores a released
+stack and aggregates in the order of its rows; score_latents scores a stream
+of noisy latents as codec's pass schedule decodes it, a pass at a time on
+one or two threads, and no byte depends on the number of threads. Public
+functions run on the calling thread only.
 """
 
 from __future__ import annotations
@@ -30,33 +30,10 @@ SSIM_BLOCK = 16
 SWEEP_SSIM_BLOCK = 32  # images per SSIM block of the buffer set the sweep's workers share
 
 
-def _check_same_shape(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape:
-        raise ValueError(f"image shapes differ: {x.shape} vs {y.shape}")
-    return x, y
-
-
 def _row_norms(d: np.ndarray) -> np.ndarray:
     """Euclidean norm of each image of a stack; squares d in place."""
     d = d.reshape(len(d), -1)
     return np.sqrt(np.sum(np.multiply(d, d, out=d), axis=1))
-
-
-def l2_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Euclidean pixel distance of each pair in two equal-shaped image stacks."""
-    x, y = _check_same_shape(x, y)
-    return _row_norms(y - x)
-
-
-def ald_inf(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Relative l_inf distortion max|y - x| / max|x| of each pair in two image stacks."""
-    x, y = _check_same_shape(x, y)
-    denom = np.max(np.abs(x.reshape(len(x), -1)), axis=1)
-    if np.any(denom == 0.0):
-        raise ValueError("ALD undefined for an all-zero reference image")
-    return np.max(np.abs((y - x).reshape(len(x), -1)), axis=1) / denom
 
 
 def _blur_band(n: int, sigma: float, radius: int) -> np.ndarray:
@@ -175,10 +152,11 @@ def identity_embedding(model: AutoencoderModel, image: np.ndarray) -> np.ndarray
 
 def nearest_rank_percentile(values, percentile: float) -> float:
     """Nearest-rank order statistic: smallest v with cdf(v) >= percentile."""
-    vals = np.asarray(values, dtype=np.float64)
+    vals = np.asarray(values, dtype=np.float64).ravel()
     if vals.size == 0:
         raise ValueError("need at least one value")
-    return float(np.percentile(vals, percentile, method="inverted_cdf"))
+    k = max(int(np.ceil(percentile / 100.0 * vals.size)), 1) - 1
+    return float(np.partition(vals, k)[k])
 
 
 def _psd_sqrt(m: np.ndarray) -> np.ndarray:
@@ -282,34 +260,38 @@ class Originals:
         self.embeddings = self.latents[:, : model.identity_len]
         self.ssim = ssim_reference(self.x, window, sigma)
 
+    def _score_rows(self, scores, start: int, y, emb_y, ssim_buffers=None) -> None:
+        """Write the ISS, l2 and SSIM of images y, identity embeddings emb_y,
+        into columns start... of scores, a (3, rows) array: row r against
+        original r mod n. Overwrites y; calls private helpers and the SSIM
+        scorer only, so either sweep thread may run it."""
+        n = len(self.x)
+        # the rows in pieces that meet consecutive originals: cut where rows wrap
+        cuts = [start, *range(start - start % n + n, start + len(y), n), start + len(y)]
+        for lo, hi in zip(cuts, cuts[1:]):
+            rows, part = slice(lo, hi), slice(lo - start, hi - start)
+            orig = slice(lo % n, hi % n or n)
+            scores[0, rows] = _iss_scores(self.embeddings[orig], emb_y[part])
+            scores[2, rows] = self.ssim(y[part], lo % n, ssim_buffers)
+            # the scored images' difference overwrites them
+            scores[1, rows] = _row_norms(np.subtract(y[part], self.x[orig], out=y[part]))
+
     def score_latents(self, latents) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """ISS, l2 and SSIM of the release of each noisy latent row.
 
         Row r is decoded and scored against original r mod n; its scores
-        equal those of its own decode_batch, iss, l2_distances and ssim,
-        whatever the number of threads. codec's pass schedule calls the
-        scorer below one pass at a time on either thread: it shares one SSIM
-        buffer set and calls private helpers and the SSIM scorer only.
+        equal those report gives its decode_batch, whatever the number of
+        threads. codec's pass schedule hands _score_rows one pass at a time
+        on either thread, with one shared SSIM buffer set.
         """
         model = self.model
         z = np.asarray(latents, dtype=np.float64).reshape(-1, model.latent_dim)
-        n, k = len(self.x), model.identity_len
-        ssim_buffers = self.ssim.buffers(min(SWEEP_SSIM_BLOCK, len(z)))
-        iss, l2, ssim = np.empty((3, len(z)))
-
-        def score(start: int, y: np.ndarray, latent: np.ndarray) -> None:
-            # the pass in pieces that meet consecutive originals: cut where rows wrap
-            cuts = [start, *range(start - start % n + n, start + len(y), n), start + len(y)]
-            for lo, hi in zip(cuts, cuts[1:]):
-                rows, part = slice(lo, hi), slice(lo - start, hi - start)
-                orig = slice(lo % n, hi % n or n)
-                iss[rows] = _iss_scores(self.embeddings[orig], latent[part, :k])
-                ssim[rows] = self.ssim(y[part], lo % n, ssim_buffers)
-                # the scored images' difference overwrites them
-                l2[rows] = _row_norms(np.subtract(y[part], self.x[orig], out=y[part]))
-
-        _decode_encode_passes(model, z, score)
-        return iss, l2, ssim
+        k, buffers = model.identity_len, self.ssim.buffers(min(SWEEP_SSIM_BLOCK, len(z)))
+        scores = np.empty((3, len(z)))
+        _decode_encode_passes(
+            model, z, lambda start, y, latent: self._score_rows(scores, start, y, latent[:, :k], buffers)
+        )
+        return tuple(scores)
 
     def iss(self, y) -> np.ndarray:
         """ISS of each released image against its original."""
@@ -317,15 +299,20 @@ class Originals:
         return iss_scores(self.embeddings, emb_y)
 
     def report(self, y, threshold: float, image_ids) -> MetricsReport:
-        """Every metric of the released stack y; image_ids name its rows."""
+        """Every metric of the released stack y, left as given; image_ids name its rows."""
         if not 0.0 <= threshold <= 1.0:
             raise ValueError(f"threshold must be in [0, 1], got {threshold}")
-        x, y = _check_same_shape(self.x, y)
+        x, y = self.x, np.asarray(y, dtype=np.float64)
+        if x.shape != y.shape:
+            raise ValueError(f"image shapes differ: {x.shape} vs {y.shape}")
+        denom = np.max(np.abs(x.reshape(len(x), -1)), axis=1)
+        if np.any(denom == 0.0):
+            raise ValueError("ALD undefined for an all-zero reference image")
         emb_y = encode_batch(self.model, y)[:, : self.model.identity_len]
-        l2_vals = l2_distances(x, y)
-        ald_vals = ald_inf(x, y)
-        ssim_vals = self.ssim(y)
-        iss_vals = iss_scores(self.embeddings, emb_y)
+        ald_vals = np.max(np.abs((y - x).reshape(len(x), -1)), axis=1) / denom
+        scores = np.empty((3, len(x)))
+        self._score_rows(scores, 0, y.copy(), emb_y)
+        iss_vals, l2_vals, ssim_vals = scores
         return MetricsReport(
             image_ids=tuple(image_ids),
             l2=l2_vals,

@@ -4,6 +4,7 @@ The library has one release path, perturb_latents/dp_images, and one
 threshold, the CLI's. These helpers call them on one row or one pair list,
 so every test that uses them exercises the shipped code; comparing a one-row
 call with a stack checks that a row's bits do not depend on its batch mates.
+l2_distances alone is written apart from the library, as a reference.
 """
 
 from __future__ import annotations
@@ -48,6 +49,13 @@ def dp_image(
     """dp_images on a one-image stack, its uniforms the stream's next n_noisy."""
     u = rng_uniform_rows(state, params.n_noisy, start)
     return dp_images(model, [image], params, u)[0], start + params.n_noisy
+
+
+def l2_distances(x, y) -> np.ndarray:
+    """Euclidean pixel distance of each pair in two image stacks, computed
+    apart from the library's row scorer as the reference its tests compare to."""
+    d = np.asarray(y, dtype=np.float64) - np.asarray(x, dtype=np.float64)
+    return np.sqrt(np.sum((d * d).reshape(len(d), -1), axis=1))
 
 
 def ssim(x: np.ndarray, y: np.ndarray, window: int = SSIM_WINDOW, sigma: float = SSIM_SIGMA) -> float:

@@ -23,14 +23,13 @@ from dpimage.metrics import (
     Originals,
     blur_baseline,
     iss_scores,
-    l2_distances,
     mosaic_baseline,
     ssim_reference,
 )
 from dpimage.numerics import derive_states, rng_uniform_rows
 from dpimage.privacy import PrivacyBudgetLedger, PrivacyParams, full_mask, identity_mask, perturb_latents
 from dpimage.errors import ConfigError
-from support import calibrate_threshold, dp_image, perturb_latent
+from support import calibrate_threshold, dp_image, l2_distances, perturb_latent
 
 
 def run(*argv):

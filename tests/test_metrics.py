@@ -22,18 +22,16 @@ from dpimage.codec import (
 )
 from dpimage.metrics import (
     Originals,
-    ald_inf,
     blur_baseline,
     fed,
     iss_from_embeddings,
     iss_scores,
-    l2_distances,
     mosaic_baseline,
     nearest_rank_percentile,
     ssim_reference,
 )
 from dpimage.privacy import PrivacyParams, full_mask, identity_mask, perturb_latents
-from support import calibrate_threshold, ssim
+from support import calibrate_threshold, l2_distances, ssim
 
 RNG = np.random.default_rng(0)
 
@@ -73,65 +71,92 @@ def pair_iss(model, x, y):
     return pair_report(model, [(x, y)], 0.5).iss[0]
 
 
+def identity16():
+    """16x16 images; encode() reads the first two pixels verbatim."""
+    return AutoencoderModel(
+        encoder_dims=(256, 2),
+        identity_len=2,
+        weights=[np.eye(2, 256), np.eye(256, 2)],
+        biases=[np.zeros(2), np.zeros(256)],
+    )
+
+
+def report16(x, y):
+    """Originals.report of 16x16 stacks through identity16."""
+    return Originals(identity16(), x).report(y, 0.5, [f"{i:03d}" for i in range(len(x))])
+
+
+def report_l2(x, y):
+    return float(report16([x], [y]).l2[0])
+
+
 class TestL2:
+    """Originals.report's l2, one Euclidean pixel distance per pair."""
+
     def test_identical(self):
-        x = random_image()
-        assert l2(x, x) == 0.0
+        x = random_image(16)
+        assert report_l2(x, x) == 0.0
 
     def test_unit_cube_distance(self):
-        assert l2(np.zeros((32, 32)), np.ones((32, 32))) == 32.0
+        # ones, not zeros, as the reference: an all-zero one has no ALD
+        assert report_l2(np.ones((16, 16)), np.zeros((16, 16))) == 16.0
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=50)
     def test_symmetry(self, seed):
         rng = np.random.default_rng(seed)
-        x, y = random_image(8, rng), random_image(8, rng)
-        assert l2(x, y) == l2(y, x)
+        x, y = random_image(16, rng), random_image(16, rng)
+        assert report_l2(x, y) == report_l2(y, x)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=50)
     def test_triangle_inequality(self, seed):
         rng = np.random.default_rng(seed)
-        x, y, z = (random_image(8, rng) for _ in range(3))
-        assert l2(x, z) <= l2(x, y) + l2(y, z) + 1e-12
+        x, y, z = (random_image(16, rng) for _ in range(3))
+        assert report_l2(x, z) <= report_l2(x, y) + report_l2(y, z) + 1e-12
 
     def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            l2(np.zeros((4, 4)), np.zeros((5, 5)))
-
+        with pytest.raises(ValueError, match="image shapes differ"):
+            report16([random_image(16)], [random_image(17)])
 
     def test_stack_rows_match_single(self):
         rng = np.random.default_rng(6)
-        x, y = rng.uniform(size=(2, 9, 32, 32))
-        d = l2_distances(x, y)
+        x, y = rng.uniform(size=(2, 9, 16, 16))
+        d = report16(x, y).l2
         for i in range(9):
-            assert d[i] == l2(x[i], y[i])
+            assert d[i] == report_l2(x[i], y[i]) == l2(x[i], y[i])
+
+
+def report_ald(x, y):
+    return float(report16([x], [y]).ald_inf[0])
 
 
 class TestAld:
+    """Originals.report's ald_inf, max|y - x| / max|x| per pair."""
+
     def test_identical(self):
-        x = random_image()
-        assert ald_inf([x], [x])[0] == 0.0
+        x = random_image(16)
+        assert report_ald(x, x) == 0.0
 
     def test_double(self):
-        x = random_image() + 0.1
-        assert ald_inf([x], [2 * x])[0] == pytest.approx(1.0, abs=1e-12)
+        x = random_image(16) + 0.1
+        assert report_ald(x, 2 * x) == pytest.approx(1.0, abs=1e-12)
 
     def test_constant_images(self):
-        x = np.full((32, 32), 0.5)
-        y = np.full((32, 32), 0.75)
-        assert ald_inf([x], [y])[0] == pytest.approx(0.5, abs=1e-12)
+        x = np.full((16, 16), 0.5)
+        y = np.full((16, 16), 0.75)
+        assert report_ald(x, y) == pytest.approx(0.5, abs=1e-12)
 
     def test_zero_reference_rejected(self):
-        with pytest.raises(ValueError):
-            ald_inf([random_image(8), np.zeros((8, 8))], [np.ones((8, 8))] * 2)
+        with pytest.raises(ValueError, match="all-zero reference"):
+            report16([random_image(16), np.zeros((16, 16))], [np.ones((16, 16))] * 2)
 
     def test_stack_rows_match_single(self):
         rng = np.random.default_rng(7)
-        x, y = rng.uniform(size=(2, 9, 32, 32))
-        d = ald_inf(x, y)
+        x, y = rng.uniform(size=(2, 9, 16, 16))
+        d = report16(x, y).ald_inf
         for i in range(9):
-            assert d[i] == ald_inf(x[i : i + 1], y[i : i + 1])[0]
+            assert d[i] == report_ald(x[i], y[i])
             assert d[i] == np.linalg.norm((y[i] - x[i]).ravel(), np.inf) / np.linalg.norm(
                 x[i].ravel(), np.inf
             )
@@ -528,6 +553,20 @@ class TestScoreLatents:
         assert caller in calls[calls.index(error) :]
         assert threading.active_count() == before
 
+    @pytest.mark.parametrize("rows", [N, 2 * N + 5])
+    def test_report_equals_score_latents(self, rows):
+        # one row scorer for evaluate and the sweep: the report of a decoded
+        # stream, against the split tiled to the stream's height, has the
+        # bits of the stream's score_latents
+        params = PrivacyParams(1.0, 0.5, full_mask(32))
+        u = np.random.default_rng(rows).uniform(-0.5, 0.5, size=(rows, params.n_noisy))
+        tile = np.arange(rows) % self.N
+        z = perturb_latents(self.originals.latents[tile], params, u)
+        ids = [f"{i:03d}" for i in range(rows)]
+        report = Originals(self.model, self.x[tile]).report(decode_batch(self.model, z), 0.5, ids)
+        scores = self.originals.score_latents(z)
+        assert np.array_equal(bits(np.stack([report.iss, report.l2, report.ssim])), bits(np.stack(scores)))
+
     def test_rows_pair_with_originals_modulo_the_split(self):
         # 70 rows: the second pass starts at original 4 and wraps at 30
         z = self.originals.latents[np.arange(70) % self.N]
@@ -630,6 +669,14 @@ class TestCalibrate:
     def test_nearest_rank_grid(self):
         grid = [i / 100.0 for i in range(100)]
         assert nearest_rank_percentile(grid, 95.0) == pytest.approx(0.94, abs=1e-12)
+        # numpy's nearest-rank definition, with and without ties, at the
+        # sizes up to those of the CLI's impostor pair sets
+        rng = np.random.default_rng(12)
+        for n in (*range(1, 40), 399, 1225, 4950, 10000):
+            for values in (rng.uniform(size=n), rng.integers(0, 4, n).astype(float)):
+                for p in (0.0, 0.1, 1.0, 5.0, 25.0, 33.3, 50.0, 66.7, 90.0, 95.0, 99.0, 100.0):
+                    expected = np.percentile(values, p, method="inverted_cdf")
+                    assert np.array_equal(bits(nearest_rank_percentile(values, p)), bits(expected))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -810,25 +857,24 @@ class TestMosaic:
 
 class TestEvaluatePairs:
     def test_identical_pairs(self):
-        model = linear_probe_model()
         rng = np.random.default_rng(8)
         imgs = [rng.uniform(0.3, 0.7, size=(16, 16)) for _ in range(4)]
-        # 2x2 probe model cannot embed 16x16 images; use a model-free check
-        # via a probe-sized evaluation instead
         pairs = [(f"img{i:02d}", im, im.copy()) for i, im in enumerate(imgs)]
-        model16 = AutoencoderModel(
-            encoder_dims=(256, 2),
-            identity_len=2,
-            weights=[np.eye(2, 256), np.eye(256, 2)],
-            biases=[np.zeros(2), np.zeros(256)],
-        )
         ids, x, y = zip(*pairs)
-        report = Originals(model16, x).report(y, 0.5, ids)
+        report = Originals(identity16(), x).report(y, 0.5, ids)
         assert np.all(report.l2 == 0.0)
         assert np.all(np.abs(report.ssim - 1.0) < 1e-12)
         assert np.all(report.iss == 1.0)
         assert report.fppsr == 0.0
         assert report.fed < 1e-8
+
+    def test_released_stack_left_as_given(self):
+        # the row scorer overwrites the images it scores: report hands it a copy
+        rng = np.random.default_rng(10)
+        x, y = rng.uniform(size=(2, 5, 16, 16))
+        before = y.copy()
+        report16(x, y)
+        assert np.array_equal(bits(y), bits(before))
 
     def test_rows_sorted_and_counted(self, tmp_path):
         model = linear_probe_model()
