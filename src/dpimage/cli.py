@@ -55,6 +55,7 @@ from .privacy import (
     estimate_sensitivity,
     full_mask,
     identity_mask,
+    pairwise_l1,
     perturb_latents,
 )
 
@@ -148,7 +149,12 @@ def cmd_train(config: RunConfig, args, out_dir: Path) -> tuple[dict, list[str]]:
     if not train_rows:
         raise DataError("manifest has no train split")
     labels = [r.identity_id for r in train_rows]
+    # training holds the split in TRAIN_DTYPE alone; the alignment reads the
+    # float64 split again once the training buffers are freed
+    corpus = corpus.astype(TRAIN_DTYPE)
     model, trace = train(corpus, config)
+    del corpus
+    corpus = read_pgms(args.corpus_dir / r.path for r in train_rows)
     model = align_identity_basis(model, corpus, labels)
     save_model(model, out_dir / "model.dpim")
     write_csv(out_dir / "loss_trace.csv", ("epoch", "loss"), enumerate(trace))
@@ -159,6 +165,7 @@ def cmd_train(config: RunConfig, args, out_dir: Path) -> tuple[dict, list[str]]:
 def cmd_sensitivity(config: RunConfig, args, out_dir: Path) -> tuple[dict, list[str]]:
     manifest, images = _load_corpus(args.corpus_dir)
     latents = encode_batch(args.model, images)
+    del images
     report = estimate_sensitivity(latents)
     # one row at a time, so the file's bytes are the one copy held besides the array
     rows = (z.tolist() for z in latents)
@@ -169,10 +176,9 @@ def cmd_sensitivity(config: RunConfig, args, out_dir: Path) -> tuple[dict, list[
         ("bin_low", "bin_high", "count"),
         zip(edges, edges[1:], report.counts.tolist()),
     )
-    # the first 20 eval latents, sliced from the full matrix: each entry sums
-    # the same values in the same order as their own pairwise matrix would
+    # the first 20 eval latents' own distance matrix
     eval_index = [i for i, r in enumerate(manifest) if r.split == "eval"][:20]
-    heat = report.distances[np.ix_(eval_index, eval_index)].tolist() if len(eval_index) > 1 else []
+    heat = pairwise_l1(latents[eval_index]).tolist() if len(eval_index) > 1 else []
     cells = [(i, j, d) for i, row in enumerate(heat) for j, d in enumerate(row)]
     write_csv(out_dir / "sensitivity_heatmap.csv", ("i", "j", "distance"), cells)
     write_file(out_dir / "delta_f.txt", f"{report.delta_f!r}\n".encode())

@@ -126,12 +126,12 @@ def laplace_from_uniform(u, scale: float):
 class SensitivityReport:
     """Empirical feature-space sensitivity over a set of latents.
 
-    distances is the full pairwise l1 matrix; counts histograms the
-    off-diagonal pairs (each unordered pair counted once) over bin_edges.
+    delta_f is the largest l1 distance between two latents; counts
+    histograms every unordered pair once over bin_edges. No distance is kept:
+    pairwise_l1 gives any subset's matrix, entry for entry the same bits.
     """
 
     delta_f: float
-    distances: np.ndarray
     bin_edges: np.ndarray
     counts: np.ndarray
 
@@ -146,19 +146,29 @@ def pairwise_l1(latents: np.ndarray) -> np.ndarray:
 
 
 def estimate_sensitivity(latents) -> SensitivityReport:
-    """Max pairwise l1 latent distance plus histogram/heatmap material."""
+    """Max pairwise l1 latent distance and the histogram of every pair's.
+
+    Holds each pair i < j's distance once, n(n-1)/2 doubles, each the bits
+    pairwise_l1 gives that pair. A non-finite latent raises ValueError.
+    """
     z = np.asarray(latents, dtype=np.float64)
     if z.ndim != 2 or z.shape[0] < 2:
         raise ValueError("need at least 2 latent vectors of equal length")
-    distances = pairwise_l1(z)
-    iu = np.triu_indices(z.shape[0], k=1)
-    pair_values = distances[iu]
-    delta_f = float(pair_values.max())
+    finite = np.isfinite(z).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"latent {int(np.argmin(finite))} is not finite")
+    n = z.shape[0]
+    pairs, stop = np.empty(n * (n - 1) // 2), 0
+    for i in range(n - 1):  # pairs (i, i+1) ... (i, n-1)
+        start, stop = stop, stop + n - 1 - i
+        diff = z[i + 1 :] - z[i]
+        np.sum(np.abs(diff, out=diff), axis=1, out=pairs[start:stop])
+    delta_f = float(pairs.max())
     edges = np.linspace(0.0, delta_f, SENSITIVITY_BINS + 1)
     if not np.all(np.diff(edges) > 0):  # delta_f 0, or too small to split
         edges = np.linspace(0.0, 1.0, SENSITIVITY_BINS + 1)
-    counts, _ = np.histogram(pair_values, bins=edges)
-    return SensitivityReport(delta_f, distances, edges, counts)
+    counts, _ = np.histogram(pairs, bins=edges)
+    return SensitivityReport(delta_f, edges, counts)
 
 
 def clip_latent(latent: np.ndarray, radius: float) -> np.ndarray:

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import threading
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from dpimage import cli, codec, metrics, privacy
 from dpimage.cli import _baseline_table, main
 from dpimage.config import RunConfig, build_config, load_config_file, parse_levels
 from dpimage.codec import decode, encode, encode_batch, load_model
-from dpimage.data import load_manifest, read_pgm, write_csv, write_pgms
+from dpimage.data import load_manifest, read_pgm, read_pgms, write_csv, write_pgms
 from dpimage.metrics import (
     Originals,
     blur_baseline,
@@ -209,6 +210,59 @@ class TestTrain:
         assert run("train", "--config", tiny_cfg) == 0
         assert (tmp_path / "out" / "model.dpim").read_bytes() == first
 
+    @pytest.fixture()
+    def corpus(self, tmp_path):
+        # 8 identities x 10 samples: 64 train images of 32 x 32
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, n_identities=8, samples_per_identity=10, epochs=1, output_dir=out)
+        assert run("generate", "--config", cfg) == 0
+        rows = [r for r in load_manifest(out / "corpus" / "manifest.csv") if r.split == "train"]
+        assert len(rows) == 64
+        return cfg, out, rows
+
+    def test_trains_with_no_float64_split_alive(self, corpus, monkeypatch):
+        cfg, out, rows = corpus
+        seen = []
+
+        def watched(stack, config):
+            seen.append((stack.dtype, tracemalloc.get_traced_memory()[0]))
+            return codec.train(stack, config)
+
+        monkeypatch.setattr(cli, "train", watched)
+        tracemalloc.start()
+        try:
+            assert run("train", "--config", cfg) == 0
+        finally:
+            tracemalloc.stop()
+        [(dtype, current)] = seen
+        assert dtype == codec.TRAIN_DTYPE
+        # the float32 stack, 256 KiB, and a margin well under the float64 one's 512 KiB
+        assert current < len(rows) * 32 * 32 * codec.TRAIN_DTYPE.itemsize + 64 * 1024
+
+    def test_alignment_reads_the_split_as_read_pgms(self, corpus, monkeypatch):
+        cfg, out, rows = corpus
+        seen = []
+
+        def watched(model, stack, labels):
+            seen.append(stack)
+            return codec.align_identity_basis(model, stack, labels)
+
+        monkeypatch.setattr(cli, "align_identity_basis", watched)
+        assert run("train", "--config", cfg) == 0
+        expected = read_pgms(out / "corpus" / r.path for r in rows)
+        [got] = seen
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    def test_model_equals_library_train_then_align(self, corpus, tmp_path):
+        cfg, out, rows = corpus
+        assert run("train", "--config", cfg) == 0
+        x = read_pgms(out / "corpus" / r.path for r in rows)
+        model, _ = codec.train(x, build_config(cfg))
+        model = codec.align_identity_basis(model, x, [r.identity_id for r in rows])
+        codec.save_model(model, tmp_path / "reference.dpim")
+        assert (out / "model.dpim").read_bytes() == (tmp_path / "reference.dpim").read_bytes()
+
 
 @pytest.fixture()
 def trained(tiny_cfg, tmp_path):
@@ -275,6 +329,20 @@ class TestSensitivity:
         got = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
         assert np.array_equal(got, expected)
         assert sorted(p.name for p in out.glob("latents.*")) == ["latents.csv"]
+
+    def test_non_finite_latent_is_one_line_error(self, trained, capsys):
+        # load_model checks no parameter values: the latents are checked instead
+        cfg, out = trained
+        model = load_model(out / "model.dpim")
+        model.weights[0][0, 0] = np.nan
+        codec.save_model(model, out / "model.dpim")
+        capsys.readouterr()
+        assert run("sensitivity", "--config", cfg) == 1
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:validation: latent ")
+        assert "not finite" in err[0] and captured.out == ""
+        assert not (out / "delta_f.txt").exists() and not (out / "latents.csv").exists()
 
 
 class TestPerturb:

@@ -22,6 +22,7 @@ from dpimage.privacy import (
     full_mask,
     identity_mask,
     laplace_from_uniform,
+    pairwise_l1,
     perturb_latents,
 )
 from support import dp_image, laplace_batch, perturb_latent, verify_dp_empirical
@@ -119,9 +120,10 @@ class TestLaplaceSampler:
 
 class TestSensitivity:
     def test_identical_latents(self):
-        rep = estimate_sensitivity([[1.0, 2.0], [1.0, 2.0]])
+        z = [[1.0, 2.0], [1.0, 2.0]]
+        rep = estimate_sensitivity(z)
         assert rep.delta_f == 0.0
-        assert rep.distances[0, 1] == 0.0
+        assert pairwise_l1(z)[0, 1] == 0.0
 
     def test_subnormal_distance(self):
         rep = estimate_sensitivity([[0.0, 0.0], [0.0, 5e-324]])
@@ -150,20 +152,20 @@ class TestSensitivity:
 
     def test_diagonal_zero(self):
         rng = np.random.default_rng(0)
-        rep = estimate_sensitivity(rng.normal(size=(10, 4)))
-        assert np.all(np.diag(rep.distances) == 0.0)
+        assert np.all(np.diag(pairwise_l1(rng.normal(size=(10, 4)))) == 0.0)
 
     def test_matches_brute_force_exactly(self):
         rng = np.random.default_rng(1)
         z = rng.normal(size=(200, 32))
         rep = estimate_sensitivity(z)
+        distances = pairwise_l1(z)
         best = 0.0
         for i in range(len(z)):
             for j in range(len(z)):
                 d = np.sum(np.abs(z[i] - z[j]))
                 if d > best:
                     best = d
-                assert rep.distances[i, j] == d
+                assert distances[i, j] == d
         assert rep.delta_f == best
 
     def test_too_few_rejected(self):
@@ -176,8 +178,40 @@ class TestSensitivity:
 
     def test_symmetric_matrix(self):
         rng = np.random.default_rng(2)
-        rep = estimate_sensitivity(rng.normal(size=(20, 8)))
-        assert np.array_equal(rep.distances, rep.distances.T)
+        distances = pairwise_l1(rng.normal(size=(20, 8)))
+        assert np.array_equal(distances, distances.T)
+
+    @pytest.mark.parametrize("ties", [False, True], ids=["normal", "ties_at_delta_f"])
+    def test_counts_and_delta_f_of_brute_force_pairs(self, ties):
+        z = np.random.default_rng(3).normal(size=(200, 32))
+        if ties:  # rows 0 and 1 at +100, rows 198 and 199 at -100: four pairs at 6400
+            z[:2], z[198:] = 100.0, -100.0
+        pairs = [np.sum(np.abs(z[j] - z[i])) for i in range(len(z)) for j in range(i + 1, len(z))]
+        rep = estimate_sensitivity(z)
+        assert rep.delta_f == max(pairs)
+        if ties:
+            assert rep.delta_f == 6400.0 and pairs.count(6400.0) == 4
+        counts, _ = np.histogram(pairs, bins=rep.bin_edges)
+        assert np.array_equal(rep.counts, counts)
+        assert np.array_equal(rep.bin_edges, np.linspace(0.0, max(pairs), 21))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_latent_rejected(self, bad):
+        z = np.random.default_rng(4).normal(size=(6, 4))
+        z[3, 2] = bad
+        with pytest.raises(ValueError, match="latent 3 is not finite"):
+            estimate_sensitivity(z)
+
+    def test_peak_memory_one_distance_per_pair(self):
+        # n(n-1)/2 doubles and row-sized temporaries; no n x n matrix or index pairs
+        z = np.random.default_rng(5).normal(size=(400, 32))
+        tracemalloc.start()
+        try:
+            estimate_sensitivity(z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 400 * 399 // 2 * 8 + 0.75 * 2**20
 
 
 class TestClip:
