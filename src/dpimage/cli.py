@@ -33,6 +33,7 @@ from .config import RunConfig, build_config, parse_levels
 from .data import (
     generate_corpus,
     load_manifest,
+    pgm_blobs,
     read_pgms,
     save_manifest,
     write_csv,
@@ -231,6 +232,8 @@ def cmd_perturb(config: RunConfig, args, out_dir: Path) -> tuple[dict, list[str]
     # every input is read before the first release, so a bad one releases
     # nothing; the input stack is freed once the releases are computed
     released = dp_images(args.model, read_pgms(files), params, uniforms)
+    # checked and quantized before the charge: a release it cannot write charges nothing
+    blobs = pgm_blobs(released, [out_dir / "perturbed" / path.name for path in files])
     out_dir.mkdir(parents=True, exist_ok=True)  # for save_csv, whose open() makes none
     # group tracks data disjointness only (same corpus: budgets add); masked
     # releases are annotated on the release id, since the epsilon guarantee
@@ -241,7 +244,8 @@ def cmd_perturb(config: RunConfig, args, out_dir: Path) -> tuple[dict, list[str]
     # the request is charged before its first image is written: a write that
     # fails partway leaves unwritten images charged, never written ones free
     ledger.save_csv(ledger_path)  # appends this request's rows
-    write_pgms(released, [out_dir / "perturbed" / path.name for path in files])
+    for path, blob in blobs:
+        write_file(path, blob)
     total = ledger.total()
     extra = {
         "delta_f": delta_f,

@@ -13,14 +13,15 @@ a wide layer as one product over the pass's rows rounded up to a multiple
 of WIDE_ROWS and at least BLOCK_ROWS, a narrow one as BLOCK_ROWS-row
 products, so a row's bits do not depend on the stack it came in (see
 BLOCK_ROWS). A pass writes every layer's product, bias and activation into
-a PassWorkspace: each call builds its own, so encode and decode are safe to
-share across threads. _Helper is the program's one worker thread, and this
-module starts every thread the program runs: train's, and the sweep's pass
-schedule (_decode_encode_passes), whose calling thread and helper each
-reuse one decoder-then-encoder workspace pass after pass, the encoder
-reading the images where the decoder left them. The helper calls private
-helpers only: public functions run on the calling thread, since a tracer
-that wraps them keeps one span stack.
+a PassWorkspace (the output sigmoid, (1 + tanh(z/2)) / 2, needs no scratch):
+each call builds its own, so encode and decode are safe to share across
+threads. _Helper is the program's one worker thread, and this module starts
+every thread the program runs: train's, and the sweep's pass schedule
+(_decode_encode_passes), whose calling thread and helper each reuse one
+decoder-then-encoder workspace pass after pass, the encoder reading the
+images where the decoder left them. The helper calls private helpers only:
+public functions run on the calling thread, since a tracer that wraps them
+keeps one span stack.
 """
 
 from __future__ import annotations
@@ -110,31 +111,23 @@ class AutoencoderModel:
         return len(self.encoder_dims) - 1
 
 
-def _sigmoid_in_place(z: np.ndarray, ez: np.ndarray) -> np.ndarray:
-    # exp(-|z|) never overflows, even for wildly perturbed latents:
-    # 1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below. Since e^-|z| <= 1,
-    # max(z >= 0, e^-|z|) is that numerator without a select; NaN propagates.
-    # ez is scratch of z's width; z runs len(ez) rows at a time, each block's
-    # signs saved before its denominator overwrites it.
-    for lo in range(0, len(z), len(ez)):
-        block = z[lo : lo + len(ez)]
-        e = ez[: len(block)]
-        nonnegative = block >= 0
-        np.copysign(block, -1.0, out=e)  # -|z|: the bits of negative(abs(z)), NaN too
-        np.exp(e, out=e)
-        np.add(e, 1.0, out=block)
-        np.maximum(nonnegative, e, out=e)
-        np.divide(e, block, out=block)
+def _sigmoid_in_place(z: np.ndarray) -> np.ndarray:
+    # sigmoid(z) = (1 + tanh(z / 2)) / 2: tanh never overflows, even for
+    # wildly perturbed latents, so no select or scratch; NaN propagates
+    z *= 0.5
+    np.tanh(z, out=z)
+    z += 1.0
+    z *= 0.5
     return z
 
 
-def _activate_in_place(model: AutoencoderModel, layer: int, z: np.ndarray, scratch) -> np.ndarray:
-    """The layer's activation applied to z in place (the sigmoid's through scratch); returns z."""
+def _activate_in_place(model: AutoencoderModel, layer: int, z: np.ndarray) -> np.ndarray:
+    """The layer's activation applied to z in place; returns z."""
     n_layers = 2 * model.n_encoder_layers
     if layer == model.n_encoder_layers - 1:
         return z  # latent layer stays unbounded
     if layer == n_layers - 1:
-        return _sigmoid_in_place(z, scratch)  # pixel range
+        return _sigmoid_in_place(z)  # pixel range
     return np.tanh(z, out=z)
 
 
@@ -149,11 +142,10 @@ class PassWorkspace:
     max(BLOCK_ROWS, rows rounded up to WIDE_ROWS) of them and zeroes the rest,
     so no layer reads memory no pass has written (see BLOCK_ROWS). A layer
     writes the first that holds neither its input nor the decoded images,
-    which the encoder reads where they lie; the output sigmoid's BLOCK_ROWS
-    rows of scratch lie in the output layer's input buffer, spent once its
-    product is taken. Each allocation is sized for every use: 672 KiB for 64
-    rows of the default decoder then encoder. A stack of any height runs
-    through it a pass at a time.
+    which the encoder reads where they lie; every activation, the output
+    sigmoid's too, runs in place and needs no scratch. Each allocation is
+    sized for every use: 672 KiB for 64 rows of the default decoder then
+    encoder. A stack of any height runs through it a pass at a time.
     """
 
     def __init__(self, model: AutoencoderModel, decoder: bool, encoder: bool, rows=PASS_ROWS):
@@ -166,12 +158,9 @@ class PassWorkspace:
         for i, layer in enumerate(self.layers):
             images = uses[n_enc][0] if decoder and i >= n_enc else None  # the decoder's output
             uses.append((min({0, 1, 2} - {uses[-1][0], images}), height, dims[layer + 1]))
-        if decoder:  # the sigmoid's scratch, in the input of the output layer (the decoder's last)
-            uses.append((uses[n_enc - 1][0], min(height, BLOCK_ROWS), dims[-1]))
         flat = [np.empty(max([r * w for s, r, w in uses if s == i], default=0)) for i in range(3)]
         bufs = [flat[s][: r * w].reshape(r, w) for s, r, w in uses]
-        self.input, self.acts = bufs[0], bufs[1 : len(self.layers) + 1]
-        self.scratch = bufs[-1] if decoder else None
+        self.input, self.acts = bufs[0], bufs[1:]
 
 
 def _run_pass(model: AutoencoderModel, ws: PassWorkspace, rows: np.ndarray) -> np.ndarray:
@@ -201,7 +190,7 @@ def _run_pass(model: AutoencoderModel, ws: PassWorkspace, rows: np.ndarray) -> n
             for lo in range(0, height, BLOCK_ROWS):
                 np.matmul(a[lo : lo + BLOCK_ROWS], w.T, out=z[lo : lo + BLOCK_ROWS])
         z += model.biases[layer]
-        _activate_in_place(model, layer, z, ws.scratch)
+        _activate_in_place(model, layer, z)
         a = buf[:height]
     return a
 
@@ -374,7 +363,7 @@ def loss_and_gradients(model: AutoencoderModel, batch, *, workspace: _Workspace 
             ws.helper.wait()  # train's update of the top layer, run beside the layers below
         np.matmul(a, model.weights[layer].T, out=out)
         out += model.biases[layer]
-        a = _activate_in_place(model, layer, out, ws.scratch)
+        a = _activate_in_place(model, layer, out)
     diff, gate = ws.deltas[-1], ws.scratch
     np.subtract(a, x, out=diff)
     loss = float(np.mean(np.multiply(diff, diff, out=gate)))

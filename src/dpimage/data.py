@@ -56,7 +56,7 @@ _MOUTH_THICKNESS = 0.022
 EVAL_FRACTION = 0.2  # share of each identity's samples held out for eval
 MIN_IDENTITY_DISTANCE = 0.6  # in range-normalized identity parameter space
 MANIFEST_COLUMNS = ("path", "identity_id", "split")
-PGM_BLOCK = 64  # images write_pgms checks and quantizes at a time
+PGM_BLOCK = 64  # images pgm_blobs checks and quantizes at a time
 
 
 def render_faces(params, side: int, uniforms) -> np.ndarray:
@@ -204,10 +204,15 @@ def load_manifest(path) -> list[ManifestRow]:
 
 
 def write_pgms(stack, paths) -> None:
-    """Write a [0,1] grayscale stack of shape (n, h, w) as binary PGMs (P5,
-    maxval 255), one per path. Every image is checked and quantized, up to
-    PGM_BLOCK at a time, before the first file is written, so a bad one
-    writes nothing; the error names the first bad image's path."""
+    """Write pgm_blobs(stack, paths), each to its path: a bad image writes nothing."""
+    for path, blob in pgm_blobs(stack, paths):
+        write_file(path, blob)
+
+
+def pgm_blobs(stack, paths) -> list[tuple]:
+    """(path, bytes) of a [0,1] grayscale stack of shape (n, h, w) as binary
+    PGMs (P5, maxval 255), one per path. Every image is checked and quantized,
+    up to PGM_BLOCK at a time; the error names the first bad image's path."""
     paths = list(paths)
     stack = np.asarray(stack, dtype=np.float64)
     if len(stack) != len(paths):
@@ -224,8 +229,7 @@ def write_pgms(stack, paths) -> None:
         q = x * 255.0
         data = np.rint(q, out=q).astype(np.uint8)
         blobs += [(path, header + img.tobytes()) for path, img in zip(names, data)]
-    for path, blob in blobs:
-        write_file(path, blob)
+    return blobs
 
 
 def write_file(path, *blobs) -> None:

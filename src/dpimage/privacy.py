@@ -149,7 +149,7 @@ def estimate_sensitivity(latents) -> SensitivityReport:
     """Max pairwise l1 latent distance and the histogram of every pair's.
 
     Holds each pair i < j's distance once, n(n-1)/2 doubles, each the bits
-    pairwise_l1 gives that pair. A non-finite latent raises ValueError.
+    pairwise_l1 gives that pair. A non-finite latent or distance raises ValueError.
     """
     z = np.asarray(latents, dtype=np.float64)
     if z.ndim != 2 or z.shape[0] < 2:
@@ -159,11 +159,14 @@ def estimate_sensitivity(latents) -> SensitivityReport:
         raise ValueError(f"latent {int(np.argmin(finite))} is not finite")
     n = z.shape[0]
     pairs, stop = np.empty(n * (n - 1) // 2), 0
-    for i in range(n - 1):  # pairs (i, i+1) ... (i, n-1)
-        start, stop = stop, stop + n - 1 - i
-        diff = z[i + 1 :] - z[i]
-        np.sum(np.abs(diff, out=diff), axis=1, out=pairs[start:stop])
+    with np.errstate(over="ignore"):  # an overflow shows as delta_f inf
+        for i in range(n - 1):  # pairs (i, i+1) ... (i, n-1)
+            start, stop = stop, stop + n - 1 - i
+            diff = z[i + 1 :] - z[i]
+            np.sum(np.abs(diff, out=diff), axis=1, out=pairs[start:stop])
     delta_f = float(pairs.max())
+    if not np.isfinite(delta_f):
+        raise ValueError("an l1 distance between latents overflows")
     edges = np.linspace(0.0, delta_f, SENSITIVITY_BINS + 1)
     if not np.all(np.diff(edges) > 0):  # delta_f 0, or too small to split
         edges = np.linspace(0.0, 1.0, SENSITIVITY_BINS + 1)

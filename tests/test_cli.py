@@ -350,6 +350,23 @@ class TestPerturb:
         cfg, out = trained
         assert run("perturb", "--config", cfg, "--input", out / "corpus") == 1
 
+    def test_unwritable_release_charges_nothing(self, trained, capsys):
+        # a NaN weight decodes to NaN pixels: the range check fails before
+        # the request is charged, so no ledger row and no image
+        cfg, out = trained
+        model = load_model(out / "model.dpim")
+        model.weights[0][0, 0] = np.nan
+        codec.save_model(model, out / "model.dpim")
+        image = sorted((out / "corpus").rglob("*.pgm"))[0]
+        capsys.readouterr()
+        assert run("perturb", "--config", cfg, "--sensitivity", "1", "--input", image) == 1
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:data: ")
+        assert "pixel values must lie in [0, 1]" in err[0] and captured.out == ""
+        assert not (out / "ledger.csv").exists()
+        assert not list(out.glob("perturbed/*"))
+
     def test_clip_mode_works_without_estimate(self, trained):
         cfg, out = trained
         code = run(

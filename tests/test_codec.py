@@ -76,7 +76,7 @@ def block_forward(model, x, first, last):
         a = block
         for layer in range(first, last):
             z = a @ model.weights[layer].T + model.biases[layer]
-            a = _activate_in_place(model, layer, z, np.empty_like(z))
+            a = _activate_in_place(model, layer, z)
         out[start : start + len(rows)] = a[: len(rows)]
     return out
 
@@ -137,7 +137,7 @@ class TestBatchForward:
 
             def from_inf(model, ws, rows):
                 passes.append((ws, len(rows)))
-                for buf in [ws.input, *ws.acts, ws.scratch]:
+                for buf in [ws.input, *ws.acts]:
                     buf.fill(np.inf)
                 return run_pass(model, ws, rows)
 
@@ -173,7 +173,7 @@ class TestBatchForward:
         forward = decode_batch if decoder else encode_batch
         ws = PassWorkspace(model, decoder=decoder, encoder=not decoder)
         for height in (64, 20, 36, 1, 52, 64):
-            for buf in [ws.input, *ws.acts, *[ws.scratch] * decoder]:
+            for buf in [ws.input, *ws.acts]:
                 buf.fill(np.inf)
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
@@ -307,14 +307,20 @@ class TestGradients:
 
 
 def where_sigmoid(z):
-    """The output sigmoid with an explicit select, as a reference."""
+    """The output sigmoid as (1 + tanh(z / 2)) / 2, out of place, as a reference."""
+    return (1.0 + np.tanh(z / 2.0)) / 2.0
+
+
+def exp_sigmoid(z):
+    """The output sigmoid's exp form with an explicit select: 1 / (1 + e^-z)
+    for z >= 0 and e^z / (1 + e^z) below, in z's dtype."""
     ez = np.exp(-np.abs(z))
     return np.where(z >= 0, 1.0, ez) / (1.0 + ez)
 
 
 def reference_step(model, x):
     """Loss and gradients of one batch by textbook backpropagation: every
-    intermediate freshly allocated, the select sigmoid, gradients in fresh arrays."""
+    intermediate freshly allocated, the tanh-form sigmoid, gradients in fresh arrays."""
     n_layers = len(model.weights)
     latent = model.n_encoder_layers - 1
     acts = [x]
@@ -376,15 +382,28 @@ class TestStep:
                1e-300, -1e-300]
 
     def test_sigmoid_bits_equal_select_form(self):
-        # the one-scratch form: the denominator overwrites z after its signs
-        # are saved; whatever the scratch held before must not matter, and a
-        # scratch of fewer rows than z runs z a block of rows at a time
+        # the four in-place ops give the out-of-place reference's bits, in
+        # both dtypes, with no scratch
         rng = np.random.default_rng(0)
-        for z in [np.array(self.SPECIAL)] + [s * rng.normal(size=(32, 1024)) for s in (1, 10, 100)]:
-            for fill, rows in ((np.nan, len(z)), (-np.inf, 5), (0.0, 16)):
+        for dtype in (np.float64, np.float32):
+            for z in [np.array(self.SPECIAL)] + [s * rng.normal(size=(32, 1024)) for s in (1, 10, 100)]:
+                z = z.astype(dtype)
                 got = z.copy()
-                assert _sigmoid_in_place(got, np.full_like(z[:rows], fill)) is got
-                assert np.array_equal(got.view(np.uint64), where_sigmoid(z).view(np.uint64))
+                assert _sigmoid_in_place(got) is got and got.dtype == dtype
+                bits = f"u{got.itemsize}"
+                assert np.array_equal(got.view(bits), where_sigmoid(z).view(bits))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_sigmoid_within_an_eps_of_exp_form(self, dtype):
+        # a dense grid over [-60, 60]: within one eps (an ulp of 1.0) of the
+        # exp select form, in [0, 1] and monotone; the tails and NaN exact
+        z = np.linspace(-60.0, 60.0, 2_000_001).astype(dtype)
+        got = _sigmoid_in_place(z.copy())
+        assert np.max(np.abs(got - exp_sigmoid(z))) <= np.finfo(dtype).eps
+        assert got.min() >= 0.0 and got.max() <= 1.0
+        assert np.all(np.diff(got) >= 0.0)
+        tails = _sigmoid_in_place(np.array([np.inf, -np.inf, 800.0, -800.0, np.nan], dtype))
+        assert tails[:4].tolist() == [1.0, 0.0, 1.0, 0.0] and np.isnan(tails[4])
 
     @pytest.mark.parametrize("dims", [(64, 8), (64, 16, 8), (64, 32, 16, 8)])
     def test_step_bits_equal_textbook(self, dims):

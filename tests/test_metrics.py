@@ -489,11 +489,11 @@ class TestScoreLatents:
         assert threading.active_count() == before
 
     def test_decode_encode_workspace_holds_the_decoder_and_one_block(self):
-        # the encoder's 256- and 32-wide layers and the sigmoid's scratch lie
-        # in the decoder's spent buffer: only the 64-wide layer adds a block
+        # the encoder's 256- and 32-wide layers lie in the decoder's spent
+        # buffer: only the 64-wide layer adds a block
         model = self.model
         ws = PassWorkspace(model, True, True)
-        views = [ws.input, *ws.acts, ws.scratch]
+        views = [ws.input, *ws.acts]
         held = {id(v.base): v.base.nbytes for v in views}
         decoder = PASS_ROWS * (max(32, 256) + max(64, 1024)) * 8  # its two buffers
         assert sum(held.values()) <= decoder + PASS_ROWS * 64 * 8 == 672 * 1024

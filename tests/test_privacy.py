@@ -2,6 +2,7 @@ import json
 import math
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -201,6 +202,14 @@ class TestSensitivity:
         z[3, 2] = bad
         with pytest.raises(ValueError, match="latent 3 is not finite"):
             estimate_sensitivity(z)
+
+    def test_overflowing_distance_rejected(self):
+        # finite latents whose l1 distance overflows: a ValueError, with no
+        # RuntimeWarning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="overflows"):
+                estimate_sensitivity([[1e308, 0.0], [-1e308, 0.0], [0.0, 0.0]])
 
     def test_peak_memory_one_distance_per_pair(self):
         # n(n-1)/2 doubles and row-sized temporaries; no n x n matrix or index pairs
