@@ -273,12 +273,12 @@ def cmd_evaluate(config: RunConfig, args, out_dir: Path) -> tuple[dict, list[str
     missing = sorted(set(orig_files) ^ set(pert_files))
     if missing:
         raise DataError(f"originals and perturbed are misaligned on: {missing[:5]}")
+    names = sorted(orig_files)
+    originals = Originals(model, read_pgms(orig_files[name] for name in names))
     threshold = args.threshold
     if threshold is None:
         ids, x_eval = _eval_split(args.corpus_dir)
         threshold = _calibrated_tau(ids, encode_batch(model, x_eval)[:, : model.identity_len])
-    names = sorted(orig_files)
-    originals = Originals(model, read_pgms(orig_files[name] for name in names))
     report = originals.report(read_pgms(pert_files[name] for name in names), threshold, names)
     header = ("image_id", "l2", "ald_inf", "ssim", "iss")
     columns = [getattr(report, name).tolist() for name in header[1:]]
@@ -383,6 +383,8 @@ def cmd_sweep(config: RunConfig, args, out_dir: Path) -> tuple[dict, list[str]]:
     for level, d, rows in zip(levels, draws, spans):
         iss, l2, ssim = (np.tile(v[rows], config.sweep_repetitions // d) for v in scores)
         means = (iss.mean(), np.mean(iss < tau), l2.mean(), ssim.mean())
+        if not np.isfinite(means).all():
+            raise ValueError(f"level {level} scores a release that is not finite")
         results.append((level, *map(float, means)))
     header = ("level", "mean_iss", "mean_fppsr", "mean_l2", "mean_ssim")
     write_csv(out_dir / "sweep.csv", header, results)

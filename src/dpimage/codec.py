@@ -13,15 +13,14 @@ a wide layer as one product over the pass's rows rounded up to a multiple
 of WIDE_ROWS and at least BLOCK_ROWS, a narrow one as BLOCK_ROWS-row
 products, so a row's bits do not depend on the stack it came in (see
 BLOCK_ROWS). A pass writes every layer's product, bias and activation into
-a PassWorkspace (the output sigmoid, (1 + tanh(z/2)) / 2, needs no scratch):
-each call builds its own, so encode and decode are safe to share across
-threads. _Helper is the program's one worker thread, and this module starts
-every thread the program runs: train's, and the sweep's pass schedule
-(_decode_encode_passes), whose calling thread and helper each reuse one
-decoder-then-encoder workspace pass after pass, the encoder reading the
-images where the decoder left them. The helper calls private helpers only:
-public functions run on the calling thread, since a tracer that wraps them
-keeps one span stack.
+a fresh block of its own (the output sigmoid, (1 + tanh(z/2)) / 2, needs no
+scratch), so encode and decode are safe to share across threads. _Helper is
+the program's one worker thread, and this module starts every thread the
+program runs: train's, and the sweep's pass schedule
+(_decode_encode_passes), whose encoder reads each pass's images where the
+decoder left them. The helper calls private helpers only: public functions
+run on the calling thread, since a tracer that wraps them keeps one span
+stack.
 """
 
 from __future__ import annotations
@@ -131,78 +130,51 @@ def _activate_in_place(model: AutoencoderModel, layer: int, z: np.ndarray) -> np
     return np.tanh(z, out=z)
 
 
-class PassWorkspace:
-    """The buffers of forward passes through the decoder, the encoder, or the
-    decoder then the encoder (for _decode_encode_passes).
+def _run_pass(model: AutoencoderModel, layers, a: np.ndarray, n: int) -> np.ndarray:
+    """The block a, whose first n rows (at most one pass) hold the pass's
+    input and the rest zeros up to a multiple of BLOCK_ROWS, through the
+    given layers; returns the last layer's block, of a's height.
 
-    The zero-padded input block and each layer's buffer (its product, bias
-    and activation are written into it) share at most three allocations of
-    one pass height: min(PASS_ROWS, rows rounded up to BLOCK_ROWS), the rows
-    a narrow layer's BLOCK_ROWS-row products cover; a wide layer writes
-    max(BLOCK_ROWS, rows rounded up to WIDE_ROWS) of them and zeroes the rest,
-    so no layer reads memory no pass has written (see BLOCK_ROWS). A layer
-    writes the first that holds neither its input nor the decoded images,
-    which the encoder reads where they lie; every activation, the output
-    sigmoid's too, runs in place and needs no scratch. Each allocation is
-    sized for every use: 672 KiB for 64 rows of the default decoder then
-    encoder. A stack of any height runs through it a pass at a time.
+    Each layer writes its product, bias and activation into a fresh block. A
+    wide layer runs over the first max(BLOCK_ROWS, n rounded up to WIDE_ROWS)
+    rows only and zeroes the rest of its block, which only a narrow layer's
+    padding reads; a narrow layer runs BLOCK_ROWS-row blocks over the whole
+    height (see BLOCK_ROWS). So no layer reads memory no layer has written.
     """
-
-    def __init__(self, model: AutoencoderModel, decoder: bool, encoder: bool, rows=PASS_ROWS):
-        n_enc = model.n_encoder_layers
-        self.layers = [*range(n_enc, 2 * n_enc)] * decoder + [*range(n_enc)] * encoder
-        height = min(PASS_ROWS, rows + -rows % BLOCK_ROWS or BLOCK_ROWS)
-        dims = model.full_dims
-        # (allocation, rows, width) of the input block, then of each layer's buffer
-        uses = [(0, height, dims[self.layers[0]])]
-        for i, layer in enumerate(self.layers):
-            images = uses[n_enc][0] if decoder and i >= n_enc else None  # the decoder's output
-            uses.append((min({0, 1, 2} - {uses[-1][0], images}), height, dims[layer + 1]))
-        flat = [np.empty(max([r * w for s, r, w in uses if s == i], default=0)) for i in range(3)]
-        bufs = [flat[s][: r * w].reshape(r, w) for s, r, w in uses]
-        self.input, self.acts = bufs[0], bufs[1:]
-
-
-def _run_pass(model: AutoencoderModel, ws: PassWorkspace, rows: np.ndarray) -> np.ndarray:
-    """Rows (at most one pass), zero-padded to a multiple of BLOCK_ROWS in ws's
-    input block, through ws's layers; returns the last layer's buffer, whose
-    first len(rows) rows hold the pass's output.
-
-    A wide layer runs over the first max(BLOCK_ROWS, rows rounded up to
-    WIDE_ROWS) rows only and zeroes the rest of the pass, which only a narrow
-    layer's padding reads; a narrow layer runs BLOCK_ROWS-row blocks over the
-    whole pass (see BLOCK_ROWS).
-    """
-    n = len(rows)
-    height = n + -n % BLOCK_ROWS
-    wide = max(BLOCK_ROWS, n + -n % WIDE_ROWS)
-    a = ws.input[:height]
-    a[:n] = rows
-    a[n:] = 0.0
-    for layer, buf in zip(ws.layers, ws.acts):
+    height, wide = len(a), max(BLOCK_ROWS, n + -n % WIDE_ROWS)
+    for layer in layers:
         w = model.weights[layer]
-        if w.shape[0] >= WIDE_OUT:
-            z = buf[:wide]
+        block = np.empty((height, len(w)))
+        if len(w) >= WIDE_OUT:
+            z = block[:wide]
             np.matmul(a[:wide], w.T, out=z)
-            buf[wide:height] = 0.0
+            block[wide:] = 0.0
         else:
-            z = buf[:height]
+            z = block
             for lo in range(0, height, BLOCK_ROWS):
                 np.matmul(a[lo : lo + BLOCK_ROWS], w.T, out=z[lo : lo + BLOCK_ROWS])
         z += model.biases[layer]
         _activate_in_place(model, layer, z)
-        a = buf[:height]
+        a = block
+    return a
+
+
+def _padded(rows: np.ndarray) -> np.ndarray:
+    """rows and zero rows up to a multiple of BLOCK_ROWS, as _run_pass takes them."""
+    a = np.zeros((len(rows) + -len(rows) % BLOCK_ROWS, rows.shape[1]))
+    a[: len(rows)] = rows
     return a
 
 
 def _forward(model: AutoencoderModel, x: np.ndarray, encoder: bool) -> np.ndarray:
-    """Rows of x through the encoder or the decoder, one pass at a time
-    through a workspace of its own."""
-    ws = PassWorkspace(model, decoder=not encoder, encoder=encoder, rows=len(x))
-    out = np.empty((len(x), ws.acts[-1].shape[1]))
-    for start in range(0, len(x), len(ws.input)):
-        rows = x[start : start + len(ws.input)]
-        out[start : start + len(rows)] = _run_pass(model, ws, rows)[: len(rows)]
+    """Rows of x through the encoder or the decoder, one pass at a time."""
+    n_enc = model.n_encoder_layers
+    layers = range(n_enc) if encoder else range(n_enc, 2 * n_enc)
+    out = np.empty((len(x), model.full_dims[layers[-1] + 1]))
+    for start in range(0, len(x), PASS_ROWS):
+        rows = x[start : start + PASS_ROWS]
+        n = len(rows)
+        out[start : start + n] = _run_pass(model, layers, _padded(rows), n)[:n]
     return out
 
 
@@ -286,30 +258,32 @@ class _Helper(threading.Thread):
 
 def _decode_encode_passes(model: AutoencoderModel, z: np.ndarray, score) -> None:
     """Decode latent rows z a pass of PASS_ROWS rows at a time, encode each
-    pass's images where they lie, and call score(start, images, latents) on
-    views, valid during the call, of the rows from start on, with the bits of
-    decode_batch, then encode_batch. Given a second CPU and more than one
-    pass, a _Helper takes the odd passes as one task, the calling thread the
-    even ones, each through a decoder-then-encoder workspace of its own.
-    score runs under one lock, on either thread, so it calls private helpers
-    only. A helper error stops the calling thread at its next pass and is
-    raised by the helper's wait; a calling thread error, once the helper joins.
+    pass's images from the decoder's block where they lie, and call
+    score(start, images, latents) on views, valid during the call, of the
+    rows from start on, with the bits of decode_batch, then encode_batch.
+    Given a second CPU and more than one pass, a _Helper takes the odd passes
+    as one task, the calling thread the even ones; a pass's blocks are freed
+    before the next pass allocates its own. score runs under one lock, on
+    either thread, so it calls private helpers only. A helper error stops the
+    calling thread at its next pass and is raised by the helper's wait; a
+    calling thread error, once the helper joins.
     """
-    passes = range(0, len(z), PASS_ROWS)
+    passes, n_enc = range(0, len(z), PASS_ROWS), model.n_encoder_layers
     scoring = threading.Lock()
     with _Helper() as helper:
         workers = 2 if helper.is_alive() and len(passes) > 1 else 1
 
         def work(worker: int) -> None:
-            ws = PassWorkspace(model, True, True, len(z))
             for start in passes[worker::workers]:
                 if helper.error:
                     return
                 rows = z[start : start + PASS_ROWS]
-                latents = _run_pass(model, ws, rows)[: len(rows)]
-                images = ws.acts[model.n_encoder_layers - 1][: len(rows)]
+                n = len(rows)
+                images = _run_pass(model, range(n_enc, 2 * n_enc), _padded(rows), n)
+                latents = _run_pass(model, range(n_enc), images, n)
                 with scoring:
-                    score(start, images.reshape(len(rows), model.side, model.side), latents)
+                    score(start, images[:n].reshape(n, model.side, model.side), latents[:n])
+                del images, latents
 
         if workers > 1:
             helper.submit(work, 1)

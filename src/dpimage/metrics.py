@@ -9,8 +9,9 @@ original images once (its latents and its SSIM statistics) and scores
 released images against it with one row scorer: report scores a released
 stack and aggregates in the order of its rows; score_latents scores a stream
 of noisy latents as codec's pass schedule decodes it, a pass at a time on
-one or two threads, and no byte depends on the number of threads. Public
-functions run on the calling thread only.
+one or two threads, and no byte depends on the number of threads. Every SSIM
+call allocates its own block buffers. Public functions run on the calling
+thread only.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ SSIM_C1 = (0.01 * 1.0) ** 2  # dynamic range L = 1 for [0,1] pixels
 SSIM_C2 = (0.03 * 1.0) ** 2
 # images per SSIM filtering step; bounds the scorer's temporaries
 SSIM_BLOCK = 16
-SWEEP_SSIM_BLOCK = 32  # images per SSIM block of the buffer set the sweep's workers share
 
 
 def _row_norms(d: np.ndarray) -> np.ndarray:
@@ -57,9 +57,8 @@ def ssim_reference(x: np.ndarray, window: int = SSIM_WINDOW, sigma: float = SSIM
     matrices of 1-D taps (Wang et al. 2004). x's local mean and variance are
     held; each call filters y, y * y and x * y a block of images at a time,
     and a stacked matmul runs one product per image, so the grouping moves no
-    bit. score(y, start, buffers) pairs y's rows with x's rows from start on,
-    in blocks of a buffer set from score.buffers(images), one call at a time
-    per set; without one a call allocates a set of SSIM_BLOCK images.
+    bit. score(y, start) pairs y's rows with x's rows from start on, in
+    blocks of a buffer set of SSIM_BLOCK images that each call allocates.
     """
     x = np.asarray(x, dtype=np.float64)
     if window % 2 == 0:
@@ -87,12 +86,12 @@ def ssim_reference(x: np.ndarray, window: int = SSIM_WINDOW, sigma: float = SSIM
         filtered(np.multiply(a, a, out=product[: len(a)]), vx, half)
         vx -= np.multiply(mx, mx, out=sq[: len(a)])
 
-    def score(y: np.ndarray, start: int = 0, buffers=None) -> np.ndarray:
+    def score(y: np.ndarray, start: int = 0) -> np.ndarray:
         y = np.asarray(y, dtype=np.float64)
         stack = y.reshape(-1, h, w) if y.shape[-2:] == (h, w) else y
         if stack.ndim != 3 or not 0 <= start <= len(x_all) - len(stack):
             raise ValueError(f"image shapes differ: {x.shape} vs {y.shape} from row {start}")
-        product, half, stats = buffers or block_buffers(min(SSIM_BLOCK, len(stack)))
+        product, half, stats = block_buffers(min(SSIM_BLOCK, len(stack)))
         out = np.empty(len(stack))
         for lo in range(0, len(stack), len(product)):
             b = stack[lo : lo + len(product)]
@@ -116,7 +115,6 @@ def ssim_reference(x: np.ndarray, window: int = SSIM_WINDOW, sigma: float = SSIM
             out[lo : lo + n] = np.mean(m.reshape(n, -1), axis=1)
         return out.reshape(y.shape[:-2])
 
-    score.buffers = block_buffers
     return score
 
 
@@ -246,9 +244,10 @@ class MetricsReport:
 class Originals:
     """A stack of original images prepared once for scoring released stacks.
 
-    Holds the images x, their latents (the rows a sweep perturbs) and
-    identity embeddings, and the SSIM scorer with x's statistics filtered.
-    Every score of a released stack y pairs y's row i with x's row i.
+    Holds the images x, their latents (the rows a sweep perturbs; one that
+    is not finite raises ValueError) and identity embeddings, and the SSIM
+    scorer with x's statistics filtered. Every score of a released stack y
+    pairs y's row i with x's row i.
     """
 
     def __init__(self, model: AutoencoderModel, x, window=SSIM_WINDOW, sigma=SSIM_SIGMA):
@@ -257,10 +256,13 @@ class Originals:
         if not len(self.x):
             raise ValueError("need at least one original image")
         self.latents = encode_batch(model, self.x)
+        finite = np.isfinite(self.latents).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"latent {int(np.argmin(finite))} is not finite")
         self.embeddings = self.latents[:, : model.identity_len]
         self.ssim = ssim_reference(self.x, window, sigma)
 
-    def _score_rows(self, scores, start: int, y, emb_y, ssim_buffers=None) -> None:
+    def _score_rows(self, scores, start: int, y, emb_y) -> None:
         """Write the ISS, l2 and SSIM of images y, identity embeddings emb_y,
         into columns start... of scores, a (3, rows) array: row r against
         original r mod n. Overwrites y; calls private helpers and the SSIM
@@ -272,7 +274,7 @@ class Originals:
             rows, part = slice(lo, hi), slice(lo - start, hi - start)
             orig = slice(lo % n, hi % n or n)
             scores[0, rows] = _iss_scores(self.embeddings[orig], emb_y[part])
-            scores[2, rows] = self.ssim(y[part], lo % n, ssim_buffers)
+            scores[2, rows] = self.ssim(y[part], lo % n)
             # the scored images' difference overwrites them
             scores[1, rows] = _row_norms(np.subtract(y[part], self.x[orig], out=y[part]))
 
@@ -282,14 +284,13 @@ class Originals:
         Row r is decoded and scored against original r mod n; its scores
         equal those report gives its decode_batch, whatever the number of
         threads. codec's pass schedule hands _score_rows one pass at a time
-        on either thread, with one shared SSIM buffer set.
+        on either thread.
         """
         model = self.model
         z = np.asarray(latents, dtype=np.float64).reshape(-1, model.latent_dim)
-        k, buffers = model.identity_len, self.ssim.buffers(min(SWEEP_SSIM_BLOCK, len(z)))
-        scores = np.empty((3, len(z)))
+        k, scores = model.identity_len, np.empty((3, len(z)))
         _decode_encode_passes(
-            model, z, lambda start, y, latent: self._score_rows(scores, start, y, latent[:, :k], buffers)
+            model, z, lambda start, y, latent: self._score_rows(scores, start, y, latent[:, :k])
         )
         return tuple(scores)
 

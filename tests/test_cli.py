@@ -757,6 +757,32 @@ class TestEvaluateAndSweep:
         assert run("sweep", "--config", cfg, "--sweep_levels", "0", "--sweep_repetitions", "1") == 0
         assert not (out / "ledger.csv").exists()
 
+    @pytest.mark.parametrize(
+        "command, layer, message",
+        [
+            # an encoder weight: every latent of the originals is NaN
+            ("sweep", 0, "latent 0 is not finite"),
+            ("evaluate", 0, "latent 0 is not finite"),
+            # a decoder output weight: the originals encode, their releases do not
+            ("sweep", -1, "level 0.0 scores a release that is not finite"),
+        ],
+    )
+    def test_non_finite_model_is_one_line_error(self, trained, capsys, command, layer, message):
+        cfg, out = trained
+        model = load_model(out / "model.dpim")
+        model.weights[layer][0, 0] = np.nan
+        codec.save_model(model, out / "model.dpim")
+        args = ["--sweep_levels", "0,0.5"]
+        if command == "evaluate":
+            args = ["--originals", out / "corpus", "--perturbed", out / "corpus"]
+        capsys.readouterr()
+        assert run(command, "--config", cfg, *args) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error:validation: {message}"] and captured.out == ""
+        written = {"sweep.csv"} if command == "sweep" else {"per_image.csv", "aggregate.csv"}
+        for name in (*written, f"provenance_{command}.json"):
+            assert not (out / name).exists()
+
     def test_threshold_outside_unit_interval_rejected(self, trained, capsys):
         cfg, out = trained
         capsys.readouterr()

@@ -13,9 +13,9 @@ from dpimage.codec import (
     BLOCK_ROWS,
     PASS_ROWS,
     WIDE_OUT,
-    PassWorkspace,
     _activate_in_place,
     _decode_encode_passes,
+    _padded,
     _run_pass,
     _sigmoid_in_place,
     align_identity_basis,
@@ -81,6 +81,21 @@ def block_forward(model, x, first, last):
     return out
 
 
+def inf_blocks(monkeypatch) -> list:
+    """Patch np.empty so that every block it allocates starts as inf; returns
+    the list that records each block's shape, in allocation order."""
+    empty, shapes = np.empty, []
+
+    def from_inf(shape, *args, **kwargs):
+        block = empty(shape, *args, **kwargs)
+        block.fill(np.inf)
+        shapes.append(block.shape)
+        return block
+
+    monkeypatch.setattr(np, "empty", from_inf)
+    return shapes
+
+
 class TestBatchForward:
     """Rows of a batch carry the bits of the single-image calls."""
 
@@ -119,38 +134,32 @@ class TestBatchForward:
             assert np.array_equal(dec.view(np.uint64), ref_dec[:height]), height
 
     @pytest.mark.parametrize("dims", [(1024, 256, 64, 32), (1024, WIDE_OUT, 100)])
-    def test_reused_workspace_bits_equal_block_reference(self, dims, monkeypatch):
-        # the sweep's pass schedule on one thread: one decoder-then-encoder
-        # workspace through a full pass, then a pass of every shape: the
-        # encoder reads the decoder's output in place, and a row's bits must
-        # not see the previous pass's. Each pass starts from buffers of inf,
-        # so a pass that reads anything it did not write shows in the bits or
-        # raises a RuntimeWarning.
+    def test_fresh_pass_blocks_bits_equal_block_reference(self, dims, monkeypatch):
+        # the sweep's pass schedule on one thread: a full pass, then a pass of
+        # every shape, the encoder reading the decoder's block where it lies.
+        # Every block a pass allocates starts as inf, so a pass that reads
+        # anything it did not write shows in the bits or raises a RuntimeWarning.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         model = init_model(dims, 12, seed=7, weight_init_scale=2.0)
         z = np.random.default_rng(7).normal(0.0, 3.0, size=(2 * PASS_ROWS, dims[-1]))
-        n_enc, run_pass = model.n_encoder_layers, codec._run_pass
+        n_enc = model.n_encoder_layers
+        # one block per layer, the decoder's then the encoder's
+        widths = model.full_dims[n_enc + 1 :] + model.full_dims[1 : n_enc + 1]
         for height in (64, 20, 36, 1, 52, 17, 16):
-            stream, passes = z[: PASS_ROWS + height], []
-            images = np.empty((len(stream), model.input_dim))
-            latents = np.empty((len(stream), dims[-1]))
-
-            def from_inf(model, ws, rows):
-                passes.append((ws, len(rows)))
-                for buf in [ws.input, *ws.acts]:
-                    buf.fill(np.inf)
-                return run_pass(model, ws, rows)
+            stream = z[: PASS_ROWS + height]
+            images = np.zeros((len(stream), model.input_dim))
+            latents = np.zeros((len(stream), dims[-1]))
 
             def score(start, y, latent):
                 images[start : start + len(y)] = y.reshape(len(y), -1)
                 latents[start : start + len(y)] = latent
 
             with monkeypatch.context() as patched, warnings.catch_warnings():
-                patched.setattr(codec, "_run_pass", from_inf)
+                blocks = inf_blocks(patched)
                 warnings.simplefilter("error", RuntimeWarning)
                 _decode_encode_passes(model, stream, score)
-            (ws, full), (reused, rows) = passes
-            assert reused is ws and (len(ws.input), full, rows) == (PASS_ROWS, PASS_ROWS, height)
+            padded = height + -height % BLOCK_ROWS
+            assert blocks == [(rows, w) for rows in (PASS_ROWS, padded) for w in widths]
             ref_images = decode_batch(model, stream).reshape(len(stream), -1)
             ref_latents = encode_batch(model, ref_images)
             assert np.array_equal(images.view(np.uint64), ref_images.view(np.uint64))
@@ -162,22 +171,23 @@ class TestBatchForward:
 
     @pytest.mark.parametrize("dims", [(1024, 256, 64, 32), (1024, WIDE_OUT, 100)])
     @pytest.mark.parametrize("decoder", [False, True])
-    def test_pass_reads_no_row_it_did_not_write(self, dims, decoder):
-        # an encoder or decoder workspace, as encode_batch and decode_batch
-        # build, filled with inf before each pass: a narrow layer reading
-        # padding rows that the wide layer before it skipped and did not
-        # zero would raise a RuntimeWarning from matmul (inf times weights)
+    def test_pass_reads_no_row_it_did_not_write(self, dims, decoder, monkeypatch):
+        # a pass through the encoder or the decoder, as encode_batch and
+        # decode_batch run it, whose every block starts as inf: a narrow layer
+        # reading padding rows that the wide layer before it skipped and did
+        # not zero would raise a RuntimeWarning from matmul (inf times weights)
         model = init_model(dims, 12, seed=8, weight_init_scale=2.0)
         rng = np.random.default_rng(8)
         x = rng.normal(0.0, 3.0, size=(PASS_ROWS, dims[-1] if decoder else dims[0]))
         forward = decode_batch if decoder else encode_batch
-        ws = PassWorkspace(model, decoder=decoder, encoder=not decoder)
+        n_enc = model.n_encoder_layers
+        layers = range(n_enc, 2 * n_enc) if decoder else range(n_enc)
         for height in (64, 20, 36, 1, 52, 64):
-            for buf in [ws.input, *ws.acts]:
-                buf.fill(np.inf)
-            with warnings.catch_warnings():
+            with monkeypatch.context() as patched, warnings.catch_warnings():
+                blocks = inf_blocks(patched)
                 warnings.simplefilter("error", RuntimeWarning)
-                out = _run_pass(model, ws, x[:height])[:height]
+                out = _run_pass(model, layers, _padded(x[:height]), height)[:height]
+            assert len(blocks) == n_enc
             ref = forward(model, x[:height]).reshape(height, -1)
             assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
 

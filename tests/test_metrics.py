@@ -3,6 +3,7 @@ import os
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from dpimage import metrics
 from dpimage.codec import (
     PASS_ROWS,
     AutoencoderModel,
-    PassWorkspace,
     _decode_encode_passes,
     decode_batch,
     encode_batch,
@@ -318,19 +318,19 @@ class TestSsimStack:
                 assert np.array_equal(bits(score(y[rows], start)), bits(want))
 
     @pytest.mark.parametrize("n", [1, 31, 32, 33, 64])
-    def test_shared_buffer_set_equals_per_call_scorer(self, n):
-        # the sweep's workers take turns with one set of SWEEP_SSIM_BLOCK
-        # images; a stack may be shorter or longer than one block
+    def test_offset_calls_equal_per_block_scorer(self, n):
+        # the sweep scores one pass at a time from an offset into the
+        # originals; a pass may be shorter or longer than one SSIM block,
+        # and each call's own block buffers leave no trace on the next
         rng = np.random.default_rng(n + 50)
         x = rng.uniform(size=(n + 40, 32, 32))
         score = ssim_reference(x)
-        shared = score.buffers(metrics.SWEEP_SSIM_BLOCK)
-        for start in (0, 17, 40, 17):  # the set is reused dirty, call after call
+        for start in (0, 17, 40, 17):
             rows = slice(start, start + n)
             y = np.clip(x[rows] + rng.normal(0.0, 0.3, size=(n, 32, 32)), 0.0, 1.0)
-            expected = score(y, start)  # a set of its own per call
-            assert np.array_equal(bits(score(y, start, shared)), bits(expected))
-            assert np.array_equal(bits(expected), bits(per_block_ssim_reference(x[rows])(y)))
+            got = score(y, start)
+            assert np.array_equal(bits(score(y, start)), bits(got))
+            assert np.array_equal(bits(got), bits(per_block_ssim_reference(x[rows])(y)))
 
     def test_offset_past_the_reference_rejected(self):
         score = ssim_reference(np.zeros((4, 16, 16)))
@@ -488,16 +488,34 @@ class TestScoreLatents:
         assert calls.count(caller) == 2 and len(set(calls)) == 2
         assert threading.active_count() == before
 
-    def test_decode_encode_workspace_holds_the_decoder_and_one_block(self):
-        # the encoder's 256- and 32-wide layers lie in the decoder's spent
-        # buffer: only the 64-wide layer adds a block
-        model = self.model
-        ws = PassWorkspace(model, True, True)
-        views = [ws.input, *ws.acts]
-        held = {id(v.base): v.base.nbytes for v in views}
-        decoder = PASS_ROWS * (max(32, 256) + max(64, 1024)) * 8  # its two buffers
-        assert sum(held.values()) <= decoder + PASS_ROWS * 64 * 8 == 672 * 1024
-        assert len(held) == 3
+    def traced_peak(self, z) -> int:
+        """tracemalloc's peak over the pass schedule of z, scored by no one."""
+        tracemalloc.start()
+        try:
+            _decode_encode_passes(self.model, z, lambda start, y, latent: None)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_decode_encode_pass_peaks_at_the_decoder_and_one_block(self, monkeypatch):
+        # a 64-row pass holds at most two layers' blocks and the decoded
+        # images: the encoder's 64-wide layer, written from its 256-wide
+        # input beside the images, is the decoder's last layer and one block.
+        # Beside them: the padded input, and the buffer of at most
+        # np.getbufsize() values that numpy's broadcast of a bias takes
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        z = np.random.default_rng(1).normal(0.0, 3.0, size=(PASS_ROWS, 32))
+        decoder = PASS_ROWS * (256 + 1024) * 8  # its last layer's block and input
+        assert decoder + PASS_ROWS * 64 * 8 == 672 * 1024
+        assert self.traced_peak(z) <= 672 * 1024 + z.nbytes + 8 * np.getbufsize()
+
+    def test_pass_blocks_are_freed_before_the_next_pass(self, monkeypatch):
+        # on one worker, ten passes peak where one does: a pass's blocks do
+        # not outlive it, or the next pass's would sit beside them
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        z = np.random.default_rng(2).normal(0.0, 3.0, size=(10 * PASS_ROWS, 32))
+        one, ten = self.traced_peak(z[:PASS_ROWS]), self.traced_peak(z)
+        assert ten <= one + 4096
 
     @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize("height", [1, 11, 16, 48, 64, 65, 2 * PASS_ROWS + 17])
